@@ -46,10 +46,8 @@ from .ingest import (
 )
 from .metrics import (
     StructuralReport,
-    avg_path_length,
     degree_centralization,
     density,
-    diameter,
     format_structural_table,
     structural_report,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "USER_MODE",
     "UserProfile",
     "activity_overview",
-    "avg_path_length",
     "betweenness_centrality",
     "bipartite_degree_centrality",
     "build_bipartite",
@@ -93,7 +90,6 @@ __all__ = [
     "degree_centrality",
     "degree_centralization",
     "density",
-    "diameter",
     "export_graph",
     "format_structural_table",
     "generate",

@@ -4,7 +4,8 @@ Degree, closeness, and betweenness are all normalized to [0, 1].
 Closeness uses the component-size-penalized form so disconnected
 networks still get meaningful nonzero values; betweenness is computed
 with Brandes dependency accumulation (fractional credit over multiple
-shortest paths).
+shortest paths). Both read one ``paths.path_stats`` pass, which the
+structural report shares.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BipartiteNetwork, OneModeNetwork, USER_MODE
-from .paths import adjacency_matrix, all_pairs_distances, betweenness_raw
+from .paths import PathStats, path_stats
 
 MEASURES = ("degree", "closeness", "betweenness")
 HISTOGRAM_BINS = 50
@@ -67,7 +68,7 @@ def degree_centrality(g: OneModeNetwork) -> dict[str, float]:
     return {node: d / (n - 1) for node, d in g.degree_map().items()}
 
 
-def closeness_centrality(g: OneModeNetwork) -> dict[str, float]:
+def closeness_centrality(g: OneModeNetwork, stats: PathStats | None = None) -> dict[str, float]:
     """Reach-penalized closeness.
 
     For a node that reaches r others with total distance s:
@@ -77,28 +78,21 @@ def closeness_centrality(g: OneModeNetwork) -> dict[str, float]:
     n = len(g.nodes)
     if n <= 1:
         return dict.fromkeys(g.nodes, 0.0)
-    dist = all_pairs_distances(adjacency_matrix(g))
-    out: dict[str, float] = {}
-    for i, node in enumerate(g.nodes):
-        row = dist[i]
-        reached = row > 0
-        r = int(reached.sum())
-        if r == 0:
-            out[node] = 0.0
-            continue
-        s = int(row[reached].sum())
-        out[node] = (r / (n - 1)) * (r / s)
-    return out
+    if stats is None:
+        stats = path_stats(g)
+    pairs = zip(g.nodes, stats.reach.tolist(), stats.distance_sum.tolist())
+    return {node: (r / (n - 1)) * (r / s) if r else 0.0 for node, r, s in pairs}
 
 
-def betweenness_centrality(g: OneModeNetwork) -> dict[str, float]:
+def betweenness_centrality(g: OneModeNetwork, stats: PathStats | None = None) -> dict[str, float]:
     """Brandes betweenness normalized by (n-1)(n-2)/2; zeros when n < 3."""
     n = len(g.nodes)
     if n < 3:
         return dict.fromkeys(g.nodes, 0.0)
-    raw = betweenness_raw(adjacency_matrix(g))
+    if stats is None:
+        stats = path_stats(g)
     scale = (n - 1) * (n - 2) / 2.0
-    return {node: float(raw[i]) / scale for i, node in enumerate(g.nodes)}
+    return {node: raw / scale for node, raw in zip(g.nodes, stats.betweenness.tolist())}
 
 
 def _summarize(values: np.ndarray) -> MeasureSummary:
@@ -120,11 +114,16 @@ def _histogram(values: np.ndarray) -> list[int]:
     return [int(c) for c in counts]
 
 
-def centrality_table(g: OneModeNetwork) -> CentralityTable:
-    """One row per node (isolates included) plus summaries and histograms."""
+def centrality_table(g: OneModeNetwork, stats: PathStats | None = None) -> CentralityTable:
+    """One row per node (isolates included) plus summaries and histograms.
+
+    ``stats`` is the network's ``path_stats``, computed here when omitted.
+    """
+    if stats is None:
+        stats = path_stats(g)
     degree = degree_centrality(g)
-    closeness = closeness_centrality(g)
-    betweenness = betweenness_centrality(g)
+    closeness = closeness_centrality(g, stats)
+    betweenness = betweenness_centrality(g, stats)
     rows = [
         CentralityRow(node, degree[node], closeness[node], betweenness[node])
         for node in g.nodes

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import __version__
@@ -42,22 +43,14 @@ SYNTH_DEFAULTS = {
     "moderators": 0,
     "silent_initiators": 0,
 }
-ANALYZE_DEFAULTS = {
-    "data": None,
-    "out": None,
-    "core_threshold": 0.20,
-    "thin_sd": 1.0,
-    "layout_seed": 42,
-    "weighting": "events",
-    "bipartite_norm": False,
-    "period": "year",
-    "layout_iterations": 100,
-    "figure_format": "svg",
-    "figures": ["bipartite", "user", "thread"],
-    "thin_strict": True,
-    "silent_min_threads": 21,
-    "roles": {},
+# analyze takes every PipelineConfig field as an option, with its default;
+# --out sets out_dir and the input checksum is always computed from --data
+_PIPELINE_DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(PipelineConfig)
+    if f.name not in ("out_dir", "input_checksum")
 }
+ANALYZE_DEFAULTS = {"data": None, "out": None, **_PIPELINE_DEFAULTS}
 METRICS_DEFAULTS = {"data": None, "mode": None, "weighting": "events"}
 VIZ_DEFAULTS = {
     "data": None,
@@ -162,19 +155,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     data = _read_data(options)
     config = PipelineConfig(
         out_dir=options["out"],
-        period=options["period"],
-        weighting=options["weighting"],
-        core_threshold=float(options["core_threshold"]),
-        silent_min_threads=int(options["silent_min_threads"]),
-        thin_sd=float(options["thin_sd"]),
-        thin_strict=bool(options["thin_strict"]),
-        layout_seed=int(options["layout_seed"]),
-        layout_iterations=int(options["layout_iterations"]),
-        figures=tuple(options["figures"]),
-        figure_format=options["figure_format"],
-        bipartite_norm=bool(options["bipartite_norm"]),
-        roles=dict(options["roles"]),
         input_checksum=hashlib.sha256(raw).hexdigest(),
+        # each option takes its default's type; string fields pass as given
+        **{
+            name: options[name] if isinstance(default, str) else type(default)(options[name])
+            for name, default in _PIPELINE_DEFAULTS.items()
+        },
     )
     bundle = run_pipeline(data, config)
     print(f"wrote {len(bundle.artifacts)} files under {options['out']}")

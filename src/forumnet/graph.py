@@ -132,16 +132,6 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneMod
     return OneModeNetwork(mode=mode, nodes=nodes, edges=dict(edges), node_attr=node_attr)
 
 
-def binary_view(g: OneModeNetwork) -> OneModeNetwork:
-    """Same topology with every tie weight collapsed to 1."""
-    return OneModeNetwork(
-        mode=g.mode,
-        nodes=g.nodes,
-        edges={pair: 1 for pair in g.edges},
-        node_attr=dict(g.node_attr),
-    )
-
-
 def edge_list_csv(g: OneModeNetwork) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -302,6 +302,12 @@ def _parse_posts_csv(text: str, valid_from: datetime, valid_to: datetime) -> For
     return _finalize(candidates, rejects)
 
 
+def _json_text(entry: dict, name: str) -> str:
+    """A JSON field as text; absent and null both read as empty."""
+    value = entry.get(name)
+    return "" if value is None else str(value)
+
+
 def _parse_posts_json(text: str, valid_from: datetime, valid_to: datetime) -> ForumDataset:
     try:
         doc = json.loads(text)
@@ -314,7 +320,7 @@ def _parse_posts_json(text: str, valid_from: datetime, valid_to: datetime) -> Fo
 
     roster: list[UserProfile] = []
     for entry in doc.get("users", []):
-        if isinstance(entry, dict) and str(entry.get("user_id", "")).strip():
+        if isinstance(entry, dict) and _json_text(entry, "user_id").strip():
             profession = entry.get("profession")
             roster.append(
                 UserProfile(str(entry["user_id"]), str(profession) if profession else None)
@@ -332,7 +338,7 @@ def _parse_posts_json(text: str, valid_from: datetime, valid_to: datetime) -> Fo
         if not isinstance(entry, dict):
             rejects.append((order, RejectedRow(raw, "post entry is not an object")))
             continue
-        fields = {name: str(entry.get(name, "")) for name in POSTS_COLUMNS}
+        fields = {name: _json_text(entry, name) for name in POSTS_COLUMNS}
         start_value = entry.get(START_COLUMN)
         if start_value is not None and not isinstance(start_value, bool):
             rejects.append((order, RejectedRow(raw, "bad is_thread_start")))

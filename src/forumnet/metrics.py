@@ -2,9 +2,10 @@
 average path length, and the combined structural report.
 
 All measures work on the binary view of a network; tie weights never
-matter here. Path-based measures are computed within the largest
-connected component, with component counts reported alongside so nothing
-is silently dropped.
+matter here. Diameter and average path length are computed within the
+largest connected component, with component counts reported alongside so
+nothing is silently dropped. They come from ``paths.path_stats``, the
+same shortest-path pass the centrality table reads.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .graph import BipartiteNetwork, OneModeNetwork
-from .paths import adjacency_matrix, all_pairs_distances, connected_components
+from .paths import PathStats, path_stats
 
 
 @dataclass(frozen=True)
@@ -58,61 +57,27 @@ def degree_centralization(g: OneModeNetwork) -> float:
     return sum(top - d for d in degrees.values()) / ((n - 1) * (n - 2))
 
 
-def _largest_component_distances(g: OneModeNetwork):
-    """Distance submatrix of the largest component (None when empty)."""
-    if not g.nodes:
-        return None
-    components = connected_components(g)
-    largest = components[0]
-    if len(largest) == 1:
-        return np.zeros((1, 1), dtype=np.int32)
-    index = {node: i for i, node in enumerate(g.nodes)}
-    ids = np.array([index[node] for node in largest])
-    dist = all_pairs_distances(adjacency_matrix(g))
-    return dist[np.ix_(ids, ids)]
+def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> StructuralReport:
+    """All structural measures plus component metadata.
 
-
-def diameter(g: OneModeNetwork) -> int:
-    """Longest shortest path inside the largest component."""
-    sub = _largest_component_distances(g)
-    if sub is None:
-        return 0
-    return int(sub.max())
-
-
-def avg_path_length(g: OneModeNetwork) -> float:
-    """Mean shortest path over unordered pairs inside the largest component."""
-    sub = _largest_component_distances(g)
-    if sub is None or sub.shape[0] <= 1:
-        return 0.0
-    size = sub.shape[0]
-    return float(np.triu(sub, 1).sum()) / (size * (size - 1) / 2)
-
-
-def structural_report(g: OneModeNetwork) -> StructuralReport:
-    """All structural measures plus component metadata in one pass."""
+    ``stats`` is the network's ``path_stats``, computed here when omitted.
+    """
     n = len(g.nodes)
     if n == 0:
         return StructuralReport(g.mode, 0, 0, 0.0, 0.0, 0, 0.0, 0, 0, 0)
-    components = connected_components(g)
+    if stats is None:
+        stats = path_stats(g)
     degrees = g.degree_map()
-    sub = _largest_component_distances(g)
-    if sub.shape[0] > 1:
-        diam = int(sub.max())
-        size = sub.shape[0]
-        apl = float(np.triu(sub, 1).sum()) / (size * (size - 1) / 2)
-    else:
-        diam, apl = 0, 0.0
     return StructuralReport(
         mode=g.mode,
         n=n,
         m=len(g.edges),
         density=density(g),
         centralization=degree_centralization(g),
-        diameter=diam,
-        avg_path_length=apl,
-        component_count=len(components),
-        largest_component_size=len(components[0]),
+        diameter=stats.diameter,
+        avg_path_length=stats.avg_path_length,
+        component_count=len(stats.components),
+        largest_component_size=len(stats.components[0]),
         isolate_count=sum(1 for d in degrees.values() if d == 0),
     )
 

@@ -42,6 +42,7 @@ from .graph import (
 )
 from .ingest import ActivityOverview, ForumDataset, activity_overview, dataset_to_json
 from .metrics import StructuralReport, bipartite_density, report_json, structural_report
+from .paths import path_stats
 from .viz import ThinningSpec, export_graph, layout, positions_csv, thin
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
@@ -208,8 +209,9 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
             USER_MODE: project(b, USER_MODE, config.weighting),
             THREAD_MODE: project(b, THREAD_MODE, config.weighting),
         }
-        reports = {mode: structural_report(g) for mode, g in networks.items()}
-        tables = {mode: centrality_table(g) for mode, g in networks.items()}
+        stats = {mode: path_stats(g) for mode, g in networks.items()}
+        reports = {mode: structural_report(g, stats[mode]) for mode, g in networks.items()}
+        tables = {mode: centrality_table(g, stats[mode]) for mode, g in networks.items()}
 
         for mode in (USER_MODE, THREAD_MODE):
             writer.write(f"{mode}_structural.json", report_json(reports[mode], provenance))

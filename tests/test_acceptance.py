@@ -21,10 +21,8 @@ from forumnet.centrality import (
 )
 from forumnet.graph import build_bipartite, project
 from forumnet.metrics import (
-    avg_path_length,
     degree_centralization,
     density,
-    diameter,
     structural_report,
 )
 from forumnet.report import PipelineConfig, run_pipeline
@@ -134,8 +132,8 @@ def test_criterion_1_canonical_graphs():
             want = expect(n, g.nodes)
             ok = ok and close(density(g), want["density"])
             ok = ok and close(degree_centralization(g), want["centralization"])
-            ok = ok and diameter(g) == want["diameter"]
-            ok = ok and close(avg_path_length(g), want["apl"])
+            ok = ok and structural_report(g).diameter == want["diameter"]
+            ok = ok and close(structural_report(g).avg_path_length, want["apl"])
             ok = ok and mapping_close(degree_centrality(g), want["degree"])
             ok = ok and mapping_close(closeness_centrality(g), want["closeness"])
             ok = ok and mapping_close(betweenness_centrality(g), want["betweenness"])
@@ -154,8 +152,8 @@ def test_criterion_2_random_graph_oracles():
         want = naive_betweenness(g)
         ok = ok and mapping_close(got, want)
         want_diam, want_apl = oracle_diameter_apl(g)
-        ok = ok and diameter(g) == want_diam
-        ok = ok and close(avg_path_length(g), want_apl)
+        ok = ok and structural_report(g).diameter == want_diam
+        ok = ok and close(structural_report(g).avg_path_length, want_apl)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     report(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from forumnet.graph import (
     BipartiteNetwork,
-    binary_view,
     build_bipartite,
     edge_key,
     edge_list_csv,
@@ -153,21 +152,6 @@ def test_projection_matches_matrix_oracle_20x15():
             got = project(b, mode, weighting).edges
             want = projection_oracle(b, mode, weighting)
             assert got == pytest.approx(want)
-
-
-def test_binary_view_flattens_weights():
-    b = bip({("u1", "t1"): 1, ("u2", "t1"): 1, ("u1", "t2"): 1, ("u2", "t2"): 1})
-    g = project(b, "user")
-    flat = binary_view(g)
-    assert flat.edges == {("u1", "u2"): 1}
-    assert flat.nodes == g.nodes
-    assert set(flat.edges) == set(g.edges)
-
-
-def test_binary_view_empty():
-    g = binary_view(project(build_bipartite(dataset_from_posts([])), "user"))
-    assert g.nodes == ()
-    assert g.edges == {}
 
 
 def test_edge_list_csv_format():

@@ -295,6 +295,18 @@ def test_json_posts_must_be_object_array():
         parse_posts(io.StringIO("{nope"), format="json")
 
 
+def test_json_null_user_id_is_rejected(tmp_path):
+    post = {"post_id": "p1", "thread_id": "t1", "user_id": None, "forum_id": "f1",
+            "timestamp": "2012-01-01T10:00:00Z"}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"posts": [post], "users": [{"user_id": None}]}),
+                    encoding="utf-8")
+    data = load_dataset(path)
+    assert data.posts == []
+    assert [row.reason for row in data.rejected] == ["missing user_id"]
+    assert data.users == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(

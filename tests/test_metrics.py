@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from forumnet.graph import BipartiteNetwork, edge_key
 from forumnet.metrics import (
-    avg_path_length,
     bipartite_density,
     degree_centralization,
     density,
-    diameter,
     format_structural_table,
     report_json,
     structural_report,
@@ -67,18 +65,18 @@ def test_centralization_matches_degree_sequence_formula():
 
 
 def test_diameter_examples():
-    assert diameter(path_graph(5)) == 4
+    assert structural_report(path_graph(5)).diameter == 4
     two_triangles = make_network(
         [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")]
     )
-    assert diameter(two_triangles) == 1
-    assert diameter(make_network([], nodes=["a"])) == 0
+    assert structural_report(two_triangles).diameter == 1
+    assert structural_report(make_network([], nodes=["a"])).diameter == 0
 
 
 def test_avg_path_length_examples():
-    assert avg_path_length(path_graph(3)) == pytest.approx(4 / 3)
-    assert avg_path_length(complete_graph(4)) == pytest.approx(1.0)
-    assert avg_path_length(make_network([], nodes=["a", "b"])) == 0.0
+    assert structural_report(path_graph(3)).avg_path_length == pytest.approx(4 / 3)
+    assert structural_report(complete_graph(4)).avg_path_length == pytest.approx(1.0)
+    assert structural_report(make_network([], nodes=["a", "b"])).avg_path_length == 0.0
 
 
 def test_distances_match_floyd_warshall_oracle():
@@ -86,8 +84,8 @@ def test_distances_match_floyd_warshall_oracle():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.8]))
         want_diam, want_apl = oracle_diameter_apl(g)
-        assert diameter(g) == want_diam
-        assert avg_path_length(g) == pytest.approx(want_apl)
+        assert structural_report(g).diameter == want_diam
+        assert structural_report(g).avg_path_length == pytest.approx(want_apl)
 
 
 def test_structural_report_path3():
@@ -125,10 +123,10 @@ def test_component_bookkeeping():
 def test_largest_component_tie_break_is_lexicographic():
     # two same-size components; the one holding the smallest id wins
     g = make_network([("m", "n"), ("n", "o"), ("a", "b"), ("b", "c")])
-    assert diameter(g) == 2
+    assert structural_report(g).diameter == 2
     g2 = make_network([("m", "n"), ("n", "o"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
     # larger component wins regardless of labels
-    assert diameter(g2) == 4
+    assert structural_report(g2).diameter == 4
 
 
 def test_report_mode_is_carried():
@@ -148,7 +146,8 @@ def test_measures_stay_in_unit_range(pairs, n):
     g = make_network(edges, nodes=[f"n{i}" for i in range(n)])
     assert 0.0 <= density(g) <= 1.0
     assert 0.0 <= degree_centralization(g) <= 1.0
-    assert avg_path_length(g) <= diameter(g) or len(g.nodes) < 2
+    rep = structural_report(g)
+    assert rep.avg_path_length <= rep.diameter or len(g.nodes) < 2
 
 
 def test_measures_invariant_under_relabeling():
@@ -163,8 +162,9 @@ def test_measures_invariant_under_relabeling():
         relabeled = make_network([(mapping[a], mapping[b]) for a, b in edges])
         assert density(relabeled) == pytest.approx(density(g))
         assert degree_centralization(relabeled) == pytest.approx(degree_centralization(g))
-        assert diameter(relabeled) == diameter(g)
-        assert avg_path_length(relabeled) == pytest.approx(avg_path_length(g))
+        got, want = structural_report(relabeled), structural_report(g)
+        assert got.diameter == want.diameter
+        assert got.avg_path_length == pytest.approx(want.avg_path_length)
 
 
 def test_adding_edge_monotonicity_on_connected_graphs():
@@ -184,7 +184,7 @@ def test_adding_edge_monotonicity_on_connected_graphs():
                 list(current.edges) + [(a, b)], nodes=current.nodes
             )
             assert density(grown) >= density(current)
-            assert diameter(grown) <= diameter(current)
+            assert structural_report(grown).diameter <= structural_report(current).diameter
             current = grown
 
 

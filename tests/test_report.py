@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,10 +120,31 @@ def test_reruns_are_byte_identical(tmp_path):
         ).read_bytes()
 
 
+def test_one_shortest_path_pass_per_projection(tmp_path, monkeypatch):
+    import forumnet.paths as paths_module
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(paths_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(paths_module, name, wrapper)
+
+    counted("_bfs_levels")
+    counted("connected_components")
+    run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=tmp_path / "out"))
+    # both toy projections are non-empty: one search and one component scan each
+    assert calls == {"_bfs_levels": 2, "connected_components": 2}
+
+
 def test_failure_rolls_back_partial_output(tmp_path, monkeypatch):
     import forumnet.report as report_module
 
-    def boom(_):
+    def boom(*_):
         raise RuntimeError("forced failure")
 
     monkeypatch.setattr(report_module, "centrality_table", boom)
