@@ -25,41 +25,54 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, InputError
 from .graph import THREAD_MODE, USER_MODE, build_bipartite, project
-from .ingest import ForumDataset, dataset_to_json, load_dataset, posts_csv, users_csv
+from .ingest import dataset_to_json, load_dataset, posts_csv, users_csv
 from .metrics import format_structural_table, structural_report
 from .report import PipelineConfig, run_pipeline
 from .synth import SynthConfig, generate
 from .viz import ThinningSpec, export_graph, layout, thin
 
+
+def _field_defaults(cls) -> dict:
+    """Each dataclass field's default; None where a field has none."""
+    return {
+        f.name: f.default_factory() if f.default_factory is not MISSING
+        else None if f.default is MISSING else f.default
+        for f in fields(cls)
+    }
+
+
 INGEST_DEFAULTS = {"posts": None, "users": None, "format": None, "out": None}
-SYNTH_DEFAULTS = {
-    "users": None,
-    "threads": None,
-    "posts": None,
-    "alpha": 1.0,
-    "seed": 0,
-    "out": None,
-    "forums": 3,
-    "moderators": 0,
-    "silent_initiators": 0,
+# synth flag -> SynthConfig field; the flag's default is the field's
+_SYNTH_FIELDS = {
+    "users": "user_count",
+    "threads": "thread_count",
+    "posts": "post_count",
+    "alpha": "skew_alpha",
+    "seed": "seed",
+    "forums": "forum_count",
+    "moderators": "moderator_count",
+    "silent_initiators": "silent_initiator_count",
 }
+_synth_defaults = _field_defaults(SynthConfig)
+SYNTH_DEFAULTS = {flag: _synth_defaults[name] for flag, name in _SYNTH_FIELDS.items()}
+SYNTH_DEFAULTS["out"] = None
 # analyze takes every PipelineConfig field as an option, with its default;
 # --out sets out_dir and the input checksum is always computed from --data
 _PIPELINE_DEFAULTS = {
-    f.name: f.default_factory() if f.default is MISSING else f.default
-    for f in fields(PipelineConfig)
-    if f.name not in ("out_dir", "input_checksum")
+    name: default
+    for name, default in _field_defaults(PipelineConfig).items()
+    if name not in ("out_dir", "input_checksum")
 }
 ANALYZE_DEFAULTS = {"data": None, "out": None, **_PIPELINE_DEFAULTS}
-METRICS_DEFAULTS = {"data": None, "mode": None, "weighting": "events"}
+METRICS_DEFAULTS = {"data": None, "mode": None, "weighting": _PIPELINE_DEFAULTS["weighting"]}
 VIZ_DEFAULTS = {
     "data": None,
     "mode": None,
     "format": None,
     "out": None,
     "thin_sd": None,
-    "layout_seed": 42,
-    "layout_iterations": 100,
+    "layout_seed": _PIPELINE_DEFAULTS["layout_seed"],
+    "layout_iterations": _PIPELINE_DEFAULTS["layout_iterations"],
 }
 
 
@@ -99,8 +112,12 @@ def _require(options: dict, *keys: str) -> None:
         raise ConfigError(f"missing required option(s): {flags}")
 
 
-def _read_data(options: dict) -> ForumDataset:
-    return load_dataset(options["data"])
+def _coerce(name: str, default, value):
+    """``value`` in the type of ``default``; strings pass as given, and a
+    bool field takes only a bool, since ``bool("false")`` is True."""
+    if isinstance(default, bool) and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value if isinstance(default, str) else type(default)(value)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -120,17 +137,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     options = _merge_options(args, SYNTH_DEFAULTS)
     _require(options, "users", "threads", "posts", "out")
-    cfg = SynthConfig(
-        user_count=options["users"],
-        thread_count=options["threads"],
-        post_count=options["posts"],
-        skew_alpha=options["alpha"],
-        seed=options["seed"],
-        forum_count=options["forums"],
-        moderator_count=options["moderators"],
-        silent_initiator_count=options["silent_initiators"],
-    )
-    data = generate(cfg)
+    data = generate(SynthConfig(**{name: options[flag] for flag, name in _SYNTH_FIELDS.items()}))
     out_path = Path(options["out"])
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -152,15 +159,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raw = Path(options["data"]).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {options['data']}: {exc}") from exc
-    data = _read_data(options)
+    data = load_dataset(options["data"])
     config = PipelineConfig(
         out_dir=options["out"],
         input_checksum=hashlib.sha256(raw).hexdigest(),
-        # each option takes its default's type; string fields pass as given
-        **{
-            name: options[name] if isinstance(default, str) else type(default)(options[name])
-            for name, default in _PIPELINE_DEFAULTS.items()
-        },
+        **{name: _coerce(name, d, options[name]) for name, d in _PIPELINE_DEFAULTS.items()},
     )
     bundle = run_pipeline(data, config)
     print(f"wrote {len(bundle.artifacts)} files under {options['out']}")
@@ -172,7 +175,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     _require(options, "data", "mode")
     if options["mode"] not in (USER_MODE, THREAD_MODE):
         raise ConfigError(f"mode must be user or thread, got {options['mode']!r}")
-    data = _read_data(options)
+    data = load_dataset(options["data"])
     g = project(build_bipartite(data), options["mode"], options["weighting"])
     print(format_structural_table([structural_report(g)]))
     return 0
@@ -185,7 +188,7 @@ def _cmd_viz(args: argparse.Namespace) -> int:
         raise ConfigError(f"mode must be user, thread, or bipartite, got {options['mode']!r}")
     if options["format"] not in ("dot", "graphml", "svg"):
         raise ConfigError(f"format must be dot, graphml, or svg, got {options['format']!r}")
-    data = _read_data(options)
+    data = load_dataset(options["data"])
     b = build_bipartite(data)
     sizes = None
     if options["mode"] == "bipartite":

@@ -69,13 +69,6 @@ class OneModeNetwork:
     edges: dict[tuple[str, str], int]
     node_attr: dict[str, int] = field(default_factory=dict)
 
-    def adjacency_map(self) -> dict[str, set[str]]:
-        adjacency: dict[str, set[str]] = {node: set() for node in self.nodes}
-        for a, b in self.edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        return adjacency
-
     def degree_map(self) -> dict[str, int]:
         degrees = dict.fromkeys(self.nodes, 0)
         for a, b in self.edges:

@@ -121,14 +121,12 @@ def _read_text(source) -> str:
         if isinstance(source, (str, Path)):
             return Path(source).read_text(encoding="utf-8-sig")
         data = source.read()
+        if isinstance(data, bytes):
+            return data.decode("utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"input is not valid UTF-8: {exc}") from exc
-        return text
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not valid UTF-8: {exc}") from exc
     return data.lstrip("﻿")
 
 

@@ -4,8 +4,9 @@ average path length, and the combined structural report.
 All measures work on the binary view of a network; tie weights never
 matter here. Diameter and average path length are computed within the
 largest connected component, with component counts reported alongside so
-nothing is silently dropped. They come from ``paths.path_stats``, the
-same shortest-path pass the centrality table reads.
+nothing is silently dropped. They and the component and isolate counts
+come from ``paths.path_stats``, the same shortest-path pass the
+centrality table reads.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> Stru
         return StructuralReport(g.mode, 0, 0, 0.0, 0.0, 0, 0.0, 0, 0, 0)
     if stats is None:
         stats = path_stats(g)
-    degrees = g.degree_map()
     return StructuralReport(
         mode=g.mode,
         n=n,
@@ -78,7 +78,8 @@ def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> Stru
         avg_path_length=stats.avg_path_length,
         component_count=len(stats.components),
         largest_component_size=len(stats.components[0]),
-        isolate_count=sum(1 for d in degrees.values() if d == 0),
+        # a degree-0 node is exactly a single-node component
+        isolate_count=sum(1 for comp in stats.components if len(comp) == 1),
     )
 
 

@@ -4,16 +4,16 @@ One all-sources breadth-first search per network feeds every path-based
 measure. ``path_stats`` runs it once, counting shortest paths as it goes,
 accumulates Brandes dependencies from the same levels, and keeps only
 per-node results: components, the largest component's diameter and
-average path length, closeness inputs and raw betweenness. The searches
-run level-synchronously over a dense adjacency matrix. At the scale this
-package targets (hundreds to a few thousand nodes) the matrix form is
-fast, and every reduction happens in a fixed order, so repeated runs are
-bit-identical.
+average path length, closeness inputs and raw betweenness. The
+components, isolates included, are read from the search's distance
+matrix. The searches run level-synchronously over a dense adjacency
+matrix. At the scale this package targets (hundreds to a few thousand
+nodes) the matrix form is fast, and every reduction happens in a fixed
+order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,7 @@ class PathStats:
     dropped once these are derived.
     """
 
-    components: list[list[str]]  # as connected_components returns them
+    components: list[list[str]]  # sorted node lists, largest first
     diameter: int  # longest shortest path inside the largest component
     avg_path_length: float  # mean over the largest component's unordered pairs
     reach: np.ndarray  # other nodes each node reaches
@@ -108,13 +108,30 @@ def betweenness_raw(adj: np.ndarray) -> np.ndarray:
     return _accumulate(adj, *_bfs_levels(adj))
 
 
+def _components(nodes: tuple[str, ...], dist: np.ndarray) -> list[tuple[list[str], np.ndarray]]:
+    """Components as (sorted node list, index array) pairs, largest first.
+
+    Two nodes share a component exactly when one reaches the other, so
+    each node is labelled with the smallest index it reaches. Ties on
+    size break toward the component holding the lexicographically
+    smallest node, so "the largest component" is deterministic.
+    """
+    if not nodes:
+        return []
+    labels = (dist >= 0).argmax(axis=1)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    components = [(sorted(nodes[i] for i in ids), ids) for ids in groups]
+    components.sort(key=lambda comp: (-len(comp[0]), comp[0][0]))
+    return components
+
+
 def path_stats(g: OneModeNetwork) -> PathStats:
     """Every path-based figure of ``g`` from one shortest-path pass."""
-    components = connected_components(g)
     n = len(g.nodes)
     if n == 0:
         none = np.zeros(0, dtype=np.int64)
-        return PathStats(components, 0, 0.0, none, none, np.zeros(0, dtype=np.float64))
+        return PathStats([], 0, 0.0, none, none, np.zeros(0, dtype=np.float64))
     adj = adjacency_matrix(g)
     dist, sigma = _bfs_levels(adj)
     betweenness = _accumulate(adj, dist, sigma)
@@ -122,8 +139,8 @@ def path_stats(g: OneModeNetwork) -> PathStats:
     # a row sums its distances, 0 for itself and -1 per unreached node
     distance_sum = dist.sum(axis=1, dtype=np.int64) + (n - 1 - reach)
     eccentricity = dist.max(axis=1)
-    index = {node: i for i, node in enumerate(g.nodes)}
-    ids = np.array([index[node] for node in components[0]])
+    components = _components(g.nodes, dist)
+    ids = components[0][1]
     size = len(ids)
     if size > 1:
         diameter = int(eccentricity[ids].max())
@@ -132,31 +149,11 @@ def path_stats(g: OneModeNetwork) -> PathStats:
         apl = float(pair_sum) / (size * (size - 1) / 2)
     else:
         diameter, apl = 0, 0.0
-    return PathStats(components, diameter, apl, reach, distance_sum, betweenness)
+    names = [comp for comp, _ in components]
+    return PathStats(names, diameter, apl, reach, distance_sum, betweenness)
 
 
 def connected_components(g: OneModeNetwork) -> list[list[str]]:
-    """Components as sorted node lists, largest first.
-
-    Ties on size break toward the component holding the lexicographically
-    smallest node, so "the largest component" is deterministic.
-    """
-    adjacency = g.adjacency_map()
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for start in g.nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        component = []
-        while queue:
-            node = queue.popleft()
-            component.append(node)
-            for neighbor in sorted(adjacency[node]):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        components.append(sorted(component))
-    components.sort(key=lambda comp: (-len(comp), comp[0]))
-    return components
+    """Components as sorted node lists, largest first, from a search of
+    their own; ``path_stats`` reads them from its pass instead."""
+    return [comp for comp, _ in _components(g.nodes, all_pairs_distances(adjacency_matrix(g)))]

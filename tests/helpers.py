@@ -127,12 +127,11 @@ def floyd_warshall(g: OneModeNetwork) -> dict[tuple[str, str], float]:
     return dist
 
 
-def oracle_diameter_apl(g: OneModeNetwork) -> tuple[int, float]:
-    """Diameter and mean pairwise distance over the largest component."""
+def oracle_components(g: OneModeNetwork, dist=None) -> list[list[str]]:
+    """Components as sorted node lists, largest first, ties toward the
+    smallest node; reachability comes from Floyd-Warshall."""
     nodes = list(g.nodes)
-    if not nodes:
-        return 0, 0.0
-    dist = floyd_warshall(g)
+    dist = floyd_warshall(g) if dist is None else dist
     unassigned = set(nodes)
     components = []
     while unassigned:
@@ -141,7 +140,15 @@ def oracle_diameter_apl(g: OneModeNetwork) -> tuple[int, float]:
         components.append(sorted(comp))
         unassigned -= comp
     components.sort(key=lambda comp: (-len(comp), comp[0]))
-    largest = components[0]
+    return components
+
+
+def oracle_diameter_apl(g: OneModeNetwork) -> tuple[int, float]:
+    """Diameter and mean pairwise distance over the largest component."""
+    if not g.nodes:
+        return 0, 0.0
+    dist = floyd_warshall(g)
+    largest = oracle_components(g, dist)[0]
     pair_dists = [
         dist[(a, b)] for a, b in itertools.combinations(largest, 2)
     ]

@@ -96,6 +96,13 @@ def test_unreadable_path_is_input_error():
         parse_posts("/nonexistent/posts.csv")
 
 
+def test_non_utf8_path_is_input_error(tmp_path):
+    bad = tmp_path / "posts.csv"
+    bad.write_bytes(f"{HEADER}\np1,t1,J\xf6rg,f1,2012-01-01T00:00:00Z\n".encode("latin-1"))
+    with pytest.raises(InputError, match="UTF-8"):
+        parse_posts(bad)
+
+
 def test_rows_sorted_by_timestamp_then_post_id():
     data = parse_posts(
         csv_stream(

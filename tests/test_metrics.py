@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet.graph import BipartiteNetwork, edge_key
+from forumnet.graph import BipartiteNetwork, OneModeNetwork, edge_key
 from forumnet.metrics import (
     bipartite_density,
     degree_centralization,
@@ -17,11 +17,14 @@ from forumnet.metrics import (
     report_json,
     structural_report,
 )
+from forumnet.paths import path_stats
 
 from helpers import (
+    adjacency_sets,
     complete_graph,
     cycle_graph,
     make_network,
+    oracle_components,
     oracle_diameter_apl,
     path_graph,
     random_graph,
@@ -127,6 +130,31 @@ def test_largest_component_tie_break_is_lexicographic():
     g2 = make_network([("m", "n"), ("n", "o"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
     # larger component wins regardless of labels
     assert structural_report(g2).diameter == 4
+
+
+@st.composite
+def shuffled_components(draw):
+    """A graph of small components, often of equal size and with isolates,
+    whose node order is shuffled so index order and name order differ."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    names = draw(st.permutations([f"v{i:02d}" for i in range(sum(sizes))]))
+    edges, start = {}, 0
+    for size in sizes:
+        members = names[start:start + size]
+        start += size
+        # a spanning path keeps the component whole; chords vary its shape
+        chords = [pair for pair in itertools.combinations(members, 2) if draw(st.booleans())]
+        for a, b in list(zip(members, members[1:])) + chords:
+            edges[edge_key(a, b)] = 1
+    return OneModeNetwork("user", tuple(draw(st.permutations(names))), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_components())
+def test_components_and_isolates_match_oracle(g):
+    assert path_stats(g).components == oracle_components(g)
+    isolates = sum(1 for neighbors in adjacency_sets(g).values() if not neighbors)
+    assert structural_report(g).isolate_count == isolates
 
 
 def test_report_mode_is_carried():

@@ -137,8 +137,9 @@ def test_one_shortest_path_pass_per_projection(tmp_path, monkeypatch):
     counted("_bfs_levels")
     counted("connected_components")
     run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=tmp_path / "out"))
-    # both toy projections are non-empty: one search and one component scan each
-    assert calls == {"_bfs_levels": 2, "connected_components": 2}
+    # both toy projections are non-empty: one search each, and the
+    # components come from that search, not from a scan of their own
+    assert calls == {"_bfs_levels": 2}
 
 
 def test_failure_rolls_back_partial_output(tmp_path, monkeypatch):
@@ -261,6 +262,29 @@ def test_cli_exit_code_config_error(tmp_path):
     result = run_cli("synth", "--users", "2", "--threads", "5", "--posts", "3",
                      "--out", str(tmp_path / "x.json"))
     assert result.returncode == 2
+
+
+def test_cli_non_utf8_data_exits_1(tmp_path):
+    bad = tmp_path / "posts.csv"
+    bad.write_bytes(b"post_id,thread_id,user_id,forum_id,timestamp\n"
+                    b"p1,t1,J\xf6rg,f1,2012-01-01T00:00:00Z\n")
+    result = run_cli("analyze", "--data", str(bad), "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert "UTF-8" in result.stderr
+
+
+def test_cli_config_string_bool_rejected(tmp_path):
+    data = tmp_path / "posts.csv"
+    data.write_text("post_id,thread_id,user_id,forum_id,timestamp\n"
+                    "p1,t1,u1,f1,2012-01-01T00:00:00Z\n"
+                    "p2,t1,u2,f1,2012-01-02T00:00:00Z\n", encoding="utf-8")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bipartite_norm": "false"}), encoding="utf-8")
+    out = tmp_path / "out"
+    result = run_cli("analyze", "--data", str(data), "--out", str(out), "--config", str(cfg))
+    assert result.returncode == 2
+    assert "bipartite_norm" in result.stderr
+    assert not (out / "bipartite.json").exists()
 
 
 def test_cli_usage_errors_exit_2(tmp_path):
