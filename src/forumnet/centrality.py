@@ -65,7 +65,7 @@ def degree_centrality(g: OneModeNetwork) -> dict[str, float]:
     n = len(g.nodes)
     if n <= 1:
         return dict.fromkeys(g.nodes, 0.0)
-    return {node: d / (n - 1) for node, d in g.degree_map().items()}
+    return {node: d / (n - 1) for node, d in zip(g.nodes, g.degrees().tolist())}
 
 
 def closeness_centrality(g: OneModeNetwork, stats: PathStats | None = None) -> dict[str, float]:
@@ -175,14 +175,13 @@ def silent_initiators(
     """
     if g_user.mode != USER_MODE:
         raise ValueError(f"expected a user-mode network, got {g_user.mode!r}")
-    if set(g_user.nodes) != set(b.user_nodes):
+    if g_user.nodes != b.user_nodes:
         raise ValueError("user network does not match the bipartite network")
-    thread_counts = {user: len(threads) for user, threads in b.threads_of().items()}
-    degrees = g_user.degree_map()
+    thread_counts = np.bincount(b.incidence[:, 0], minlength=len(b.user_nodes)).tolist()
     hits = [
-        (user, thread_counts[user])
-        for user in b.user_nodes
-        if degrees[user] == 0 and thread_counts[user] >= min_threads
+        (user, count)
+        for user, count, degree in zip(b.user_nodes, thread_counts, g_user.degrees().tolist())
+        if degree == 0 and count >= min_threads
     ]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
@@ -190,13 +189,13 @@ def silent_initiators(
 
 def bipartite_degree_centrality(b: BipartiteNetwork, mode: str) -> dict[str, float]:
     """Two-mode degree normalization: ties divided by the opposite class size."""
-    if mode == USER_MODE:
-        nodes, groups, opposite = b.user_nodes, b.threads_of(), len(b.thread_nodes)
-    else:
-        nodes, groups, opposite = b.thread_nodes, b.users_of(), len(b.user_nodes)
+    side = 0 if mode == USER_MODE else 1
+    nodes = b.user_nodes if side == 0 else b.thread_nodes
+    opposite = len(b.thread_nodes if side == 0 else b.user_nodes)
     if opposite == 0:
         return dict.fromkeys(nodes, 0.0)
-    return {node: len(groups.get(node, [])) / opposite for node in nodes}
+    ties = np.bincount(b.incidence[:, side], minlength=len(nodes)).tolist()
+    return {node: count / opposite for node, count in zip(nodes, ties)}
 
 
 # --- serialization -------------------------------------------------------

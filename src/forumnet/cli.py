@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .errors import ConfigError, InputError
@@ -54,6 +55,7 @@ _SYNTH_FIELDS = {
     "silent_initiators": "silent_initiator_count",
 }
 _synth_defaults = _field_defaults(SynthConfig)
+_SYNTH_TYPES = get_type_hints(SynthConfig)
 SYNTH_DEFAULTS = {flag: _synth_defaults[name] for flag, name in _SYNTH_FIELDS.items()}
 SYNTH_DEFAULTS["out"] = None
 # analyze takes every PipelineConfig field as an option, with its default;
@@ -112,12 +114,15 @@ def _require(options: dict, *keys: str) -> None:
         raise ConfigError(f"missing required option(s): {flags}")
 
 
-def _coerce(name: str, default, value):
-    """``value`` in the type of ``default``; strings pass as given, and a
-    bool field takes only a bool, since ``bool("false")`` is True."""
-    if isinstance(default, bool) and not isinstance(value, bool):
+def _coerce(name: str, kind: type, value):
+    """``value`` as a ``kind``; strings pass as given, and a bool field
+    takes only a bool, since ``bool("false")`` is True."""
+    if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value if isinstance(default, str) else type(default)(value)
+    try:
+        return value if kind is str else kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -137,7 +142,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     options = _merge_options(args, SYNTH_DEFAULTS)
     _require(options, "users", "threads", "posts", "out")
-    data = generate(SynthConfig(**{name: options[flag] for flag, name in _SYNTH_FIELDS.items()}))
+    data = generate(SynthConfig(**{
+        name: _coerce(flag, _SYNTH_TYPES[name], options[flag])
+        for flag, name in _SYNTH_FIELDS.items()
+    }))
     out_path = Path(options["out"])
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -163,7 +171,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         out_dir=options["out"],
         input_checksum=hashlib.sha256(raw).hexdigest(),
-        **{name: _coerce(name, d, options[name]) for name, d in _PIPELINE_DEFAULTS.items()},
+        **{name: _coerce(name, type(d), options[name]) for name, d in _PIPELINE_DEFAULTS.items()},
     )
     bundle = run_pipeline(data, config)
     print(f"wrote {len(bundle.artifacts)} files under {options['out']}")
@@ -190,14 +198,12 @@ def _cmd_viz(args: argparse.Namespace) -> int:
         raise ConfigError(f"format must be dot, graphml, or svg, got {options['format']!r}")
     data = load_dataset(options["data"])
     b = build_bipartite(data)
-    sizes = None
     if options["mode"] == "bipartite":
         network = b
     else:
         network = project(b, options["mode"])
         if options["thin_sd"] is not None:
             network = thin(network, ThinningSpec(k_sd=float(options["thin_sd"])))
-        sizes = network.node_attr
     placed = None
     if options["format"] == "svg":
         placed = layout(
@@ -205,9 +211,7 @@ def _cmd_viz(args: argparse.Namespace) -> int:
             seed=int(options["layout_seed"]),
             iterations=int(options["layout_iterations"]),
         )
-    rendered = export_graph(
-        network, layout_result=placed, format=options["format"], node_size_attr=sizes
-    )
+    rendered = export_graph(network, layout_result=placed, format=options["format"])
     out_path = Path(options["out"])
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)

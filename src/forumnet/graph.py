@@ -4,15 +4,21 @@ A forum is modeled as a two-mode network: users are tied to the threads
 they post in. Projecting onto one node class ties users who share a
 thread (and threads that share a user). Networks are plain immutable
 value objects; everything downstream treats them as read-only.
+
+Both kinds are integer-indexed: a node is its position in a tuple of
+names, and ties are rows of index arrays. Names are used only when a
+network is written out. ``build_bipartite`` sorts them, so index order
+is name order in every network built from data. Networks compare by
+identity, since arrays have no single truth value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+
+import numpy as np
 
 from .ingest import ForumDataset
 
@@ -21,70 +27,55 @@ THREAD_MODE = "thread"
 WEIGHTINGS = ("events", "posts")
 
 
-def edge_key(a: str, b: str) -> tuple[str, str]:
-    """Canonical unordered pair; self-loops are not representable."""
-    if a == b:
-        raise ValueError(f"self-loop on {a!r}")
-    return (a, b) if a < b else (b, a)
-
-
-@dataclass
+@dataclass(eq=False)
 class BipartiteNetwork:
-    """Users x threads with post multiplicities; no zero entries stored."""
+    """Users x threads with post multiplicities; no zero entries stored.
+
+    ``incidence`` is a (k, 2) array of (user index, thread index) rows,
+    sorted, and ``counts`` the post count of each row.
+    """
 
     user_nodes: tuple[str, ...]
     thread_nodes: tuple[str, ...]
-    incidence: dict[tuple[str, str], int]
-
-    def threads_of(self) -> dict[str, list[str]]:
-        """user -> sorted distinct threads they posted in."""
-        out: dict[str, list[str]] = defaultdict(list)
-        for user, thread in sorted(self.incidence):
-            out[user].append(thread)
-        for user in self.user_nodes:
-            out.setdefault(user, [])
-        return dict(out)
-
-    def users_of(self) -> dict[str, list[str]]:
-        """thread -> sorted distinct users who posted in it."""
-        out: dict[str, list[str]] = defaultdict(list)
-        for user, thread in sorted(self.incidence, key=lambda key: (key[1], key[0])):
-            out[thread].append(user)
-        for thread in self.thread_nodes:
-            out.setdefault(thread, [])
-        return dict(out)
+    incidence: np.ndarray
+    counts: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class OneModeNetwork:
     """Undirected weighted graph over users or threads.
 
-    ``node_attr`` carries, per node, the distinct threads contributed to
-    (user mode) or the distinct participants (thread mode). Isolates are
-    kept: a node with posts but no co-participants still matters.
+    ``edges`` is an (m, 2) array of node-index rows (i, j), i < j, sorted;
+    ``weights`` holds each tie's weight. ``node_attr`` carries, per node,
+    the distinct threads contributed to (user mode) or the distinct
+    participants (thread mode). Isolates are kept: a node with posts but
+    no co-participants still matters.
     """
 
     mode: str
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
-    node_attr: dict[str, int] = field(default_factory=dict)
+    edges: np.ndarray
+    weights: np.ndarray
+    node_attr: np.ndarray
 
-    def degree_map(self) -> dict[str, int]:
-        degrees = dict.fromkeys(self.nodes, 0)
-        for a, b in self.edges:
-            degrees[a] += 1
-            degrees[b] += 1
-        return degrees
+    def degrees(self) -> np.ndarray:
+        """Ties per node, in node order."""
+        return np.bincount(self.edges.ravel(), minlength=len(self.nodes))
 
 
 def build_bipartite(data: ForumDataset) -> BipartiteNetwork:
     """Count posts per (user, thread); node sets come from the posts alone."""
-    incidence: dict[tuple[str, str], int] = defaultdict(int)
-    for post in data.posts:
-        incidence[(post.user_id, post.thread_id)] += 1
-    users = tuple(sorted({u for u, _ in incidence}))
-    threads = tuple(sorted({t for _, t in incidence}))
-    return BipartiteNetwork(users, threads, dict(incidence))
+    users = tuple(sorted({post.user_id for post in data.posts}))
+    threads = tuple(sorted({post.thread_id for post in data.posts}))
+    user_index = {user: i for i, user in enumerate(users)}
+    thread_index = {thread: i for i, thread in enumerate(threads)}
+    width = len(threads)
+    keys = np.array(
+        [user_index[post.user_id] * width + thread_index[post.thread_id] for post in data.posts],
+        dtype=np.int64,
+    )
+    pairs, counts = np.unique(keys, return_counts=True)
+    return BipartiteNetwork(users, threads, np.column_stack(np.divmod(pairs, width)), counts)
 
 
 def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneModeNetwork:
@@ -99,38 +90,40 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneMod
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting: {weighting!r}")
 
-    if mode == USER_MODE:
-        nodes = b.user_nodes
-        groups = b.users_of()          # event -> members
-        memberships = b.threads_of()   # node -> events, for node_attr
-        counts = b.incidence
-    else:
-        nodes = b.thread_nodes
-        groups = b.threads_of()
-        memberships = b.users_of()
-        counts = {(t, u): n for (u, t), n in b.incidence.items()}
-
-    edges: dict[tuple[str, str], int] = defaultdict(int)
-    for event in sorted(groups):
-        members = groups[event]
-        for a, c in combinations(members, 2):
-            if weighting == "events":
-                edges[edge_key(a, c)] += 1
-            else:
-                edges[edge_key(a, c)] += counts[(a, event)] * counts[(c, event)]
-
+    side = 0 if mode == USER_MODE else 1
+    nodes = b.user_nodes if side == 0 else b.thread_nodes
+    n = len(nodes)
+    member, event = b.incidence[:, side], b.incidence[:, 1 - side]
+    # each event's members in index order, so every pair below has i < j
+    order = np.lexsort((member, event))
+    member, event = member[order], event[order]
+    # "events" weighs every membership 1, so a tie sums one per shared event
+    counts = b.counts[order] if weighting == "posts" else np.ones_like(member)
+    starts = np.flatnonzero(np.diff(event, prepend=-1))
+    sizes = np.diff(starts, append=len(event))
+    keys, products = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    # events of one size pair up at once: one row of member positions each
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        rows = starts[sizes == size][:, None] + np.arange(size)
+        i, j = np.triu_indices(size, 1)
+        ids, posts = member[rows], counts[rows]
+        keys.append((ids[:, i] * n + ids[:, j]).ravel())
+        products.append((posts[:, i] * posts[:, j]).ravel())
+    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    weights = np.bincount(inverse, weights=np.concatenate(products), minlength=len(pairs))
+    edges = np.column_stack(np.divmod(pairs, n))
     # opposite-class group sizes decorate the nodes (threads touched /
     # distinct participants)
-    node_attr = {node: len(memberships.get(node, [])) for node in nodes}
-    return OneModeNetwork(mode=mode, nodes=nodes, edges=dict(edges), node_attr=node_attr)
+    node_attr = np.bincount(b.incidence[:, side], minlength=n)
+    return OneModeNetwork(mode, nodes, edges, weights.astype(np.int64), node_attr.astype(np.int64))
 
 
 def edge_list_csv(g: OneModeNetwork) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", "target", "weight"])
-    for (a, b), weight in sorted(g.edges.items()):
-        writer.writerow([a, b, weight])
+    names = np.array(g.nodes, dtype=object)[g.edges]
+    writer.writerows(zip(names[:, 0].tolist(), names[:, 1].tolist(), g.weights.tolist()))
     return buf.getvalue()
 
 
@@ -138,6 +131,5 @@ def node_list_csv(g: OneModeNetwork) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "attr"])
-    for node in g.nodes:
-        writer.writerow([node, g.node_attr.get(node, 0)])
+    writer.writerows(zip(g.nodes, g.node_attr.tolist()))
     return buf.getvalue()

@@ -53,9 +53,8 @@ def degree_centralization(g: OneModeNetwork) -> float:
     n = len(g.nodes)
     if n < 3:
         return 0.0
-    degrees = g.degree_map()
-    top = max(degrees.values())
-    return sum(top - d for d in degrees.values()) / ((n - 1) * (n - 2))
+    degrees = g.degrees()
+    return int((degrees.max() - degrees).sum()) / ((n - 1) * (n - 2))
 
 
 def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> StructuralReport:

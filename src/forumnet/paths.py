@@ -40,12 +40,10 @@ class PathStats:
 def adjacency_matrix(g: OneModeNetwork) -> np.ndarray:
     """Boolean adjacency in node order (weights ignored: binary view)."""
     n = len(g.nodes)
-    index = {node: i for i, node in enumerate(g.nodes)}
     adj = np.zeros((n, n), dtype=bool)
-    for a, b in g.edges:
-        i, j = index[a], index[b]
-        adj[i, j] = True
-        adj[j, i] = True
+    i, j = g.edges.T
+    adj[i, j] = True
+    adj[j, i] = True
     return adj
 
 

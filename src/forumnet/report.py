@@ -169,18 +169,14 @@ def _figure_artifacts(
             target = b
             if not target.user_nodes and not target.thread_nodes:
                 continue
-            sizes = None
         else:
             full = networks[name]
             if not full.nodes:
                 continue
             target = thin(full, spec)
-            sizes = target.node_attr
         placed = layout(target, seed=config.layout_seed, iterations=config.layout_iterations)
         writer.write(f"figures/{name}_positions.csv", positions_csv(placed))
-        rendered = export_graph(
-            target, layout_result=placed, format=config.figure_format, node_size_attr=sizes
-        )
+        rendered = export_graph(target, layout_result=placed, format=config.figure_format)
         writer.write(f"figures/{name}.{config.figure_format}", rendered)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
+import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
@@ -47,40 +47,52 @@ class LayoutResult:
     iterations: int
 
 
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, as ``statistics.stdev`` rounds it.
+
+    The integer root keeps at least 57 bits; setting its last bit when it
+    is inexact (round to odd) leaves one rounding, in the final division.
+    """
+    shift = max(0, 58 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    root |= root * root * den != scaled
+    return root / (1 << shift)
+
+
 def thin(g: OneModeNetwork, spec: ThinningSpec | None = None) -> OneModeNetwork:
     """Drop ties at or below the cutoff; keep every node.
 
     Graphs with fewer than two edges are returned unchanged (no spread to
     measure). The sample standard deviation uses the n-1 denominator.
+    Mean and deviation come from exact integer sums, rounded once each, as
+    ``statistics.mean`` and ``statistics.stdev`` round them.
     """
     spec = spec or ThinningSpec()
-    if len(g.edges) < 2:
-        return OneModeNetwork(g.mode, g.nodes, dict(g.edges), dict(g.node_attr))
-    weights = [float(w) for w in g.edges.values()]
-    cutoff = statistics.mean(weights) + spec.k_sd * statistics.stdev(weights)
-    if spec.strict:
-        kept = {pair: w for pair, w in g.edges.items() if w > cutoff}
-    else:
-        kept = {pair: w for pair, w in g.edges.items() if w >= cutoff}
-    return OneModeNetwork(g.mode, g.nodes, kept, dict(g.node_attr))
+    m = len(g.weights)
+    if m < 2:
+        return g
+    total = int(g.weights.sum())
+    squares = sum(w * w for w in g.weights.tolist())
+    sd = _sqrt_of_ratio(m * squares - total * total, m * (m - 1))
+    cutoff = total / m + spec.k_sd * sd
+    kept = g.weights > cutoff if spec.strict else g.weights >= cutoff
+    return OneModeNetwork(g.mode, g.nodes, g.edges[kept], g.weights[kept], g.node_attr)
 
 
-def _nodes_edges_modes(network):
-    """Uniform (nodes, weighted edges, node->mode) view of either network kind."""
+def _drawing(network):
+    """(node names, (m, 2) index edges, weights, per-node modes or None,
+    per-node sizes or None) of either network kind. Bipartite threads
+    follow the users, and only one-mode nodes carry a size."""
     if isinstance(network, BipartiteNetwork):
-        overlap = set(network.user_nodes) & set(network.thread_nodes)
+        users, threads = network.user_nodes, network.thread_nodes
+        overlap = set(users) & set(threads)
         if overlap:
             raise ValueError(f"user/thread id collision: {sorted(overlap)[:3]}")
-        nodes = list(network.user_nodes) + list(network.thread_nodes)
-        edges = [(u, t, w) for (u, t), w in sorted(network.incidence.items())]
-        modes = {u: "user" for u in network.user_nodes}
-        modes.update({t: "thread" for t in network.thread_nodes})
-        return nodes, edges, modes
-    return (
-        list(network.nodes),
-        [(a, b, w) for (a, b), w in sorted(network.edges.items())],
-        None,
-    )
+        edges = network.incidence + np.array([0, len(users)])
+        modes = ("user",) * len(users) + ("thread",) * len(threads)
+        return users + threads, edges, network.counts, modes, None
+    return network.nodes, network.edges, network.weights, None, network.node_attr
 
 
 def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
@@ -92,7 +104,7 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    nodes, edges, _ = _nodes_edges_modes(network)
+    nodes, edges, _, _, _ = _drawing(network)
     n = len(nodes)
     if n == 0:
         raise ValueError("layout requires at least one node")
@@ -101,9 +113,7 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
     if n == 1:
         return LayoutResult({nodes[0]: (0.5, 0.5)}, seed, iterations)
 
-    index = {node: i for i, node in enumerate(nodes)}
-    ei = np.array([index[a] for a, _, _ in edges], dtype=np.intp)
-    ej = np.array([index[b] for _, b, _ in edges], dtype=np.intp)
+    ei, ej = edges.T
     k = (1.0 / n) ** 0.5
     start_temp = 0.1
     dx = np.empty((n, n))
@@ -158,23 +168,24 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(nodes, edges, modes, sizes) -> str:
+def _to_dot(nodes, ties, modes, sizes) -> str:
+    quoted = [_dot_quote(node) for node in nodes]
     lines = ["graph G {"]
-    for node in nodes:
+    for k, node in enumerate(quoted):
         attrs = []
         if modes is not None:
-            attrs.append(f"mode={_dot_quote(modes[node])}")
-        if node in sizes:
-            attrs.append(f"size={sizes[node]}")
+            attrs.append(f"mode={_dot_quote(modes[k])}")
+        if sizes is not None:
+            attrs.append(f"size={sizes[k]}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_quote(node)}{suffix};")
-    for a, b, weight in edges:
-        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={weight}];")
+        lines.append(f"  {node}{suffix};")
+    lines.extend(f"  {quoted[i]} -- {quoted[j]} [weight={weight}];" for i, j, weight in ties)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _to_graphml(nodes, edges, modes, sizes) -> str:
+def _to_graphml(nodes, ties, modes, sizes) -> str:
+    quoted = [quoteattr(node) for node in nodes]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -183,21 +194,21 @@ def _to_graphml(nodes, edges, modes, sizes) -> str:
         '  <key id="mode" for="node" attr.name="mode" attr.type="string"/>',
         '  <graph edgedefault="undirected">',
     ]
-    for node in nodes:
+    for k, node in enumerate(quoted):
         data = []
         if modes is not None:
-            data.append(f'<data key="mode">{escape(modes[node])}</data>')
-        if node in sizes:
-            data.append(f'<data key="size">{sizes[node]}</data>')
+            data.append(f'<data key="mode">{escape(modes[k])}</data>')
+        if sizes is not None:
+            data.append(f'<data key="size">{sizes[k]}</data>')
         if data:
-            out.append(f"    <node id={quoteattr(node)}>{''.join(data)}</node>")
+            out.append(f"    <node id={node}>{''.join(data)}</node>")
         else:
-            out.append(f"    <node id={quoteattr(node)}/>")
-    for a, b, weight in edges:
-        out.append(
-            f"    <edge source={quoteattr(a)} target={quoteattr(b)}>"
-            f'<data key="weight">{weight}</data></edge>'
-        )
+            out.append(f"    <node id={node}/>")
+    out.extend(
+        f"    <edge source={quoted[i]} target={quoted[j]}>"
+        f'<data key="weight">{weight}</data></edge>'
+        for i, j, weight in ties
+    )
     out.append("  </graph>")
     out.append("</graphml>")
     return "\n".join(out) + "\n"
@@ -209,21 +220,23 @@ def _scale_point(point) -> tuple[float, float]:
     return (SVG_MARGIN + x * usable, SVG_MARGIN + y * usable)
 
 
-def _to_svg(nodes, edges, modes, sizes, result: LayoutResult) -> str:
+def _to_svg(nodes, ties, modes, sizes, result: LayoutResult) -> str:
     missing = [node for node in nodes if node not in result.positions]
     if missing:
         raise ValueError(f"layout is missing positions for {missing[:3]}")
-    max_weight = max((w for _, _, w in edges), default=1)
-    max_size = max(sizes.values(), default=0)
+    points = [_scale_point(result.positions[node]) for node in nodes]
+    max_weight = max((w for _, _, w in ties), default=1)
+    sizes = sizes or [0] * len(nodes)
+    max_size = max(sizes, default=0)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'  <rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
         '  <g stroke="#8899aa" stroke-opacity="0.55">',
     ]
-    for a, b, weight in edges:
-        x1, y1 = _scale_point(result.positions[a])
-        x2, y2 = _scale_point(result.positions[b])
+    for i, j, weight in ties:
+        x1, y1 = points[i]
+        x2, y2 = points[j]
         width = 0.6 + 2.4 * weight / max_weight
         out.append(
             f'    <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"'
@@ -231,14 +244,14 @@ def _to_svg(nodes, edges, modes, sizes, result: LayoutResult) -> str:
         )
     out.append("  </g>")
     out.append('  <g fill="#3465a4" stroke="#1f3d66" stroke-width="0.8">')
-    for node in nodes:
-        x, y = _scale_point(result.positions[node])
+    for k, node in enumerate(nodes):
+        x, y = points[k]
         if max_size > 0:
-            radius = 3.0 + 11.0 * sizes.get(node, 0) / max_size
+            radius = 3.0 + 11.0 * sizes[k] / max_size
         else:
             radius = 6.0
         label = f"<title>{escape(node)}</title>"
-        if modes is not None and modes[node] == "thread":
+        if modes is not None and modes[k] == "thread":
             side = 2 * radius
             out.append(
                 f'    <rect x="{x - radius:.2f}" y="{y - radius:.2f}"'
@@ -251,28 +264,21 @@ def _to_svg(nodes, edges, modes, sizes, result: LayoutResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_graph(
-    network,
-    layout_result: LayoutResult | None = None,
-    format: str = "dot",
-    node_size_attr: dict[str, int] | None = None,
-) -> str:
+def export_graph(network, layout_result: LayoutResult | None = None, format: str = "dot") -> str:
     """Serialize a network (one-mode or bipartite) as DOT, GraphML, or SVG.
 
-    SVG needs a layout. Node sizes default to the network's own node
-    attribute; pass ``node_size_attr`` to override.
+    SVG needs a layout. One-mode nodes are sized by the network's own
+    ``node_attr``.
     """
     if format not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format: {format!r}")
-    nodes, edges, modes = _nodes_edges_modes(network)
-    if node_size_attr is not None:
-        sizes = dict(node_size_attr)
-    else:
-        sizes = dict(getattr(network, "node_attr", {}))
+    nodes, edges, weights, modes, sizes = _drawing(network)
+    ties = [(i, j, w) for (i, j), w in zip(edges.tolist(), weights.tolist())]
+    sizes = None if sizes is None else sizes.tolist()
     if format == "dot":
-        return _to_dot(nodes, edges, modes, sizes)
+        return _to_dot(nodes, ties, modes, sizes)
     if format == "graphml":
-        return _to_graphml(nodes, edges, modes, sizes)
+        return _to_graphml(nodes, ties, modes, sizes)
     if layout_result is None:
         raise ValueError("svg export requires a layout")
-    return _to_svg(nodes, edges, modes, sizes, layout_result)
+    return _to_svg(nodes, ties, modes, sizes, layout_result)

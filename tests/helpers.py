@@ -13,13 +13,53 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from forumnet.graph import BipartiteNetwork, OneModeNetwork, edge_key
+from forumnet.graph import BipartiteNetwork, OneModeNetwork
 from forumnet.ingest import ForumDataset, PostRecord, UserProfile
 
 INF = float("inf")
 
 
-def make_network(edges, nodes=(), mode="user") -> OneModeNetwork:
+def edge_key(a: str, b: str) -> tuple[str, str]:
+    """Canonical unordered pair; self-loops are not representable."""
+    if a == b:
+        raise ValueError(f"self-loop on {a!r}")
+    return (a, b) if a < b else (b, a)
+
+
+def edge_dict(g: OneModeNetwork) -> dict[tuple[str, str], int]:
+    """A network's ties keyed by name pairs (a, b) with a < b."""
+    return {
+        edge_key(g.nodes[i], g.nodes[j]): w
+        for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())
+    }
+
+
+def incidence_dict(b: BipartiteNetwork) -> dict[tuple[str, str], int]:
+    """Post counts keyed by (user, thread) names."""
+    return {
+        (b.user_nodes[u], b.thread_nodes[t]): count
+        for (u, t), count in zip(b.incidence.tolist(), b.counts.tolist())
+    }
+
+
+def one_mode(nodes, edge_map, mode="user", node_attr=None) -> OneModeNetwork:
+    """A OneModeNetwork over ``nodes`` in the order given, from ties keyed
+    by name pairs; ``node_attr`` maps names to sizes, 0 where absent."""
+    index = {node: i for i, node in enumerate(nodes)}
+    rows = sorted(
+        (min(index[a], index[b]), max(index[a], index[b]), w) for (a, b), w in edge_map.items()
+    )
+    attr = node_attr or {}
+    return OneModeNetwork(
+        mode=mode,
+        nodes=tuple(nodes),
+        edges=np.array([(i, j) for i, j, _ in rows], dtype=np.int64).reshape(-1, 2),
+        weights=np.array([w for _, _, w in rows], dtype=np.int64),
+        node_attr=np.array([attr.get(node, 0) for node in nodes], dtype=np.int64),
+    )
+
+
+def make_network(edges, nodes=(), mode="user", node_attr=None) -> OneModeNetwork:
     """Build a OneModeNetwork from (a, b[, weight]) tuples plus extra nodes."""
     edge_map = {}
     node_set = set(nodes)
@@ -28,8 +68,22 @@ def make_network(edges, nodes=(), mode="user") -> OneModeNetwork:
         weight = spec[2] if len(spec) > 2 else 1
         edge_map[edge_key(a, b)] = weight
         node_set.update((a, b))
-    ordered = tuple(sorted(node_set))
-    return OneModeNetwork(mode=mode, nodes=ordered, edges=edge_map, node_attr={})
+    return one_mode(sorted(node_set), edge_map, mode, node_attr)
+
+
+def make_bipartite(incidence) -> BipartiteNetwork:
+    """Build a BipartiteNetwork from post counts keyed by (user, thread)."""
+    users = sorted({u for u, _ in incidence})
+    threads = sorted({t for _, t in incidence})
+    user_index = {u: i for i, u in enumerate(users)}
+    thread_index = {t: i for i, t in enumerate(threads)}
+    rows = sorted((user_index[u], thread_index[t], c) for (u, t), c in incidence.items())
+    return BipartiteNetwork(
+        user_nodes=tuple(users),
+        thread_nodes=tuple(threads),
+        incidence=np.array([(u, t) for u, t, _ in rows], dtype=np.int64).reshape(-1, 2),
+        counts=np.array([c for _, _, c in rows], dtype=np.int64),
+    )
 
 
 def complete_graph(n: int) -> OneModeNetwork:
@@ -68,11 +122,7 @@ def random_bipartite(rng, n_users: int, n_threads: int, p: float = 0.3) -> Bipar
         for t in threads:
             if rng.random() < p:
                 incidence[(u, t)] = rng.randint(1, 4)
-    present_users = tuple(sorted({u for u, _ in incidence}))
-    present_threads = tuple(sorted({t for _, t in incidence}))
-    return BipartiteNetwork(
-        user_nodes=present_users, thread_nodes=present_threads, incidence=incidence
-    )
+    return make_bipartite(incidence)
 
 
 def dataset_from_posts(rows, users=()) -> ForumDataset:
@@ -103,7 +153,7 @@ def dataset_from_posts(rows, users=()) -> ForumDataset:
 
 def adjacency_sets(g: OneModeNetwork) -> dict[str, set[str]]:
     neighbors = {node: set() for node in g.nodes}
-    for (a, b) in g.edges:
+    for (a, b) in edge_dict(g):
         neighbors[a].add(b)
         neighbors[b].add(a)
     return neighbors
@@ -112,7 +162,7 @@ def adjacency_sets(g: OneModeNetwork) -> dict[str, set[str]]:
 def floyd_warshall(g: OneModeNetwork) -> dict[tuple[str, str], float]:
     nodes = list(g.nodes)
     dist = {(a, b): (0.0 if a == b else INF) for a in nodes for b in nodes}
-    for (a, b) in g.edges:
+    for (a, b) in edge_dict(g):
         dist[(a, b)] = 1.0
         dist[(b, a)] = 1.0
     for k in nodes:
@@ -215,7 +265,7 @@ def projection_oracle(b: BipartiteNetwork, mode: str, weighting: str = "events")
     users = list(b.user_nodes)
     threads = list(b.thread_nodes)
     matrix = np.zeros((len(users), len(threads)))
-    for (u, t), count in b.incidence.items():
+    for (u, t), count in incidence_dict(b).items():
         value = 1 if weighting == "events" else count
         matrix[users.index(u), threads.index(t)] = value
     if mode == "user":

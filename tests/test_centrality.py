@@ -21,11 +21,13 @@ from forumnet.centrality import (
     summaries_json,
     table_csv,
 )
-from forumnet.graph import BipartiteNetwork, project
+from forumnet.graph import project
 
 from helpers import (
     complete_graph,
     cycle_graph,
+    edge_dict,
+    make_bipartite,
     make_network,
     naive_betweenness,
     naive_betweenness_raw,
@@ -57,7 +59,7 @@ def test_degree_matches_neighbor_enumeration():
         n = len(g.nodes)
         values = degree_centrality(g)
         for node in g.nodes:
-            count = sum(1 for (a, b) in g.edges if node in (a, b))
+            count = sum(1 for (a, b) in edge_dict(g) if node in (a, b))
             assert values[node] == pytest.approx(count / (n - 1))
 
 
@@ -261,11 +263,7 @@ def test_silent_initiators_listed_with_count():
     incidence = {("quiet", f"t{i:02d}"): 1 for i in range(21)}
     incidence[("a", "t99")] = 1
     incidence[("b", "t99")] = 1
-    b = BipartiteNetwork(
-        user_nodes=("a", "b", "quiet"),
-        thread_nodes=tuple(sorted({t for _, t in incidence})),
-        incidence=incidence,
-    )
+    b = make_bipartite(incidence)
     g = project(b, "user")
     assert silent_initiators(b, g, 21) == [("quiet", 21)]
 
@@ -275,19 +273,13 @@ def test_silent_initiators_exclude_connected_users():
     for i in range(5):
         incidence[("chatty", f"t{i}")] = 1
         incidence[("other", f"t{i}")] = 1
-    b = BipartiteNetwork(
-        user_nodes=("chatty", "other"),
-        thread_nodes=tuple(sorted({t for _, t in incidence})),
-        incidence=incidence,
-    )
+    b = make_bipartite(incidence)
     g = project(b, "user")
     assert silent_initiators(b, g, 1) == []
 
 
 def test_silent_initiators_mode_mismatch_raises():
-    b = BipartiteNetwork(
-        user_nodes=("u1",), thread_nodes=("t1",), incidence={("u1", "t1"): 1}
-    )
+    b = make_bipartite({("u1", "t1"): 1})
     g_thread = project(b, "thread")
     with pytest.raises(ValueError):
         silent_initiators(b, g_thread, 1)
@@ -303,11 +295,7 @@ def test_degree_ranking_invariant_under_weighting_flag():
         ("u1", "t3"): 1,
         ("u4", "t3"): 1,
     }
-    b = BipartiteNetwork(
-        user_nodes=("u1", "u2", "u3", "u4"),
-        thread_nodes=("t1", "t2", "t3"),
-        incidence=incidence,
-    )
+    b = make_bipartite(incidence)
     by_events = degree_centrality(project(b, "user", "events"))
     by_posts = degree_centrality(project(b, "user", "posts"))
     rank = lambda m: sorted(m, key=lambda k: (-m[k], k))
@@ -316,10 +304,8 @@ def test_degree_ranking_invariant_under_weighting_flag():
 
 
 def test_bipartite_degree_centrality():
-    b = BipartiteNetwork(
-        user_nodes=("u1", "u2"),
-        thread_nodes=("t1", "t2", "t3"),
-        incidence={("u1", "t1"): 1, ("u1", "t2"): 1, ("u1", "t3"): 1, ("u2", "t1"): 1},
+    b = make_bipartite(
+        {("u1", "t1"): 1, ("u1", "t2"): 1, ("u1", "t3"): 1, ("u2", "t1"): 1}
     )
     users = bipartite_degree_centrality(b, "user")
     assert users["u1"] == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 """Bipartite construction, projections, and their matrix-product oracle."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -7,23 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet.graph import (
-    BipartiteNetwork,
-    build_bipartite,
-    edge_key,
-    edge_list_csv,
-    node_list_csv,
-    project,
-)
+from forumnet.graph import build_bipartite, edge_list_csv, node_list_csv, project
 from forumnet.synth import SynthConfig, generate
+from forumnet.viz import ThinningSpec, export_graph, thin
 
-from helpers import dataset_from_posts, projection_oracle, random_bipartite
-
-
-def bip(incidence) -> BipartiteNetwork:
-    users = tuple(sorted({u for u, _ in incidence}))
-    threads = tuple(sorted({t for _, t in incidence}))
-    return BipartiteNetwork(user_nodes=users, thread_nodes=threads, incidence=dict(incidence))
+from helpers import (
+    adjacency_sets,
+    dataset_from_posts,
+    edge_dict,
+    edge_key,
+    incidence_dict,
+    make_bipartite as bip,
+    projection_oracle,
+    random_bipartite,
+)
 
 
 def test_edge_key_canonical():
@@ -36,7 +34,7 @@ def test_edge_key_canonical():
 def test_build_bipartite_counts_posts():
     data = dataset_from_posts([("u1", "t1"), ("u2", "t1"), ("u2", "t1")])
     b = build_bipartite(data)
-    assert b.incidence == {("u1", "t1"): 1, ("u2", "t1"): 2}
+    assert incidence_dict(b) == {("u1", "t1"): 1, ("u2", "t1"): 2}
     assert b.user_nodes == ("u1", "u2")
     assert b.thread_nodes == ("t1",)
 
@@ -45,7 +43,7 @@ def test_build_bipartite_empty():
     b = build_bipartite(dataset_from_posts([]))
     assert b.user_nodes == ()
     assert b.thread_nodes == ()
-    assert b.incidence == {}
+    assert incidence_dict(b) == {}
 
 
 def test_incidence_row_sums_match_posts_per_user():
@@ -53,7 +51,7 @@ def test_incidence_row_sums_match_posts_per_user():
     b = build_bipartite(data)
     oracle = Counter(p.user_id for p in data.posts)
     row_sums = Counter()
-    for (u, _), count in b.incidence.items():
+    for (u, _), count in incidence_dict(b).items():
         row_sums[u] += count
     assert row_sums == oracle
 
@@ -61,9 +59,9 @@ def test_incidence_row_sums_match_posts_per_user():
 def test_project_chain_example():
     b = bip({("u1", "t1"): 1, ("u2", "t1"): 1, ("u2", "t2"): 1, ("u3", "t2"): 1})
     g_user = project(b, "user")
-    assert g_user.edges == {("u1", "u2"): 1, ("u2", "u3"): 1}
+    assert edge_dict(g_user) == {("u1", "u2"): 1, ("u2", "u3"): 1}
     g_thread = project(b, "thread")
-    assert g_thread.edges == {("t1", "t2"): 1}
+    assert edge_dict(g_thread) == {("t1", "t2"): 1}
 
 
 def test_project_single_user_single_thread():
@@ -71,7 +69,7 @@ def test_project_single_user_single_thread():
     for mode in ("user", "thread"):
         g = project(b, mode)
         assert len(g.nodes) == 1
-        assert g.edges == {}
+        assert edge_dict(g) == {}
 
 
 def test_tie_weight_counts_distinct_shared_threads():
@@ -85,19 +83,19 @@ def test_tie_weight_counts_distinct_shared_threads():
         }
     )
     g = project(b, "user")
-    assert g.edges == {("u1", "u2"): 2}
+    assert edge_dict(g) == {("u1", "u2"): 2}
 
 
 def test_multiplicity_does_not_change_event_weights():
     base = {("u1", "t1"): 1, ("u2", "t1"): 1}
     heavy = {("u1", "t1"): 7, ("u2", "t1"): 3}
-    assert project(bip(base), "user").edges == project(bip(heavy), "user").edges
+    assert edge_dict(project(bip(base), "user")) == edge_dict(project(bip(heavy), "user"))
 
 
 def test_posts_weighting_multiplies_multiplicities():
     b = bip({("u1", "t1"): 2, ("u2", "t1"): 3, ("u1", "t2"): 1, ("u2", "t2"): 1})
     g = project(b, "user", weighting="posts")
-    assert g.edges == {("u1", "u2"): 7}
+    assert edge_dict(g) == {("u1", "u2"): 7}
 
 
 def test_unknown_weighting_rejected():
@@ -111,27 +109,27 @@ def test_unknown_weighting_rejected():
 def test_node_attr_user_mode_counts_threads():
     b = bip({("u1", "t1"): 4, ("u1", "t2"): 1, ("u2", "t2"): 1})
     g = project(b, "user")
-    assert g.node_attr == {"u1": 2, "u2": 1}
+    assert dict(zip(g.nodes, g.node_attr.tolist())) == {"u1": 2, "u2": 1}
 
 
 def test_node_attr_thread_mode_counts_participants():
     b = bip({("u1", "t1"): 1, ("u2", "t1"): 5, ("u1", "t2"): 2})
     g = project(b, "thread")
-    assert g.node_attr == {"t1": 2, "t2": 1}
+    assert dict(zip(g.nodes, g.node_attr.tolist())) == {"t1": 2, "t2": 1}
 
 
 def test_solo_poster_stays_as_isolate():
     b = bip({("u1", "t1"): 1, ("u2", "t2"): 1, ("u3", "t2"): 1})
     g = project(b, "user")
     assert "u1" in g.nodes
-    assert g.degree_map()["u1"] == 0
+    assert adjacency_sets(g)["u1"] == set()
 
 
 def test_projection_invariant_under_post_order():
     rows = [("u1", "t1"), ("u2", "t1"), ("u3", "t2"), ("u1", "t2"), ("u2", "t3")]
     forward = project(build_bipartite(dataset_from_posts(rows)), "user")
     backward = project(build_bipartite(dataset_from_posts(rows[::-1])), "user")
-    assert forward.edges == backward.edges
+    assert edge_dict(forward) == edge_dict(backward)
     assert forward.nodes == backward.nodes
 
 
@@ -141,7 +139,7 @@ def test_degree_sum_parity():
         b = random_bipartite(rng, 8, 6, 0.4)
         for mode in ("user", "thread"):
             g = project(b, mode)
-            assert sum(g.degree_map().values()) % 2 == 0
+            assert sum(len(ns) for ns in adjacency_sets(g).values()) % 2 == 0
 
 
 def test_projection_matches_matrix_oracle_20x15():
@@ -149,7 +147,7 @@ def test_projection_matches_matrix_oracle_20x15():
     b = random_bipartite(rng, 20, 15, 0.3)
     for mode in ("user", "thread"):
         for weighting in ("events", "posts"):
-            got = project(b, mode, weighting).edges
+            got = edge_dict(project(b, mode, weighting))
             want = projection_oracle(b, mode, weighting)
             assert got == pytest.approx(want)
 
@@ -180,8 +178,39 @@ def test_projection_oracle_property(cells):
         incidence[(f"u{u}", f"t{t}")] = count
     b = bip(incidence)
     for mode in ("user", "thread"):
-        got = project(b, mode).edges
+        got = edge_dict(project(b, mode))
         want = projection_oracle(b, mode, "events")
         assert set(got) == set(want)
         for key, weight in want.items():
             assert got[key] == pytest.approx(weight)
+
+
+# sha256 of each output as written by the name-keyed networks that came
+# before the index arrays; no output holds a float, so the digests do not
+# depend on the machine
+PINNED_DIGESTS = {
+    "bipartite.dot": "be70c9de2660c98ec1385877e6ecc9521101b9490d6d425573d9157e770f02a1",
+    "user_edges.csv": "979c869dda8e85af9e51481238cf9d217ca62c856a0c635311b00089e31d7b7d",
+    "user_nodes.csv": "920565aa0b86b71ea5f312af7a69338ad97528581fc0a71fbba5f74cd37aabc7",
+    "user.dot": "d4e58de4ad2ac065f01124df8b873823dd51b80b7ae753548a9cf6219eae0ecf",
+    "thread_edges.csv": "addb2af2f48098219c0e5fbb0727887d25575d95859ae1000ccd06d7ff6a75ee",
+    "thread_nodes.csv": "c43a81cd50fc8b737f6c024ef3f602d8d5529a23fa04e0fdb50db692860d032e",
+    "thread.dot": "551c779d5944bfa6aa3f4a4fa3d24cd259e12b3d6ee5077a8a5eee22f425d99c",
+}
+
+
+def test_written_networks_are_byte_pinned():
+    """Node order, edge order and the a < b orientation of every written
+    network, thinned projections and the bipartite DOT included."""
+    data = generate(
+        SynthConfig(user_count=60, thread_count=80, post_count=400, skew_alpha=1.5, seed=3)
+    )
+    b = build_bipartite(data)
+    outputs = {"bipartite.dot": export_graph(b, format="dot")}
+    for mode in ("user", "thread"):
+        g = project(b, mode)
+        outputs[f"{mode}_edges.csv"] = edge_list_csv(g)
+        outputs[f"{mode}_nodes.csv"] = node_list_csv(g)
+        outputs[f"{mode}.dot"] = export_graph(thin(g, ThinningSpec()), format="dot")
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
+    assert digests == PINNED_DIGESTS

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet.graph import BipartiteNetwork, OneModeNetwork, edge_key
 from forumnet.metrics import (
     bipartite_density,
     degree_centralization,
@@ -23,7 +22,11 @@ from helpers import (
     adjacency_sets,
     complete_graph,
     cycle_graph,
+    edge_dict,
+    edge_key,
+    make_bipartite,
     make_network,
+    one_mode,
     oracle_components,
     oracle_diameter_apl,
     path_graph,
@@ -45,7 +48,7 @@ def test_density_matches_pair_enumeration():
         g = random_graph(rng, rng.randint(2, 8))
         n = len(g.nodes)
         present = sum(
-            1 for a, b in itertools.combinations(g.nodes, 2) if edge_key(a, b) in g.edges
+            1 for a, b in itertools.combinations(g.nodes, 2) if edge_key(a, b) in edge_dict(g)
         )
         assert density(g) == pytest.approx(present / (n * (n - 1) / 2))
 
@@ -60,7 +63,7 @@ def test_centralization_matches_degree_sequence_formula():
     rng = random.Random(6)
     for _ in range(25):
         g = random_graph(rng, rng.randint(3, 8))
-        degrees = g.degree_map()
+        degrees = {node: len(ns) for node, ns in adjacency_sets(g).items()}
         top = max(degrees.values())
         n = len(g.nodes)
         expected = sum(top - d for d in degrees.values()) / ((n - 1) * (n - 2))
@@ -146,7 +149,7 @@ def shuffled_components(draw):
         chords = [pair for pair in itertools.combinations(members, 2) if draw(st.booleans())]
         for a, b in list(zip(members, members[1:])) + chords:
             edges[edge_key(a, b)] = 1
-    return OneModeNetwork("user", tuple(draw(st.permutations(names))), edges)
+    return one_mode(draw(st.permutations(names)), edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,13 +206,13 @@ def test_adding_edge_monotonicity_on_connected_graphs():
         extra = [
             (a, b)
             for a, b in itertools.combinations(g.nodes, 2)
-            if edge_key(a, b) not in g.edges
+            if edge_key(a, b) not in edge_dict(g)
         ]
         rng.shuffle(extra)
         current = g
         for a, b in extra[:4]:
             grown = make_network(
-                list(current.edges) + [(a, b)], nodes=current.nodes
+                list(edge_dict(current)) + [(a, b)], nodes=current.nodes
             )
             assert density(grown) >= density(current)
             assert structural_report(grown).diameter <= structural_report(current).diameter
@@ -249,11 +252,7 @@ def test_text_table_two_decimal_columns():
 
 
 def test_bipartite_density():
-    b = BipartiteNetwork(
-        user_nodes=("u1", "u2"),
-        thread_nodes=("t1", "t2", "t3"),
-        incidence={("u1", "t1"): 1, ("u2", "t2"): 4, ("u1", "t3"): 2},
-    )
+    b = make_bipartite({("u1", "t1"): 1, ("u2", "t2"): 4, ("u1", "t3"): 2})
     assert bipartite_density(b) == pytest.approx(3 / 6)
-    empty = BipartiteNetwork(user_nodes=(), thread_nodes=(), incidence={})
+    empty = make_bipartite({})
     assert bipartite_density(empty) == 0.0

@@ -287,6 +287,24 @@ def test_cli_config_string_bool_rejected(tmp_path):
     assert not (out / "bipartite.json").exists()
 
 
+def test_cli_synth_config_values_coerced(tmp_path):
+    """Config-file strings take their field's type, as in analyze; a value
+    that cannot take it exits 2 with a message, not a traceback."""
+    flags = ["synth", "--users", "5", "--threads", "3", "--posts", "10"]
+    assert run_cli(*flags, "--alpha", "1.5", "--out", str(tmp_path / "flag.json")).returncode == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": "1.5"}), encoding="utf-8")
+    result = run_cli(*flags, "--out", str(tmp_path / "cfg.json"), "--config", str(cfg))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+    for bad in ({"alpha": "steep"}, {"seed": [1]}):
+        cfg.write_text(json.dumps(bad), encoding="utf-8")
+        result = run_cli(*flags, "--out", str(tmp_path / "bad.json"), "--config", str(cfg))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
 def test_cli_usage_errors_exit_2(tmp_path):
     assert run_cli("explode").returncode == 2
     assert run_cli("metrics", "--data", "x.json", "--mode", "forum").returncode == 2

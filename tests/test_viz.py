@@ -6,10 +6,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forumnet.graph import BipartiteNetwork, edge_key
 from forumnet.viz import (
     LayoutResult,
     ThinningSpec,
@@ -19,7 +18,7 @@ from forumnet.viz import (
     thin,
 )
 
-from helpers import make_network, star_graph
+from helpers import edge_dict, edge_key, make_bipartite, make_network, star_graph
 
 
 def weighted(weights):
@@ -30,7 +29,7 @@ def weighted(weights):
 def test_thinning_worked_example():
     g = weighted([1, 1, 1, 5])
     thinned = thin(g, ThinningSpec(k_sd=1.0))
-    assert list(thinned.edges.values()) == [5]
+    assert list(edge_dict(thinned).values()) == [5]
     assert thinned.nodes == g.nodes
 
 
@@ -39,32 +38,32 @@ def test_thinning_cutoff_matches_stdlib_statistics():
     g = weighted(weights)
     cutoff = statistics.mean(weights) + statistics.stdev(weights)
     thinned = thin(g, ThinningSpec(k_sd=1.0))
-    assert set(thinned.edges.values()) == {w for w in weights if w > cutoff}
+    assert set(edge_dict(thinned).values()) == {w for w in weights if w > cutoff}
 
 
 def test_thinning_all_equal_keeps_nothing_strict():
     g = weighted([3, 3, 3])
-    assert thin(g, ThinningSpec(k_sd=1.0)).edges == {}
-    assert thin(g, ThinningSpec(k_sd=0.0)).edges == {}
+    assert edge_dict(thin(g, ThinningSpec(k_sd=1.0))) == {}
+    assert edge_dict(thin(g, ThinningSpec(k_sd=0.0))) == {}
 
 
 def test_thinning_k0_lenient_keeps_at_or_above_mean():
     g = weighted([1, 2, 3])
     thinned = thin(g, ThinningSpec(k_sd=0.0, strict=False))
-    assert sorted(thinned.edges.values()) == [2, 3]
+    assert sorted(edge_dict(thinned).values()) == [2, 3]
 
 
 def test_thinning_small_graphs_pass_through():
     single = weighted([7])
-    assert thin(single, ThinningSpec()).edges == single.edges
+    assert edge_dict(thin(single, ThinningSpec())) == edge_dict(single)
     empty = make_network([], nodes=["x"])
-    assert thin(empty, ThinningSpec()).edges == {}
+    assert edge_dict(thin(empty, ThinningSpec())) == {}
     assert thin(empty, ThinningSpec()).nodes == ("x",)
 
 
 def test_thinning_huge_k_drops_everything():
     g = weighted([1, 5, 9, 14])
-    assert thin(g, ThinningSpec(k_sd=1e9)).edges == {}
+    assert edge_dict(thin(g, ThinningSpec(k_sd=1e9))) == {}
 
 
 def test_thinning_spec_validation():
@@ -77,10 +76,40 @@ def test_thinning_spec_validation():
 def test_thinning_subset_property(weights, k_sd):
     g = weighted(weights)
     thinned = thin(g, ThinningSpec(k_sd=k_sd))
-    assert set(thinned.edges).issubset(set(g.edges))
+    kept, full = edge_dict(thinned), edge_dict(g)
+    assert set(kept).issubset(set(full))
     assert thinned.nodes == g.nodes
-    for key, value in thinned.edges.items():
-        assert g.edges[key] == value
+    for key, value in kept.items():
+        assert full[key] == value
+
+
+def statistics_cutoff(weights, k_sd):
+    floats = [float(w) for w in weights]
+    return statistics.mean(floats) + k_sd * statistics.stdev(floats)
+
+
+@st.composite
+def thinning_cases(draw):
+    """Weights, and a k_sd that is either arbitrary or aimed so the cutoff
+    lands on one of the weights, where one ulp decides what is kept."""
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=30))
+    mean, sd = statistics.mean(weights), statistics.stdev(weights)
+    aimed = [(w - mean) / sd for w in weights if sd > 0 and w > mean]
+    k_sd = draw(st.sampled_from(aimed) if aimed and draw(st.booleans()) else st.floats(0, 5))
+    return weights, k_sd
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinning_cases(), st.booleans())
+@example(([1, 2, 3], 1.0), True)  # exact cutoff 3.0: strict drops the 3
+@example(([1, 2, 3], 1.0), False)  # and lenient keeps it
+@example(([5, 5, 5, 5], 0.0), False)  # zero spread keeps every tie
+def test_thinning_matches_statistics_reference(case, strict):
+    weights, k_sd = case
+    cutoff = statistics_cutoff(weights, k_sd)
+    want = sorted(w for w in weights if (w > cutoff if strict else w >= cutoff))
+    thinned = thin(weighted(weights), ThinningSpec(k_sd=k_sd, strict=strict))
+    assert sorted(edge_dict(thinned).values()) == want
 
 
 def test_layout_single_node_centered():
@@ -178,7 +207,7 @@ def test_graphml_round_trip_topology_and_weights():
         data = el.find("g:data", ns)
         assert data.get("key") in weight_keys
         edges[key] = int(data.text)
-    assert edges == g.edges
+    assert edges == edge_dict(g)
 
 
 def test_dot_round_trip_topology_and_weights():
@@ -189,7 +218,7 @@ def test_dot_round_trip_topology_and_weights():
         r'"([^"]+)" -- "([^"]+)" \[weight=([0-9.]+)\];', text
     ):
         edges[edge_key(source, target)] = int(float(weight))
-    assert edges == g.edges
+    assert edges == edge_dict(g)
 
 
 def test_svg_triangle_elements():
@@ -211,7 +240,9 @@ def test_svg_node_sizes_scale_radius():
     g = make_network([("a", "b", 1)])
     placed = layout(g, seed=1, iterations=5)
     sized = export_graph(
-        g, layout_result=placed, format="svg", node_size_attr={"a": 10, "b": 1}
+        make_network([("a", "b", 1)], node_attr={"a": 10, "b": 1}),
+        layout_result=placed,
+        format="svg",
     )
     radii = [float(r) for r in re.findall(r'r="([0-9.]+)"', sized)]
     assert len(set(radii)) == 2
@@ -221,11 +252,7 @@ def test_svg_node_sizes_scale_radius():
 
 
 def test_bipartite_export_marks_modes():
-    b = BipartiteNetwork(
-        user_nodes=("u1", "u2"),
-        thread_nodes=("t1",),
-        incidence={("u1", "t1"): 2, ("u2", "t1"): 1},
-    )
+    b = make_bipartite({("u1", "t1"): 2, ("u2", "t1"): 1})
     dot = export_graph(b, format="dot")
     assert 'mode="user"' in dot and 'mode="thread"' in dot
     graphml = export_graph(b, format="graphml")
