@@ -42,7 +42,6 @@ from .ingest import (
     load_dataset,
     parse_posts,
     parse_users,
-    top_posters,
 )
 from .metrics import (
     StructuralReport,
@@ -103,6 +102,5 @@ __all__ = [
     "silent_initiators",
     "structural_report",
     "thin",
-    "top_posters",
     "__version__",
 ]

@@ -10,7 +10,8 @@ Subcommands:
 Every subcommand accepts ``--config FILE``: a JSON object whose keys
 mirror the long flag names (hyphens become underscores). Explicit flags
 override config-file values. Exit codes: 0 success, 1 unreadable or
-invalid input, 2 bad configuration or usage.
+invalid input (or a failed file operation), 2 bad configuration or usage.
+Any other exception is a bug and ends with a traceback.
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ VIZ_DEFAULTS = {
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(raw)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -203,13 +204,16 @@ def _cmd_viz(args: argparse.Namespace) -> int:
     else:
         network = project(b, options["mode"])
         if options["thin_sd"] is not None:
-            network = thin(network, ThinningSpec(k_sd=float(options["thin_sd"])))
+            k_sd = _coerce("thin_sd", float, options["thin_sd"])
+            network = thin(network, ThinningSpec(k_sd=k_sd))
     placed = None
     if options["format"] == "svg":
+        if not data.posts:
+            raise InputError("layout requires at least one node, and no post was retained")
         placed = layout(
             network,
-            seed=int(options["layout_seed"]),
-            iterations=int(options["layout_iterations"]),
+            seed=_coerce("layout_seed", int, options["layout_seed"]),
+            iterations=_coerce("layout_iterations", int, options["layout_iterations"]),
         )
     rendered = export_graph(network, layout_result=placed, format=options["format"])
     out_path = Path(options["out"])
@@ -291,13 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

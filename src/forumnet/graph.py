@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .ingest import ForumDataset
 
 USER_MODE = "user"
@@ -86,9 +87,9 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneMod
     post counts. Both weightings produce the same edge set.
     """
     if mode not in (USER_MODE, THREAD_MODE):
-        raise ValueError(f"unknown projection mode: {mode!r}")
+        raise ConfigError(f"unknown projection mode: {mode!r}")
     if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting: {weighting!r}")
+        raise ConfigError(f"unknown weighting: {weighting!r}")
 
     side = 0 if mode == USER_MODE else 1
     nodes = b.user_nodes if side == 0 else b.thread_nodes

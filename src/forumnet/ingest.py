@@ -18,14 +18,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, SchemaError
+from .errors import ConfigError, InputError, SchemaError
 
 POSTS_COLUMNS = ("post_id", "thread_id", "user_id", "forum_id", "timestamp")
 START_COLUMN = "is_thread_start"
 USERS_COLUMNS = ("user_id", "profession")
 PERIODS = ("year", "quarter", "month")
 
-DEFAULT_VALID_FROM = datetime(1990, 1, 1, tzinfo=timezone.utc)
+# rows dated before this are rejected as "timestamp out of range"; there
+# is no upper bound, so a file ingests the same on every day
+VALID_FROM = datetime(1990, 1, 1, tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -98,17 +100,18 @@ class ActivityOverview:
 
 
 def parse_timestamp(text: str) -> datetime | None:
-    """ISO-8601 parser; returns None on garbage. Naive values count as UTC."""
+    """ISO-8601 parser; returns None on garbage and on times that fall
+    outside years 1-9999 in UTC. Naive values count as UTC."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     try:
         parsed = datetime.fromisoformat(cleaned)
-    except ValueError:
+        if parsed.tzinfo is None:
+            return parsed.replace(tzinfo=timezone.utc)
+        return parsed.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         return None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
 
 
 def format_timestamp(value: datetime) -> str:
@@ -149,14 +152,7 @@ class _Candidate:
     start_flag: bool | None
 
 
-def _validate_fields(
-    raw: str,
-    order: int,
-    fields: dict[str, str],
-    start_value,
-    valid_from: datetime,
-    valid_to: datetime,
-):
+def _validate_fields(raw: str, order: int, fields: dict[str, str], start_value):
     """Return (_Candidate, None) or (None, RejectedRow)."""
     for name in POSTS_COLUMNS[:4]:
         if not str(fields.get(name, "")).strip():
@@ -167,7 +163,7 @@ def _validate_fields(
     timestamp = parse_timestamp(ts_value)
     if timestamp is None:
         return None, RejectedRow(raw, "bad timestamp")
-    if not valid_from <= timestamp <= valid_to:
+    if timestamp < VALID_FROM:
         return None, RejectedRow(raw, "timestamp out of range")
 
     start_flag: bool | None
@@ -267,7 +263,7 @@ def _finalize(
     return ForumDataset(posts=posts, users=users, rejected=rejected)
 
 
-def _parse_posts_csv(text: str, valid_from: datetime, valid_to: datetime) -> ForumDataset:
+def _parse_posts_csv(text: str) -> ForumDataset:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -292,7 +288,7 @@ def _parse_posts_csv(text: str, valid_from: datetime, valid_to: datetime) -> For
             continue
         fields = dict(zip(POSTS_COLUMNS, row))
         start_value = row[5] if has_start else None
-        cand, reject = _validate_fields(raw, order, fields, start_value, valid_from, valid_to)
+        cand, reject = _validate_fields(raw, order, fields, start_value)
         if reject is not None:
             rejects.append((order, reject))
         else:
@@ -306,7 +302,7 @@ def _json_text(entry: dict, name: str) -> str:
     return "" if value is None else str(value)
 
 
-def _parse_posts_json(text: str, valid_from: datetime, valid_to: datetime) -> ForumDataset:
+def _parse_posts_json(text: str) -> ForumDataset:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -341,7 +337,7 @@ def _parse_posts_json(text: str, valid_from: datetime, valid_to: datetime) -> Fo
         if start_value is not None and not isinstance(start_value, bool):
             rejects.append((order, RejectedRow(raw, "bad is_thread_start")))
             continue
-        cand, reject = _validate_fields(raw, order, fields, start_value, valid_from, valid_to)
+        cand, reject = _validate_fields(raw, order, fields, start_value)
         if reject is not None:
             rejects.append((order, reject))
         else:
@@ -349,13 +345,7 @@ def _parse_posts_json(text: str, valid_from: datetime, valid_to: datetime) -> Fo
     return _finalize(candidates, rejects, roster=roster, carried_rejects=carried)
 
 
-def parse_posts(
-    source,
-    format: str = "csv",
-    *,
-    valid_from: datetime | None = None,
-    valid_to: datetime | None = None,
-) -> ForumDataset:
+def parse_posts(source, format: str = "csv") -> ForumDataset:
     """Parse a posts log into a validated dataset.
 
     ``source`` is a path or file object; ``format`` is ``csv`` (the raw
@@ -364,13 +354,9 @@ def parse_posts(
     header/shape raises.
     """
     if format not in ("csv", "json"):
-        raise ValueError(f"unknown posts format: {format!r}")
+        raise ConfigError(f"unknown posts format: {format!r}")
     text = _read_text(source)
-    low = valid_from or DEFAULT_VALID_FROM
-    high = valid_to or datetime.now(timezone.utc)
-    if format == "csv":
-        return _parse_posts_csv(text, low, high)
-    return _parse_posts_json(text, low, high)
+    return _parse_posts_csv(text) if format == "csv" else _parse_posts_json(text)
 
 
 def parse_users(source) -> list[UserProfile]:
@@ -439,16 +425,6 @@ def activity_overview(data: ForumDataset, period: str = "year") -> ActivityOverv
         posts_per_forum_per_period=dict(cells),
         profession_breakdown=dict(professions) if data.users else {},
     )
-
-
-def top_posters(data: ForumDataset, min_posts: int = 0) -> list[tuple[str, int]]:
-    """Users with at least ``min_posts`` posts, most active first."""
-    if min_posts < 0:
-        raise ValueError("min_posts must be >= 0")
-    counts = Counter(p.user_id for p in data.posts)
-    rows = [(uid, n) for uid, n in counts.items() if n >= min_posts]
-    rows.sort(key=lambda item: (-item[1], item[0]))
-    return rows
 
 
 # --- serialization -------------------------------------------------------

@@ -2,18 +2,24 @@
 
 ``run_pipeline`` chains the whole flow (bipartite build, both
 projections, structural reports, centrality tables, core detection,
-silent-initiator scan, thinned figures) and writes every artifact under
-a single output directory with fixed file names. Outputs embed a
-provenance block so a report always states what produced it; reruns with
-identical inputs and seeds are byte-identical.
+silent-initiator scan, thinned figures) and publishes every artifact,
+under fixed file names, as one output directory that holds one run's
+complete set. Outputs embed a provenance block so a report always states
+what produced it; reruns with identical inputs and seeds are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .centrality import (
@@ -35,12 +41,13 @@ from .graph import (
     OneModeNetwork,
     THREAD_MODE,
     USER_MODE,
+    WEIGHTINGS,
     build_bipartite,
     edge_list_csv,
     node_list_csv,
     project,
 )
-from .ingest import ActivityOverview, ForumDataset, activity_overview, dataset_to_json
+from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, dataset_to_json
 from .metrics import StructuralReport, bipartite_density, report_json, structural_report
 from .paths import path_stats
 from .viz import ThinningSpec, export_graph, layout, positions_csv, thin
@@ -74,7 +81,9 @@ class PipelineConfig:
             raise ConfigError("thin_sd must be >= 0")
         if self.layout_iterations < 1:
             raise ConfigError("layout_iterations must be >= 1")
-        if self.weighting not in ("events", "posts"):
+        if self.period not in PERIODS:
+            raise ConfigError(f"unknown period: {self.period!r}")
+        if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"unknown weighting: {self.weighting!r}")
         if self.figure_format not in ("svg", "dot", "graphml"):
             raise ConfigError(f"unknown figure format: {self.figure_format!r}")
@@ -118,47 +127,37 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class _ArtifactWriter:
-    """Tracks written files so a failed run can clean up after itself."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.created_dirs: list[Path] = []
-        self.written: list[Path] = []
-
-    def ensure_dir(self, path: Path) -> None:
-        missing = []
-        probe = path
-        while not probe.exists():
-            missing.append(probe)
-            probe = probe.parent
-        path.mkdir(parents=True, exist_ok=True)
-        self.created_dirs.extend(reversed(missing))
-
-    def write(self, relative: str, text: str) -> None:
-        path = self.out_dir / relative
-        self.ensure_dir(path.parent)
-        path.write_text(text, encoding="utf-8")
-        self.written.append(path)
-
-    def relative_paths(self) -> list[str]:
-        return [str(p.relative_to(self.out_dir)) for p in self.written]
-
-    def rollback(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        for directory in reversed(self.created_dirs):
-            try:
-                directory.rmdir()
-            except OSError:
-                pass
+@contextmanager
+def _published(out_dir: Path):
+    """Yield a fresh staging directory beside ``out_dir``; on a clean exit
+    it replaces ``out_dir`` whole, and on an error ``out_dir`` is left as
+    it was. ``out_dir`` must be missing, empty, or a previous output (it
+    holds ``manifest.json``), so a swap never deletes foreign files."""
+    out_dir = Path(os.path.abspath(out_dir))
+    if out_dir.is_symlink() or (out_dir.exists() and not out_dir.is_dir()):
+        raise ConfigError(f"output path {out_dir} is a file or a symlink, not a directory")
+    if out_dir.is_dir() and any(out_dir.iterdir()) and not (out_dir / "manifest.json").is_file():
+        raise ConfigError(f"output directory {out_dir} is not empty and holds no manifest.json")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    box = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        stage, old = box / "new", box / "old"
+        stage.mkdir()  # the mode a plain mkdir gives; mkdtemp's is 0700
+        yield stage
+        if out_dir.exists():
+            out_dir.rename(old)
+        try:
+            stage.rename(out_dir)
+        except OSError:
+            if old.exists():
+                old.rename(out_dir)
+            raise
+    finally:
+        shutil.rmtree(box, ignore_errors=True)
 
 
 def _figure_artifacts(
-    writer: _ArtifactWriter,
+    write: Callable[[str, str], None],
     config: PipelineConfig,
     b: BipartiteNetwork,
     networks: dict[str, OneModeNetwork],
@@ -175,30 +174,40 @@ def _figure_artifacts(
                 continue
             target = thin(full, spec)
         placed = layout(target, seed=config.layout_seed, iterations=config.layout_iterations)
-        writer.write(f"figures/{name}_positions.csv", positions_csv(placed))
+        write(f"figures/{name}_positions.csv", positions_csv(placed))
         rendered = export_graph(target, layout_result=placed, format=config.figure_format)
-        writer.write(f"figures/{name}.{config.figure_format}", rendered)
+        write(f"figures/{name}.{config.figure_format}", rendered)
 
 
 def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> AnalysisBundle:
-    """Run the full analysis and write all artifacts under config.out_dir.
+    """Run the full analysis and publish all artifacts as config.out_dir.
 
-    Empty datasets produce zero-valued reports and no figures. On any
-    failure the partially written output is removed before the error
-    propagates.
+    Artifacts are written into a staging directory beside ``out_dir``,
+    which replaces ``out_dir`` only once the whole set is written, so no
+    file of an earlier run survives. On any failure the stage is removed
+    and a previous ``out_dir`` is left untouched. Missing ancestors of
+    ``out_dir`` are created as ``mkdir -p`` would, and stay after a failed
+    run. An ``out_dir`` that is not missing, empty or a previous output
+    raises ConfigError before any work. Empty datasets produce zero-valued
+    reports and no figures.
     """
     config = config or PipelineConfig()
     config.validate()
-    provenance = _provenance(data, config)
-    out_dir = Path(config.out_dir)
-    writer = _ArtifactWriter(out_dir)
-    writer.ensure_dir(out_dir)
+    artifacts: list[str] = []
 
-    try:
+    with _published(Path(config.out_dir)) as stage:
+
+        def write(relative: str, text: str) -> None:
+            path = stage / relative
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            artifacts.append(relative)
+
+        provenance = _provenance(data, config)
         overview = activity_overview(data, config.period)
         payload = overview.to_dict()
         payload["provenance"] = provenance
-        writer.write("overview.json", _dump_json(payload))
+        write("overview.json", _dump_json(payload))
 
         b = build_bipartite(data)
         networks = {
@@ -210,23 +219,19 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         tables = {mode: centrality_table(g, stats[mode]) for mode, g in networks.items()}
 
         for mode in (USER_MODE, THREAD_MODE):
-            writer.write(f"{mode}_structural.json", report_json(reports[mode], provenance))
-            writer.write(f"{mode}_centrality.csv", table_csv(tables[mode]))
-            writer.write(
-                f"{mode}_centrality_summary.json", summaries_json(tables[mode], provenance)
-            )
+            write(f"{mode}_structural.json", report_json(reports[mode], provenance))
+            write(f"{mode}_centrality.csv", table_csv(tables[mode]))
+            write(f"{mode}_centrality_summary.json", summaries_json(tables[mode], provenance))
             for measure in MEASURES:
-                writer.write(
-                    f"{mode}_{measure}_hist.csv", histogram_csv(tables[mode], measure)
-                )
-            writer.write(f"{mode}_edges.csv", edge_list_csv(networks[mode]))
-            writer.write(f"{mode}_nodes.csv", node_list_csv(networks[mode]))
+                write(f"{mode}_{measure}_hist.csv", histogram_csv(tables[mode], measure))
+            write(f"{mode}_edges.csv", edge_list_csv(networks[mode]))
+            write(f"{mode}_nodes.csv", node_list_csv(networks[mode]))
 
         core = core_set(tables[USER_MODE], config.core_threshold, config.roles)
-        writer.write("core.json", core_json(core, provenance))
+        write("core.json", core_json(core, provenance))
 
         silent = silent_initiators(b, networks[USER_MODE], config.silent_min_threads)
-        writer.write(
+        write(
             "silent.json",
             _dump_json(
                 {
@@ -238,7 +243,7 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         )
 
         if config.bipartite_norm:
-            writer.write(
+            write(
                 "bipartite.json",
                 _dump_json(
                     {
@@ -250,15 +255,8 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
                 ),
             )
 
-        _figure_artifacts(writer, config, b, networks)
-
-        artifacts = writer.relative_paths()
-        writer.write(
-            "manifest.json", _dump_json({"artifacts": artifacts, "provenance": provenance})
-        )
-    except BaseException:
-        writer.rollback()
-        raise
+        _figure_artifacts(write, config, b, networks)
+        write("manifest.json", _dump_json({"artifacts": artifacts, "provenance": provenance}))
 
     return AnalysisBundle(
         overview=overview,
@@ -268,6 +266,6 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         thread_centrality=tables[THREAD_MODE],
         core=core,
         silent=silent,
-        artifacts=writer.relative_paths(),
+        artifacts=artifacts,
         provenance=provenance,
     )

@@ -17,6 +17,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import BipartiteNetwork, OneModeNetwork
 
 EXPORT_FORMATS = ("dot", "graphml", "svg")
@@ -37,7 +38,7 @@ class ThinningSpec:
 
     def __post_init__(self):
         if self.k_sd < 0:
-            raise ValueError("k_sd must be >= 0")
+            raise ConfigError("k_sd must be >= 0")
 
 
 @dataclass
@@ -83,12 +84,14 @@ def thin(g: OneModeNetwork, spec: ThinningSpec | None = None) -> OneModeNetwork:
 def _drawing(network):
     """(node names, (m, 2) index edges, weights, per-node modes or None,
     per-node sizes or None) of either network kind. Bipartite threads
-    follow the users, and only one-mode nodes carry a size."""
+    follow the users, and only one-mode nodes carry a size. When a user
+    and a thread share an ID, every bipartite node is written as
+    ``user:<id>`` or ``thread:<id>``."""
     if isinstance(network, BipartiteNetwork):
         users, threads = network.user_nodes, network.thread_nodes
-        overlap = set(users) & set(threads)
-        if overlap:
-            raise ValueError(f"user/thread id collision: {sorted(overlap)[:3]}")
+        if not set(users).isdisjoint(threads):
+            users = tuple(f"user:{u}" for u in users)
+            threads = tuple(f"thread:{t}" for t in threads)
         edges = network.incidence + np.array([0, len(users)])
         modes = ("user",) * len(users) + ("thread",) * len(threads)
         return users + threads, edges, network.counts, modes, None
@@ -103,7 +106,7 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
     (network, seed, iterations) inputs give identical positions.
     """
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise ConfigError("iterations must be >= 1")
     nodes, edges, _, _, _ = _drawing(network)
     n = len(nodes)
     if n == 0:

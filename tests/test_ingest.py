@@ -19,7 +19,6 @@ from forumnet.ingest import (
     parse_users,
     period_label,
     posts_csv,
-    top_posters,
     users_csv,
     with_users,
 )
@@ -79,6 +78,25 @@ def test_wrong_column_count_rejected():
 def test_timestamp_out_of_range_rejected():
     data = parse_posts(csv_stream("p1,t1,u1,f1,1970-01-01T00:00:00Z"))
     assert [r.reason for r in data.rejected] == ["timestamp out of range"]
+
+
+def test_future_timestamp_kept():
+    data = parse_posts(csv_stream("p1,t1,u1,f1,2099-01-01T00:00:00Z"))
+    assert [p.timestamp.year for p in data.posts] == [2099]
+    assert data.rejected == []
+
+
+def test_timestamp_beyond_utc_range_is_bad():
+    """Offsets that push a time past year 9999 or before year 1 in UTC
+    are rejected rows, not an OverflowError."""
+    data = parse_posts(
+        csv_stream(
+            "p1,t1,u1,f1,9999-12-31T23:00:00-05:00",
+            "p2,t1,u1,f1,0001-01-01T00:00:00+01:00",
+        )
+    )
+    assert data.posts == []
+    assert [r.reason for r in data.rejected] == ["bad timestamp", "bad timestamp"]
 
 
 def test_bad_header_is_fatal():
@@ -227,30 +245,6 @@ def test_registered_count_uses_roster():
     assert overview.registered_user_count == 3
     assert overview.posting_user_count == 1
     assert overview.profession_breakdown == {"gp": 1, "nursing": 1, "unknown": 1}
-
-
-def test_top_posters_ordering_and_threshold():
-    data = dataset_from_posts([("a", "t1"), ("a", "t2"), ("a", "t3"), ("b", "t1")])
-    assert top_posters(data, 2) == [("a", 3)]
-    assert top_posters(data) == [("a", 3), ("b", 1)]
-    assert top_posters(dataset_from_posts([]), 0) == []
-    with pytest.raises(ValueError):
-        top_posters(data, -1)
-
-
-def test_top_posters_matches_histogram_filter():
-    data = generate(SynthConfig(user_count=50, thread_count=30, post_count=400, seed=9))
-    listed = top_posters(data, 10)
-    oracle = Counter(p.user_id for p in data.posts)
-    expected = sorted(
-        ((u, n) for u, n in oracle.items() if n >= 10), key=lambda x: (-x[1], x[0])
-    )
-    assert listed == expected
-
-
-def test_ties_in_top_posters_break_by_user_id():
-    data = dataset_from_posts([("b", "t1"), ("a", "t2")])
-    assert top_posters(data) == [("a", 1), ("b", 1)]
 
 
 def test_json_round_trip():

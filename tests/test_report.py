@@ -1,23 +1,38 @@
 """Pipeline orchestration, artifact layout, provenance, and the CLI."""
 
+import csv
 import hashlib
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forumnet import cli
 from forumnet.centrality import MEASURES
 from forumnet.errors import ConfigError
-from forumnet.ingest import dataset_to_json
+from forumnet.ingest import POSTS_COLUMNS, START_COLUMN, dataset_to_json
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 
 from helpers import dataset_from_posts
 
 TOY_ROWS = [("u1", "t1"), ("u2", "t1"), ("u2", "t2"), ("u3", "t2")]
+SMALL_CSV = (
+    "post_id,thread_id,user_id,forum_id,timestamp\n"
+    "p1,t1,u1,f1,2012-01-01T00:00:00Z\n"
+    "p2,t1,u2,f1,2012-01-02T00:00:00Z\n"
+)
+REJECTED_CSV = "post_id,thread_id,user_id,forum_id,timestamp\np1,t1,u1,f1,nonsense\n"
 
 
 def run_cli(*args, cwd=None):
@@ -27,6 +42,19 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def tree(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def boom(*_, **__):
+    raise RuntimeError("forced failure")
 
 
 def test_toy_bundle_composition(tmp_path):
@@ -155,6 +183,83 @@ def test_failure_rolls_back_partial_output(tmp_path, monkeypatch):
     assert not out_dir.exists()
 
 
+def test_rerun_publishes_only_the_new_artifact_set(tmp_path):
+    data = dataset_from_posts(TOY_ROWS)
+    out_dir = tmp_path / "out"
+    run_pipeline(data, PipelineConfig(out_dir=out_dir, bipartite_norm=True))
+    assert (out_dir / "bipartite.json").is_file()
+    bundle = run_pipeline(data, PipelineConfig(out_dir=out_dir))
+    assert not (out_dir / "bipartite.json").exists()
+    assert sorted(tree(out_dir)) == sorted(bundle.artifacts)
+    assert os.listdir(tmp_path) == ["out"]  # no stage or old directory beside it
+
+
+def test_failed_rerun_leaves_previous_output_untouched(tmp_path, monkeypatch):
+    import forumnet.report as report_module
+
+    out_dir = tmp_path / "out"
+    run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=out_dir))
+    before = tree(out_dir)
+    monkeypatch.setattr(report_module, "centrality_table", boom)
+    with pytest.raises(RuntimeError):
+        run_pipeline(
+            dataset_from_posts(TOY_ROWS[:3]),
+            PipelineConfig(out_dir=out_dir, bipartite_norm=True),
+        )
+    assert tree(out_dir) == before
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_failed_first_run_keeps_only_created_ancestors(tmp_path, monkeypatch):
+    import forumnet.report as report_module
+
+    monkeypatch.setattr(report_module, "export_graph", boom)
+    out_dir = tmp_path / "a" / "b" / "out"
+    with pytest.raises(RuntimeError):
+        run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=out_dir))
+    assert os.listdir(tmp_path / "a" / "b") == []
+
+
+def test_published_directory_has_plain_mkdir_mode(tmp_path):
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    expected = stat.S_IMODE(probe.stat().st_mode)
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    existing.mkdir(mode=0o700)
+    for out_dir in (fresh, existing):
+        run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=out_dir))
+        for directory in (out_dir, out_dir / "figures"):
+            assert stat.S_IMODE(directory.stat().st_mode) == expected
+
+
+@pytest.mark.parametrize("occupant", ["notes.txt", "subdir"])
+def test_cli_refuses_foreign_output_directory(tmp_path, occupant):
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    out_dir = tmp_path / "mine"
+    out_dir.mkdir()
+    if occupant == "subdir":
+        (out_dir / occupant).mkdir()
+        (out_dir / occupant / "keep.txt").write_text("keep", encoding="utf-8")
+    else:
+        (out_dir / occupant).write_text("keep", encoding="utf-8")
+    before = tree(out_dir)
+    result = run_cli("analyze", "--data", str(data), "--out", str(out_dir))
+    assert result.returncode == 2
+    assert "manifest.json" in result.stderr
+    assert tree(out_dir) == before
+    assert sorted(os.listdir(tmp_path)) == ["mine", "posts.csv"]
+
+
+def test_cli_refuses_output_path_that_is_a_file(tmp_path):
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    result = run_cli("analyze", "--data", str(data), "--out", str(data))
+    assert result.returncode == 2
+    assert "not a directory" in result.stderr
+    assert data.read_text(encoding="utf-8") == SMALL_CSV
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(core_threshold=1.2).validate()
@@ -168,6 +273,8 @@ def test_config_validation():
         PipelineConfig(figure_format="png").validate()
     with pytest.raises(ConfigError):
         PipelineConfig(figures=("user", "mystery")).validate()
+    with pytest.raises(ConfigError):
+        PipelineConfig(period="decade").validate()
 
 
 def test_bipartite_norm_flag_adds_report(tmp_path):
@@ -357,3 +464,103 @@ def test_cli_viz_svg_and_graphml(tmp_path):
                      "--format", "graphml", "--out", str(gml))
     assert result.returncode == 0, result.stderr
     assert "graphml" in gml.read_text()
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, csv_text, code",
+    [
+        ("analyze", ["--out", "{tmp}/out"], {"period": "decade"}, SMALL_CSV, 2),
+        ("metrics", ["--mode", "user"], {"weighting": "golden"}, SMALL_CSV, 2),
+        ("ingest", ["--out", "{tmp}/out"], {"format": "xml"}, SMALL_CSV, 2),
+        ("viz", ["--mode", "user", "--format", "svg", "--out", "{tmp}/g.svg",
+                 "--layout-iterations", "0"], {}, SMALL_CSV, 2),
+        ("viz", ["--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot",
+                 "--thin-sd", "-1"], {}, SMALL_CSV, 2),
+        ("viz", ["--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot"],
+         {"thin_sd": "wide"}, SMALL_CSV, 2),
+        ("metrics", ["--mode", "user"], b"\xff{}", SMALL_CSV, 2),
+        ("viz", ["--mode", "user", "--format", "svg", "--out", "{tmp}/g.svg"], {},
+         REJECTED_CSV, 1),
+    ],
+    ids=["period", "weighting", "posts-format", "layout-iterations", "negative-thin-sd",
+         "string-thin-sd", "config-not-utf8", "no-post-to-draw"],
+)
+def test_cli_exit_code_names_the_fault(tmp_path, command, flags, config, csv_text, code):
+    """Configuration faults exit 2 and data faults exit 1, each with a
+    message and no traceback."""
+    data = tmp_path / "posts.csv"
+    data.write_text(csv_text, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    source = "--posts" if command == "ingest" else "--data"
+    args = [flag.format(tmp=tmp_path) for flag in flags]
+    result = run_cli(command, source, str(data), *args, "--config", str(cfg))
+    assert result.returncode == code, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_shared_user_thread_ids(tmp_path):
+    data = tmp_path / "posts.csv"
+    data.write_text(
+        "post_id,thread_id,user_id,forum_id,timestamp\n"
+        "p1,1,1,f1,2012-01-01T00:00:00Z\n"
+        "p2,1,2,f1,2012-01-02T00:00:00Z\n"
+        "p3,2,1,f1,2012-01-03T00:00:00Z\n",
+        encoding="utf-8",
+    )
+    result = run_cli("analyze", "--data", str(data), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    positions = (tmp_path / "out" / "figures" / "bipartite_positions.csv").read_text()
+    assert [line.split(",")[0] for line in positions.splitlines()[1:]] == [
+        "user:1", "user:2", "thread:1", "thread:2"
+    ]
+    result = run_cli("viz", "--data", str(data), "--mode", "bipartite", "--format", "dot",
+                     "--out", str(tmp_path / "b.dot"))
+    assert result.returncode == 0, result.stderr
+    assert '"user:2" -- "thread:1"' in (tmp_path / "b.dot").read_text()
+
+
+# IDs drawn from one small pool, so users and threads share some
+IDS = st.sampled_from(["1", "2", "3", " 2 ", "", "a,b", 'q"t', "thread:1"])
+TIMESTAMPS = st.sampled_from([
+    "2012-01-01T00:00:00Z",
+    "2013-06-30 12:00:00",
+    "2012-03-01T00:00:00+05:30",
+    "2099-12-31T23:59:59Z",  # future-dated
+    "1985-01-01T00:00:00Z",  # before the 1990 floor
+    "9999-12-31T23:00:00-05:00",  # past year 9999 in UTC
+    "not a date",
+    "",
+])
+POST_ROWS = st.tuples(
+    st.sampled_from(["p1", "p2", "p3", "p4", "p5"]),
+    IDS,
+    IDS,
+    st.sampled_from(["f1", "f2"]),
+    TIMESTAMPS,
+    st.sampled_from(["true", "false", "", "maybe"]),
+).map(list)
+ODD_ROWS = st.lists(IDS, min_size=1, max_size=8)  # mostly the wrong column count
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.lists(st.one_of(POST_ROWS, ODD_ROWS), max_size=12))
+def test_any_valid_header_csv_goes_through_ingest_and_analyze(has_start, rows):
+    """Every row is retained or logged as rejected, and analyze publishes
+    a complete artifact set for whatever was retained."""
+    header = list(POSTS_COLUMNS) + ([START_COLUMN] if has_start else [])
+    rows = [row[: len(header)] if len(row) == 6 else row for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        posts, clean, out = Path(tmp) / "posts.csv", Path(tmp) / "clean", Path(tmp) / "out"
+        posts.write_text(buf.getvalue(), encoding="utf-8")
+        assert cli.main(["ingest", "--posts", str(posts), "--out", str(clean)]) == 0
+        doc = json.loads((clean / "dataset.json").read_text(encoding="utf-8"))
+        assert len(doc["posts"]) + len(doc["rejected"]) == len(rows)
+        assert cli.main(["analyze", "--data", str(clean / "dataset.json"), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(tree(out)) == sorted(manifest["artifacts"] + ["manifest.json"])

@@ -18,7 +18,16 @@ from forumnet.viz import (
     thin,
 )
 
-from helpers import edge_dict, edge_key, make_bipartite, make_network, star_graph
+from forumnet.graph import build_bipartite
+
+from helpers import (
+    dataset_from_posts,
+    edge_dict,
+    edge_key,
+    make_bipartite,
+    make_network,
+    star_graph,
+)
 
 
 def weighted(weights):
@@ -277,3 +286,23 @@ def test_layout_result_round_trips_through_csv():
         node, x, y = line.split(",")
         parsed[node] = (float(x), float(y))
     assert parsed == result.positions
+
+
+def test_shared_user_thread_ids_are_mode_qualified():
+    """When a user and a thread share an ID, every bipartite node is
+    written as user:<id> or thread:<id>, in every format."""
+    b = build_bipartite(dataset_from_posts([("1", "1"), ("2", "1"), ("1", "2")]))
+    placed = layout(b, seed=1, iterations=5)
+    assert sorted(placed.positions) == ["thread:1", "thread:2", "user:1", "user:2"]
+    assert positions_csv(placed).splitlines()[1].startswith("user:1,")
+    dot = export_graph(b, format="dot")
+    assert '"user:1" -- "thread:2" [weight=1];' in dot
+    assert '"thread:2" [mode="thread"];' in dot
+    root = ET.fromstring(export_graph(b, format="graphml"))
+    ids = [node.get("id") for node in root.iter("{http://graphml.graphdrawing.org/xmlns}node")]
+    assert ids == ["user:1", "user:2", "thread:1", "thread:2"]
+    svg = export_graph(b, layout_result=placed, format="svg")
+    assert re.findall(r"<title>(.*?)</title>", svg) == ids
+    # without a shared ID the names are written as they are
+    plain = build_bipartite(dataset_from_posts([("u1", "1"), ("u2", "1")]))
+    assert '"u1" -- "1" [weight=1];' in export_graph(plain, format="dot")
