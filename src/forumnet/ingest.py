@@ -5,6 +5,10 @@ plus an optional user roster. Rows that violate the record contract are
 never fatal: they are kept in ``ForumDataset.rejected`` with a
 machine-readable reason, so retained + rejected always accounts for every
 input row.
+
+Each row validates to a plain tuple or to a ``RejectedRow``; one pass
+then drops duplicate post IDs, picks each thread's starter and builds a
+single ``PostRecord`` per kept row.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +28,7 @@ POSTS_COLUMNS = ("post_id", "thread_id", "user_id", "forum_id", "timestamp")
 START_COLUMN = "is_thread_start"
 USERS_COLUMNS = ("user_id", "profession")
 PERIODS = ("year", "quarter", "month")
+POSTS_FORMATS = ("csv", "json")
 
 # rows dated before this are rejected as "timestamp out of range"; there
 # is no upper bound, so a file ingests the same on every day
@@ -139,127 +144,75 @@ def _csv_line(values: Iterable[str]) -> str:
     return buf.getvalue()
 
 
-# Candidate rows that survived per-field validation, pre duplicate check.
-@dataclass
-class _Candidate:
-    order: int
-    raw: str
-    post_id: str
-    thread_id: str
-    user_id: str
-    forum_id: str
-    timestamp: datetime
-    start_flag: bool | None
+def _validate_fields(raw: str, fields: list[str], start: bool | str):
+    """The row as (post_id, thread_id, user_id, forum_id, timestamp, start,
+    raw), or the RejectedRow that says why it cannot be kept.
 
-
-def _validate_fields(raw: str, order: int, fields: dict[str, str], start_value):
-    """Return (_Candidate, None) or (None, RejectedRow)."""
-    for name in POSTS_COLUMNS[:4]:
-        if not str(fields.get(name, "")).strip():
-            return None, RejectedRow(raw, f"missing {name}")
-    ts_value = fields.get("timestamp", "")
-    if not isinstance(ts_value, str) or not ts_value.strip():
-        return None, RejectedRow(raw, "bad timestamp")
-    timestamp = parse_timestamp(ts_value)
-    if timestamp is None:
-        return None, RejectedRow(raw, "bad timestamp")
-    if timestamp < VALID_FROM:
-        return None, RejectedRow(raw, "timestamp out of range")
-
-    start_flag: bool | None
-    if start_value is None:
-        start_flag = None
-    elif isinstance(start_value, bool):
-        start_flag = start_value
-    else:
-        lowered = str(start_value).strip().lower()
-        if lowered == "":
-            start_flag = None
-        elif lowered in ("true", "false"):
-            start_flag = lowered == "true"
-        else:
-            return None, RejectedRow(raw, "bad is_thread_start")
-
-    return (
-        _Candidate(
-            order=order,
-            raw=raw,
-            post_id=str(fields["post_id"]).strip(),
-            thread_id=str(fields["thread_id"]).strip(),
-            user_id=str(fields["user_id"]).strip(),
-            forum_id=str(fields["forum_id"]).strip(),
-            timestamp=timestamp,
-            start_flag=start_flag,
-        ),
-        None,
-    )
-
-
-def _resolve_duplicates(candidates: list[_Candidate]):
-    """Keep the earliest row per post_id (ties by input order), reject the rest."""
-    by_id: dict[str, _Candidate] = {}
-    rejects: list[tuple[int, RejectedRow]] = []
-    for cand in candidates:
-        kept = by_id.get(cand.post_id)
-        if kept is None:
-            by_id[cand.post_id] = cand
-            continue
-        if (cand.timestamp, cand.order) < (kept.timestamp, kept.order):
-            by_id[cand.post_id] = cand
-            rejects.append((kept.order, RejectedRow(kept.raw, "duplicate post_id")))
-        else:
-            rejects.append((cand.order, RejectedRow(cand.raw, "duplicate post_id")))
-    return list(by_id.values()), rejects
-
-
-def _assign_thread_starts(candidates: list[_Candidate]) -> list[PostRecord]:
-    """Normalize start flags: one starter per thread.
-
-    An explicitly flagged row wins (earliest if several are flagged);
-    otherwise the thread's earliest post is promoted.
+    ``fields`` holds the POSTS_COLUMNS values as text; ``start`` is a bool
+    or the text of a CSV start column ("", "true" or "false", any case).
     """
-    per_thread: dict[str, list[_Candidate]] = defaultdict(list)
-    for cand in candidates:
-        per_thread[cand.thread_id].append(cand)
-    starters: set[str] = set()
-    for thread_rows in per_thread.values():
-        thread_rows.sort(key=lambda c: (c.timestamp, c.post_id))
-        flagged = [c for c in thread_rows if c.start_flag]
-        chosen = flagged[0] if flagged else thread_rows[0]
-        starters.add(chosen.post_id)
-    records = [
-        PostRecord(
-            post_id=c.post_id,
-            thread_id=c.thread_id,
-            user_id=c.user_id,
-            forum_id=c.forum_id,
-            timestamp=c.timestamp,
-            is_thread_start=c.post_id in starters,
-        )
-        for c in candidates
-    ]
-    records.sort(key=lambda r: (r.timestamp, r.post_id))
-    return records
+    ids = [value.strip() for value in fields[:4]]
+    for name, value in zip(POSTS_COLUMNS, ids):
+        if not value:
+            return RejectedRow(raw, f"missing {name}")
+    timestamp = parse_timestamp(fields[4])
+    if timestamp is None:
+        return RejectedRow(raw, "bad timestamp")
+    if timestamp < VALID_FROM:
+        return RejectedRow(raw, "timestamp out of range")
+    if isinstance(start, str):
+        start = start.strip().lower()
+        if start not in ("", "true", "false"):
+            return RejectedRow(raw, "bad is_thread_start")
+        start = start == "true"
+    return (*ids, timestamp, start, raw)
+
+
+def _merge_users(*rosters: Iterable[UserProfile]) -> list[UserProfile]:
+    """One profile per user_id, sorted by it; the first one given wins."""
+    profiles: dict[str, UserProfile] = {}
+    for roster in rosters:
+        for profile in roster:
+            profiles.setdefault(profile.user_id, profile)
+    return [profiles[uid] for uid in sorted(profiles)]
 
 
 def _finalize(
-    candidates: list[_Candidate],
-    rejects: list[tuple[int, RejectedRow]],
-    roster: list[UserProfile] | None = None,
-    carried_rejects: list[RejectedRow] | None = None,
+    rows: list,
+    roster: Iterable[UserProfile] = (),
+    carried: Iterable[RejectedRow] = (),
 ) -> ForumDataset:
-    retained, dup_rejects = _resolve_duplicates(candidates)
-    rejects = sorted(rejects + dup_rejects, key=lambda item: item[0])
-    posts = _assign_thread_starts(retained)
+    """The dataset from validated rows, given in input order.
 
-    profiles: dict[str, UserProfile] = {}
-    for profile in roster or []:
-        profiles.setdefault(profile.user_id, profile)
-    for post in posts:
-        profiles.setdefault(post.user_id, UserProfile(post.user_id))
-    users = [profiles[uid] for uid in sorted(profiles)]
+    The earliest row per post_id is kept (ties by input order) and the
+    others are rejected as duplicates. Each thread gets one starter: its
+    earliest flagged row, else its earliest row. Rejections keep input
+    order, after those ``carried`` over from a serialized dataset.
+    """
+    kept: dict[str, int] = {}  # post_id -> index of the row kept for it
+    for i, row in enumerate(rows):
+        if isinstance(row, RejectedRow):
+            continue
+        j = kept.setdefault(row[0], i)
+        if j == i:
+            continue
+        if row[4] < rows[j][4]:
+            kept[row[0]], drop = i, j
+        else:
+            drop = i
+        rows[drop] = RejectedRow(rows[drop][6], "duplicate post_id")
 
-    rejected = list(carried_rejects or []) + [row for _, row in rejects]
+    retained = sorted((rows[i] for i in kept.values()), key=lambda row: (row[4], row[0]))
+    # thread_id -> post_id of its starter; walking the rows backwards lets
+    # the earliest (flagged) row of each thread be written last
+    starters = {row[1]: row[0] for row in reversed(retained)}
+    starters.update({row[1]: row[0] for row in reversed(retained) if row[5]})
+    posts = [
+        PostRecord(post_id, thread_id, user_id, forum_id, ts, starters[thread_id] == post_id)
+        for post_id, thread_id, user_id, forum_id, ts, _, _ in retained
+    ]
+    users = _merge_users(roster, map(UserProfile, {post.user_id for post in posts}))
+    rejected = [*carried, *(row for row in rows if isinstance(row, RejectedRow))]
     return ForumDataset(posts=posts, users=users, rejected=rejected)
 
 
@@ -277,23 +230,16 @@ def _parse_posts_csv(text: str) -> ForumDataset:
         )
     has_start = len(header) == 6
 
-    candidates: list[_Candidate] = []
-    rejects: list[tuple[int, RejectedRow]] = []
-    for order, row in enumerate(reader):
+    rows: list = []
+    for row in reader:
         if not row:
             continue
         raw = _csv_line(row)
         if len(row) != len(header):
-            rejects.append((order, RejectedRow(raw, "wrong column count")))
-            continue
-        fields = dict(zip(POSTS_COLUMNS, row))
-        start_value = row[5] if has_start else None
-        cand, reject = _validate_fields(raw, order, fields, start_value)
-        if reject is not None:
-            rejects.append((order, reject))
+            rows.append(RejectedRow(raw, "wrong column count"))
         else:
-            candidates.append(cand)
-    return _finalize(candidates, rejects)
+            rows.append(_validate_fields(raw, row, row[5] if has_start else ""))
+    return _finalize(rows)
 
 
 def _json_text(entry: dict, name: str) -> str:
@@ -325,24 +271,19 @@ def _parse_posts_json(text: str) -> ForumDataset:
         if isinstance(entry, dict)
     ]
 
-    candidates: list[_Candidate] = []
-    rejects: list[tuple[int, RejectedRow]] = []
-    for order, entry in enumerate(doc["posts"]):
+    rows: list = []
+    for entry in doc["posts"]:
         raw = json.dumps(entry, sort_keys=True)
         if not isinstance(entry, dict):
-            rejects.append((order, RejectedRow(raw, "post entry is not an object")))
+            rows.append(RejectedRow(raw, "post entry is not an object"))
             continue
-        fields = {name: _json_text(entry, name) for name in POSTS_COLUMNS}
-        start_value = entry.get(START_COLUMN)
-        if start_value is not None and not isinstance(start_value, bool):
-            rejects.append((order, RejectedRow(raw, "bad is_thread_start")))
-            continue
-        cand, reject = _validate_fields(raw, order, fields, start_value)
-        if reject is not None:
-            rejects.append((order, reject))
+        start = entry.get(START_COLUMN)
+        if start is not None and not isinstance(start, bool):
+            rows.append(RejectedRow(raw, "bad is_thread_start"))
         else:
-            candidates.append(cand)
-    return _finalize(candidates, rejects, roster=roster, carried_rejects=carried)
+            fields = [_json_text(entry, name) for name in POSTS_COLUMNS]
+            rows.append(_validate_fields(raw, fields, bool(start)))
+    return _finalize(rows, roster, carried)
 
 
 def parse_posts(source, format: str = "csv") -> ForumDataset:
@@ -353,7 +294,7 @@ def parse_posts(source, format: str = "csv") -> ForumDataset:
     faults land in ``rejected``; only an unreadable stream or a bad
     header/shape raises.
     """
-    if format not in ("csv", "json"):
+    if format not in POSTS_FORMATS:
         raise ConfigError(f"unknown posts format: {format!r}")
     text = _read_text(source)
     return _parse_posts_csv(text) if format == "csv" else _parse_posts_json(text)
@@ -369,21 +310,17 @@ def parse_users(source) -> list[UserProfile]:
         raise SchemaError("users CSV is empty, expected a header row") from None
     if [h.strip() for h in header] != list(USERS_COLUMNS):
         raise SchemaError(f"bad users CSV header: expected {','.join(USERS_COLUMNS)}")
-    profiles: dict[str, UserProfile] = {}
+    roster = []
     for row in reader:
-        if not row or not row[0].strip():
-            continue
-        profession = row[1].strip() if len(row) > 1 and row[1].strip() else None
-        profiles.setdefault(row[0].strip(), UserProfile(row[0].strip(), profession))
-    return [profiles[uid] for uid in sorted(profiles)]
+        if row and row[0].strip():
+            profession = row[1].strip() if len(row) > 1 else ""
+            roster.append(UserProfile(row[0].strip(), profession or None))
+    return _merge_users(roster)
 
 
 def with_users(data: ForumDataset, roster: list[UserProfile]) -> ForumDataset:
     """Attach a roster; posting users missing from it keep auto profiles."""
-    profiles = {p.user_id: p for p in roster}
-    for profile in data.users:
-        profiles.setdefault(profile.user_id, profile)
-    return replace(data, users=[profiles[uid] for uid in sorted(profiles)])
+    return replace(data, users=_merge_users(roster, data.users))
 
 
 def load_dataset(posts_path, users_path=None, format: str | None = None) -> ForumDataset:

@@ -50,7 +50,7 @@ from .graph import (
 from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, dataset_to_json
 from .metrics import StructuralReport, bipartite_density, report_json, structural_report
 from .paths import path_stats
-from .viz import ThinningSpec, export_graph, layout, positions_csv, thin
+from .viz import EXPORT_FORMATS, ThinningSpec, export_graph, layout, positions_csv, thin
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
 
@@ -85,13 +85,20 @@ class PipelineConfig:
             raise ConfigError(f"unknown period: {self.period!r}")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"unknown weighting: {self.weighting!r}")
-        if self.figure_format not in ("svg", "dot", "graphml"):
+        if self.figure_format not in EXPORT_FORMATS:
             raise ConfigError(f"unknown figure format: {self.figure_format!r}")
         unknown = set(self.figures) - set(FIGURE_NETWORKS)
         if unknown:
             raise ConfigError(f"unknown figure networks: {sorted(unknown)}")
         if self.silent_min_threads < 0:
             raise ConfigError("silent_min_threads must be >= 0")
+        # a swap never deletes foreign files: out_dir must be missing,
+        # empty, or a previous output (it holds manifest.json)
+        out = Path(os.path.abspath(self.out_dir))
+        if out.is_symlink() or (out.exists() and not out.is_dir()):
+            raise ConfigError(f"output path {out} is a file or a symlink, not a directory")
+        if out.is_dir() and any(out.iterdir()) and not (out / "manifest.json").is_file():
+            raise ConfigError(f"output directory {out} is not empty and holds no manifest.json")
 
 
 @dataclass
@@ -131,13 +138,8 @@ def _dump_json(payload: dict) -> str:
 def _published(out_dir: Path):
     """Yield a fresh staging directory beside ``out_dir``; on a clean exit
     it replaces ``out_dir`` whole, and on an error ``out_dir`` is left as
-    it was. ``out_dir`` must be missing, empty, or a previous output (it
-    holds ``manifest.json``), so a swap never deletes foreign files."""
+    it was. ``PipelineConfig.validate`` has checked ``out_dir``."""
     out_dir = Path(os.path.abspath(out_dir))
-    if out_dir.is_symlink() or (out_dir.exists() and not out_dir.is_dir()):
-        raise ConfigError(f"output path {out_dir} is a file or a symlink, not a directory")
-    if out_dir.is_dir() and any(out_dir.iterdir()) and not (out_dir / "manifest.json").is_file():
-        raise ConfigError(f"output directory {out_dir} is not empty and holds no manifest.json")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     box = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:
@@ -187,9 +189,9 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
     file of an earlier run survives. On any failure the stage is removed
     and a previous ``out_dir`` is left untouched. Missing ancestors of
     ``out_dir`` are created as ``mkdir -p`` would, and stay after a failed
-    run. An ``out_dir`` that is not missing, empty or a previous output
-    raises ConfigError before any work. Empty datasets produce zero-valued
-    reports and no figures.
+    run. A bad config, or an ``out_dir`` that is not missing, empty or a
+    previous output, raises ConfigError before any work. Empty datasets
+    produce zero-valued reports and no figures.
     """
     config = config or PipelineConfig()
     config.validate()

@@ -20,6 +20,8 @@ DEFAULT_WINDOW_START = datetime(2009, 1, 1, tzinfo=timezone.utc)
 DEFAULT_WINDOW_END = datetime(2014, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
 DEFAULT_PROFESSIONS = ("general_practice", "nursing", "cardiology", "general_medicine")
 PROFESSION_WEIGHTS = (8, 2, 1, 1)
+THREADS_PER_SILENT_INITIATOR = 25
+MODERATOR_BOOST = 10.0  # added to a moderator's post count in the attachment weight
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,6 @@ class SynthConfig:
     moderator_count: int = 0
     silent_initiator_count: int = 0
     seed: int = 0
-    # plumbing knobs; defaults keep the short constructor usable
-    threads_per_silent_initiator: int = 25
-    moderator_boost: float = 10.0
-    window_start: datetime = DEFAULT_WINDOW_START
-    window_end: datetime = DEFAULT_WINDOW_END
 
     def validate(self) -> None:
         if self.user_count < 1 or self.thread_count < 1 or self.forum_count < 1:
@@ -49,9 +46,7 @@ class SynthConfig:
             raise ConfigError("role counts must be >= 0")
         if self.moderator_count + self.silent_initiator_count > self.user_count:
             raise ConfigError("moderators plus silent initiators exceed user_count")
-        if self.threads_per_silent_initiator < 1:
-            raise ConfigError("threads_per_silent_initiator must be >= 1")
-        silent_threads = self.silent_initiator_count * self.threads_per_silent_initiator
+        silent_threads = self.silent_initiator_count * THREADS_PER_SILENT_INITIATOR
         if silent_threads > self.thread_count:
             raise ConfigError("silent initiators need more threads than the config has")
         regular_threads = self.thread_count - silent_threads
@@ -59,8 +54,6 @@ class SynthConfig:
             raise ConfigError("no regular threads left to hold reply posts")
         if regular_threads > 0 and self.silent_initiator_count == self.user_count:
             raise ConfigError("regular threads need at least one non-silent user")
-        if self.window_end <= self.window_start:
-            raise ConfigError("time window is empty")
 
 
 @dataclass(frozen=True)
@@ -137,17 +130,17 @@ def generate(cfg: SynthConfig) -> ForumDataset:
     planted = planted_structure(cfg)
     silent_set = set(planted.silent_initiators)
 
-    silent_thread_total = cfg.silent_initiator_count * cfg.threads_per_silent_initiator
+    silent_thread_total = cfg.silent_initiator_count * THREADS_PER_SILENT_INITIATOR
     regular_threads = threads[: cfg.thread_count - silent_thread_total]
     silent_threads = threads[cfg.thread_count - silent_thread_total :]
 
     regular_users = [u for u in users if u not in silent_set]
-    boosts = [cfg.moderator_boost if u in planted.moderators else 0.0 for u in regular_users]
+    boosts = [MODERATOR_BOOST if u in planted.moderators else 0.0 for u in regular_users]
     picker = _PreferentialPicker(regular_users, cfg.skew_alpha, boosts, rng)
 
     thread_forum = {t: forums[rng.randrange(len(forums))] for t in threads}
-    start_epoch = int(cfg.window_start.timestamp())
-    end_epoch = int(cfg.window_end.timestamp())
+    start_epoch = int(DEFAULT_WINDOW_START.timestamp())
+    end_epoch = int(DEFAULT_WINDOW_END.timestamp())
 
     posts: list[PostRecord] = []
     thread_started_at: dict[str, int] = {}
@@ -171,8 +164,8 @@ def generate(cfg: SynthConfig) -> ForumDataset:
 
     # silent initiators start their private threads, one post each
     for i, user in enumerate(planted.silent_initiators):
-        begin = i * cfg.threads_per_silent_initiator
-        for thread in silent_threads[begin : begin + cfg.threads_per_silent_initiator]:
+        begin = i * THREADS_PER_SILENT_INITIATOR
+        for thread in silent_threads[begin : begin + THREADS_PER_SILENT_INITIATOR]:
             add_post(user, thread, is_start=True)
 
     for thread in regular_threads:

@@ -44,8 +44,6 @@ class ThinningSpec:
 @dataclass
 class LayoutResult:
     positions: dict[str, tuple[float, float]]
-    seed: int
-    iterations: int
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -114,7 +112,7 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 2))
     if n == 1:
-        return LayoutResult({nodes[0]: (0.5, 0.5)}, seed, iterations)
+        return LayoutResult({nodes[0]: (0.5, 0.5)})
 
     ei, ej = edges.T
     k = (1.0 / n) ** 0.5
@@ -155,7 +153,7 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
         else:
             pos[:, axis] = 0.5
     positions = {node: (float(pos[i, 0]), float(pos[i, 1])) for i, node in enumerate(nodes)}
-    return LayoutResult(positions, seed, iterations)
+    return LayoutResult(positions)
 
 
 def positions_csv(result: LayoutResult) -> str:

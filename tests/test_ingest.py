@@ -177,6 +177,75 @@ def test_bad_thread_start_value_rejected():
     assert [r.reason for r in data.rejected] == ["bad is_thread_start"]
 
 
+def json_posts(*posts, users=()):
+    return io.StringIO(json.dumps({"posts": list(posts), "users": list(users)}))
+
+
+def json_post(post_id, timestamp, **extra):
+    return {"post_id": post_id, "thread_id": "t1", "user_id": "u1", "forum_id": "f1",
+            "timestamp": timestamp, **extra}
+
+
+@pytest.mark.parametrize("flag", [{"is_thread_start": None}, {}], ids=["null", "absent"])
+def test_json_null_or_absent_start_flag_is_kept_unflagged(flag):
+    data = parse_posts(
+        json_posts(
+            json_post("p1", "2012-01-01T01:00:00Z", **flag),
+            json_post("p2", "2012-01-01T00:00:00Z", is_thread_start=False),
+        ),
+        format="json",
+    )
+    assert data.rejected == []
+    starts = {p.post_id: p.is_thread_start for p in data.posts}
+    assert starts == {"p1": False, "p2": True}
+
+
+def test_json_string_start_flag_rejected():
+    post = json_post("p1", "2012-01-01T00:00:00Z", is_thread_start="true")
+    data = parse_posts(json_posts(post), format="json")
+    assert data.posts == []
+    assert [(r.raw, r.reason) for r in data.rejected] == [
+        (json.dumps(post, sort_keys=True), "bad is_thread_start")
+    ]
+
+
+def test_duplicate_dated_earlier_displaces_the_kept_row():
+    first = "p1,t1,u1,f1,2012-01-02T00:00:00Z"
+    data = parse_posts(csv_stream(first, "p1,t1,u2,f1,2012-01-01T00:00:00Z"))
+    assert [p.user_id for p in data.posts] == ["u2"]
+    assert [(r.raw, r.reason) for r in data.rejected] == [(first, "duplicate post_id")]
+
+
+def test_rejections_keep_input_order():
+    data = parse_posts(
+        csv_stream(
+            "p1,t1,u1,f1,2012-01-02T00:00:00Z",
+            "p2,t1,u1,f1,nonsense",
+            "p1,t1,u2,f1,2012-01-01T00:00:00Z",
+            "p3,t1,,f1,2012-01-01T00:00:00Z",
+            "p4,t1,u1,f1",
+        )
+    )
+    assert [r.raw.split(",")[:3] for r in data.rejected] == [
+        ["p1", "t1", "u1"], ["p2", "t1", "u1"], ["p3", "t1", ""], ["p4", "t1", "u1"]
+    ]
+    assert [r.reason for r in data.rejected] == [
+        "duplicate post_id", "bad timestamp", "missing user_id", "wrong column count"
+    ]
+
+
+def test_json_roster_first_entry_wins():
+    data = parse_posts(
+        json_posts(
+            json_post("p1", "2012-01-01T00:00:00Z"),
+            users=[{"user_id": "u1", "profession": "nursing"},
+                   {"user_id": "u1", "profession": "cardiology"}],
+        ),
+        format="json",
+    )
+    assert [(u.user_id, u.profession) for u in data.users] == [("u1", "nursing")]
+
+
 def test_parse_timestamp_variants():
     utc = timezone.utc
     assert parse_timestamp("2012-03-04T05:06:07Z") == datetime(2012, 3, 4, 5, 6, 7, tzinfo=utc)

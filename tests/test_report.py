@@ -1,5 +1,6 @@
 """Pipeline orchestration, artifact layout, provenance, and the CLI."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -498,6 +499,82 @@ def test_cli_exit_code_names_the_fault(tmp_path, command, flags, config, csv_tex
     assert result.returncode == code, result.stderr
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("analyze", ["--data", "{data}"], {"out": 5}),
+        ("ingest", ["--out", "{tmp}/x"], {"posts": 7}),
+        ("viz", ["--data", "{data}", "--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot"],
+         {"layout_seed": "abc"}),
+        ("metrics", ["--mode", "user"], {"data": ["x"]}),
+    ],
+    ids=["analyze-out", "ingest-posts", "viz-layout-seed", "metrics-data"],
+)
+def test_cli_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, flags, config):
+    """A config value of the wrong type is refused before any file is
+    read or written, whether or not the command would have used it."""
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    args = [flag.format(tmp=tmp_path, data=data) for flag in flags]
+    assert cli.main([command, *args, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "posts.csv"]
+
+
+@pytest.mark.parametrize("fault", ["foreign-out", "period"])
+def test_cli_config_fault_wins_over_input_fault(tmp_path, capsys, fault):
+    """analyze validates its configuration and --out before it reads --data."""
+    data = tmp_path / "posts.csv"
+    data.write_text("who,what\n1,2\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"period": "decade"} if fault == "period" else {}), encoding="utf-8")
+    if fault == "foreign-out":
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("keep", encoding="utf-8")
+    args = ["--data", str(data), "--out", str(out_dir), "--config", str(cfg)]
+    assert cli.main(["analyze", *args]) == 2
+    assert "header" not in capsys.readouterr().err
+
+
+# each subcommand's flags and config-file keys; the option tables add and drop none
+CLI_FLAGS = {
+    "ingest": ["--config", "--format", "--out", "--posts", "--users"],
+    "synth": ["--alpha", "--config", "--forums", "--moderators", "--out", "--posts", "--seed",
+              "--silent-initiators", "--threads", "--users"],
+    "analyze": ["--bipartite-norm", "--config", "--core-threshold", "--data", "--layout-seed",
+                "--out", "--thin-sd", "--weighting"],
+    "metrics": ["--config", "--data", "--mode", "--weighting"],
+    "viz": ["--config", "--data", "--format", "--layout-iterations", "--layout-seed", "--mode",
+            "--out", "--thin-sd"],
+}
+CLI_CONFIG_KEYS = {
+    "ingest": ["format", "out", "posts", "users"],
+    "synth": ["alpha", "forums", "moderators", "out", "posts", "seed", "silent_initiators",
+              "threads", "users"],
+    "analyze": ["bipartite_norm", "core_threshold", "data", "figure_format", "figures",
+                "layout_iterations", "layout_seed", "out", "period", "roles",
+                "silent_min_threads", "thin_sd", "thin_strict", "weighting"],
+    "metrics": ["data", "mode", "weighting"],
+    "viz": ["data", "format", "layout_iterations", "layout_seed", "mode", "out", "thin_sd"],
+}
+
+
+def test_cli_flag_and_config_key_sets():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        command: sorted(s for a in parser._actions for s in a.option_strings
+                        if s not in ("-h", "--help"))
+        for command, parser in sub.choices.items()
+    }
+    assert flags == CLI_FLAGS
+    assert {command: sorted(table) for command, (_, table, _) in cli.COMMANDS.items()} == (
+        CLI_CONFIG_KEYS
+    )
 
 
 def test_cli_shared_user_thread_ids(tmp_path):

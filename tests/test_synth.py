@@ -61,13 +61,6 @@ def test_different_seed_differs():
             post_count=30,
             silent_initiator_count=1,
         ),
-        dict(
-            user_count=2,
-            thread_count=1,
-            post_count=2,
-            window_start=DEFAULT_WINDOW_END,
-            window_end=DEFAULT_WINDOW_START,
-        ),
     ],
 )
 def test_infeasible_configs_raise(kwargs):
