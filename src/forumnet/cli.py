@@ -116,12 +116,17 @@ VIZ_OPTIONS = {
 
 def _checked(name: str, kind, value):
     """``value`` as the option ``name`` of ``kind`` takes it. A str or bool
-    option takes only a str or a bool (``bool("false")`` is True); other
-    types convert the value."""
+    option takes only a str or a bool (``bool("false")`` is True), and a
+    tuple option only a list of strings (``tuple("user")`` splits it into
+    characters); other types convert the value."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
         return value
+    if kind is tuple:
+        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            raise ConfigError(f"{name} must be a list of strings, got {value!r}")
+        return tuple(value)
     if kind in (str, bool):
         if not isinstance(value, kind):
             raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
@@ -217,14 +222,18 @@ def _cmd_metrics(options: dict) -> int:
 
 
 def _cmd_viz(options: dict) -> int:
+    # range checks come before --data is read, as in analyze
+    spec = None if options["thin_sd"] is None else ThinningSpec(k_sd=options["thin_sd"])
+    if options["layout_iterations"] < 1:
+        raise ConfigError("layout_iterations must be >= 1")
     data = load_dataset(options["data"])
     b = build_bipartite(data)
     if options["mode"] == "bipartite":
         network = b
     else:
         network = project(b, options["mode"])
-        if options["thin_sd"] is not None:
-            network = thin(network, ThinningSpec(k_sd=options["thin_sd"]))
+        if spec is not None:
+            network = thin(network, spec)
     placed = None
     if options["format"] == "svg":
         if not data.posts:

@@ -24,6 +24,8 @@ EXPORT_FORMATS = ("dot", "graphml", "svg")
 
 SVG_SIZE = 1000
 SVG_MARGIN = 40
+# rows of the pairwise repulsion that layout() holds at once
+LAYOUT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,12 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
     Nodes repel each other, edges pull their endpoints together, and a
     linearly cooling step cap anneals the placement. Identical
     (network, seed, iterations) inputs give identical positions.
+
+    Repulsion is summed ``LAYOUT_BLOCK`` rows at a time, so the step loop
+    holds O(LAYOUT_BLOCK * n + m) floats rather than n x n matrices. Each
+    row's sum is taken whole, so the positions do not depend on the block
+    size. No call is BLAS-backed, so they do not depend on its thread
+    count either.
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
@@ -115,31 +123,44 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
         return LayoutResult({nodes[0]: (0.5, 0.5)})
 
     ei, ej = edges.T
+    m = len(ei)
     k = (1.0 / n) ** 0.5
     start_temp = 0.1
-    dx = np.empty((n, n))
-    dy = np.empty((n, n))
-    factor = np.empty((n, n))
+    block = min(LAYOUT_BLOCK, n)
+    dx, dy, factor, dy2 = (np.empty((block, n)) for _ in range(4))
+    # one bincount per axis adds, per node, 0 + its repulsion, then the
+    # pulls where it is ei, then those where it is ej, in edge order; any
+    # other order (bincount(ej) - bincount(ei)) rounds differently and
+    # moves the drawing
+    targets = np.concatenate((np.arange(n), ei, ej))
+    forces = np.empty((2, n + 2 * m))
+    disp = np.empty((n, 2))
     for step in range(iterations):
         temp = start_temp * (1.0 - step / iterations)
-        np.subtract(pos[:, 0][:, None], pos[:, 0][None, :], out=dx)
-        np.subtract(pos[:, 1][:, None], pos[:, 1][None, :], out=dy)
-        np.multiply(dx, dx, out=factor)
-        factor += dy * dy
-        np.maximum(factor, 1e-12, out=factor)
-        # repulsion k^2/d along each pair direction: delta * k^2/d^2
-        np.divide(k * k, factor, out=factor)
-        disp = np.empty((n, 2))
-        disp[:, 0] = np.einsum("ij,ij->i", dx, factor)
-        disp[:, 1] = np.einsum("ij,ij->i", dy, factor)
-        if len(ei):
-            span = pos[ei] - pos[ej]
-            length = np.sqrt(np.einsum("ij,ij->i", span, span))
-            np.maximum(length, 1e-9, out=length)
-            # attraction d^2/k along the edge
-            pull = span * (length / k)[:, None]
-            np.add.at(disp, ei, -pull)
-            np.add.at(disp, ej, pull)
+        x, y = pos.T.copy()
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            rows = hi - lo
+            bx, by, bf, by2 = dx[:rows], dy[:rows], factor[:rows], dy2[:rows]
+            np.subtract(x[lo:hi, None], x[None, :], out=bx)
+            np.subtract(y[lo:hi, None], y[None, :], out=by)
+            np.multiply(bx, bx, out=bf)
+            np.multiply(by, by, out=by2)
+            bf += by2
+            np.maximum(bf, 1e-12, out=bf)
+            # repulsion k^2/d along each pair direction: delta * k^2/d^2
+            np.divide(k * k, bf, out=bf)
+            forces[0, lo:hi] = np.einsum("ij,ij->i", bx, bf)
+            forces[1, lo:hi] = np.einsum("ij,ij->i", by, bf)
+        span = pos[ei] - pos[ej]
+        length = np.sqrt(np.einsum("ij,ij->i", span, span))
+        np.maximum(length, 1e-9, out=length)
+        # attraction d^2/k along the edge
+        pull = span * (length / k)[:, None]
+        np.negative(pull.T, out=forces[:, n : n + m])
+        forces[:, n + m :] = pull.T
+        for axis in range(2):
+            disp[:, axis] = np.bincount(targets, forces[axis])
         norm = np.sqrt(np.einsum("ij,ij->i", disp, disp))
         np.maximum(norm, 1e-12, out=norm)
         pos += disp * (np.minimum(norm, temp) / norm)[:, None]

@@ -15,6 +15,7 @@ import numpy as np
 
 from forumnet.graph import BipartiteNetwork, OneModeNetwork
 from forumnet.ingest import ForumDataset, PostRecord, UserProfile
+from forumnet.viz import _drawing
 
 INF = float("inf")
 
@@ -278,3 +279,52 @@ def projection_oracle(b: BipartiteNetwork, mode: str, weighting: str = "events")
             if product[i, j] > 0:
                 edges[edge_key(a, names[j])] = product[i, j]
     return edges
+
+
+def dense_layout(network, seed: int, iterations: int) -> dict[str, tuple[float, float]]:
+    """Reference spring embedding: the whole n x n repulsion per step and
+    the edge pulls added by ``np.add.at``. ``viz.layout`` must match it
+    bit for bit."""
+    nodes, edges, _, _, _ = _drawing(network)
+    n = len(nodes)
+    rng = np.random.default_rng(seed)
+    pos = rng.random((n, 2))
+    if n == 1:
+        return {nodes[0]: (0.5, 0.5)}
+
+    ei, ej = edges.T
+    k = (1.0 / n) ** 0.5
+    start_temp = 0.1
+    dx = np.empty((n, n))
+    dy = np.empty((n, n))
+    factor = np.empty((n, n))
+    for step in range(iterations):
+        temp = start_temp * (1.0 - step / iterations)
+        np.subtract(pos[:, 0][:, None], pos[:, 0][None, :], out=dx)
+        np.subtract(pos[:, 1][:, None], pos[:, 1][None, :], out=dy)
+        np.multiply(dx, dx, out=factor)
+        factor += dy * dy
+        np.maximum(factor, 1e-12, out=factor)
+        np.divide(k * k, factor, out=factor)
+        disp = np.empty((n, 2))
+        disp[:, 0] = np.einsum("ij,ij->i", dx, factor)
+        disp[:, 1] = np.einsum("ij,ij->i", dy, factor)
+        if len(ei):
+            span = pos[ei] - pos[ej]
+            length = np.sqrt(np.einsum("ij,ij->i", span, span))
+            np.maximum(length, 1e-9, out=length)
+            pull = span * (length / k)[:, None]
+            np.add.at(disp, ei, -pull)
+            np.add.at(disp, ej, pull)
+        norm = np.sqrt(np.einsum("ij,ij->i", disp, disp))
+        np.maximum(norm, 1e-12, out=norm)
+        pos += disp * (np.minimum(norm, temp) / norm)[:, None]
+
+    lo = pos.min(axis=0)
+    span = pos.max(axis=0) - lo
+    for axis in range(2):
+        if span[axis] > 0:
+            pos[:, axis] = (pos[:, axis] - lo[axis]) / span[axis]
+        else:
+            pos[:, axis] = 0.5
+    return {node: (float(pos[i, 0]), float(pos[i, 1])) for i, node in enumerate(nodes)}

@@ -34,6 +34,7 @@ SMALL_CSV = (
     "p2,t1,u2,f1,2012-01-02T00:00:00Z\n"
 )
 REJECTED_CSV = "post_id,thread_id,user_id,forum_id,timestamp\np1,t1,u1,f1,nonsense\n"
+HEADER_ONLY_CSV = "post_id,thread_id,user_id,forum_id,timestamp\n"
 
 
 def run_cli(*args, cwd=None):
@@ -482,9 +483,14 @@ def test_cli_viz_svg_and_graphml(tmp_path):
         ("metrics", ["--mode", "user"], b"\xff{}", SMALL_CSV, 2),
         ("viz", ["--mode", "user", "--format", "svg", "--out", "{tmp}/g.svg"], {},
          REJECTED_CSV, 1),
+        ("viz", ["--mode", "user", "--format", "svg", "--out", "{tmp}/g.svg",
+                 "--layout-iterations", "0"], {}, HEADER_ONLY_CSV, 2),
+        ("viz", ["--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot",
+                 "--thin-sd", "-1"], {}, "who,what\n1,2\n", 2),
     ],
     ids=["period", "weighting", "posts-format", "layout-iterations", "negative-thin-sd",
-         "string-thin-sd", "config-not-utf8", "no-post-to-draw"],
+         "string-thin-sd", "config-not-utf8", "no-post-to-draw",
+         "layout-iterations-before-data", "negative-thin-sd-before-data"],
 )
 def test_cli_exit_code_names_the_fault(tmp_path, command, flags, config, csv_text, code):
     """Configuration faults exit 2 and data faults exit 1, each with a
@@ -539,6 +545,24 @@ def test_cli_config_fault_wins_over_input_fault(tmp_path, capsys, fault):
     args = ["--data", str(data), "--out", str(out_dir), "--config", str(cfg)]
     assert cli.main(["analyze", *args]) == 2
     assert "header" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "figures", ["user", {"user": 1}, ["user", 1], 5], ids=["string", "object", "mixed-list", "number"]
+)
+def test_cli_figures_must_be_a_list_of_names(tmp_path, capsys, figures):
+    """figures takes only a JSON list of strings: a lone string is not
+    split into characters, nor an object read as its keys."""
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"figures": figures}), encoding="utf-8")
+    args = ["--data", str(data), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    assert cli.main(["analyze", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: figures must be a list of strings")
+    assert repr(figures) in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "posts.csv"]
 
 
 # each subcommand's flags and config-file keys; the option tables add and drop none

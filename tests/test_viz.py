@@ -1,15 +1,22 @@
 """Tie thinning, seeded layout, and graph exports."""
 
+import hashlib
+import os
 import re
 import statistics
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forumnet import viz
 from forumnet.viz import (
+    LAYOUT_BLOCK,
     LayoutResult,
     ThinningSpec,
     export_graph,
@@ -18,10 +25,14 @@ from forumnet.viz import (
     thin,
 )
 
-from forumnet.graph import build_bipartite
+from forumnet.graph import BipartiteNetwork, OneModeNetwork, build_bipartite
+from forumnet.ingest import dataset_to_json
+from forumnet.report import PipelineConfig, run_pipeline
+from forumnet.synth import SynthConfig, generate
 
 from helpers import (
     dataset_from_posts,
+    dense_layout,
     edge_dict,
     edge_key,
     make_bipartite,
@@ -153,6 +164,95 @@ def test_layout_star_hub_lands_nearest_centroid():
     dist = {k: float(np.linalg.norm(v - centroid)) for k, v in pts.items()}
     hub = dist.pop("hub")
     assert hub < min(dist.values())
+
+
+def drawn_network(n: int, bipartite: bool, ties: str, draw):
+    """A network of ``n`` nodes: one-mode, or bipartite with its first
+    nodes users. ``ties`` is "none", "hub" (every possible tie that
+    touches the first node) or "random"."""
+    users = draw(st.integers(1, max(1, n - 1))) if bipartite else n
+    if bipartite:
+        possible = [(u, t) for u in range(users) for t in range(n - users)]
+    else:
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if ties == "hub":
+        rows = [pair for pair in possible if 0 in pair]
+    elif ties == "random" and possible:
+        rows = sorted(draw(st.sets(st.sampled_from(possible), max_size=3 * n)))
+    else:
+        rows = []
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    ones = np.ones(len(rows), dtype=np.int64)
+    if bipartite:
+        names = tuple(f"u{i}" for i in range(users)), tuple(f"t{i}" for i in range(n - users))
+        return BipartiteNetwork(*names, rows, ones)
+    names = tuple(f"n{i}" for i in range(n))
+    return OneModeNetwork("user", names, rows, ones, np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("ties", ["none", "hub", "random"])
+@pytest.mark.parametrize("bipartite", [False, True], ids=["one-mode", "bipartite"])
+@pytest.mark.parametrize(
+    "n", [1, 2, LAYOUT_BLOCK - 1, LAYOUT_BLOCK, LAYOUT_BLOCK + 1, 2 * LAYOUT_BLOCK + 3]
+)
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 25),
+    block=st.sampled_from([LAYOUT_BLOCK, 1, 7]),
+    data=st.data(),
+)
+def test_layout_matches_dense_reference(n, bipartite, ties, seed, iterations, block, data):
+    """Row-block repulsion and bincount pulls give the positions of the
+    whole n x n step with np.add.at exactly, whatever the block size."""
+    g = drawn_network(n, bipartite, ties, data.draw)
+    with mock.patch.object(viz, "LAYOUT_BLOCK", block):
+        positions = layout(g, seed=seed, iterations=iterations).positions
+    assert positions == dense_layout(g, seed, iterations)
+
+
+def pin_data():
+    return generate(
+        SynthConfig(user_count=60, thread_count=80, post_count=400, skew_alpha=1.5, seed=3)
+    )
+
+
+PINNED_FIGURES = {
+    "bipartite.svg": "7a6f88cabc202005168dc762dbbd42379071bf140e4c518ad5eebfd9c0328cfa",
+    "bipartite_positions.csv": "62095b9aa967e74b2b0e1c65d155141fdea81a1aed157f2ca322610aaec22407",
+    "thread.svg": "9b56f96f5849d120198df8dd8816ad15581d10633b3641bd8ac0b3e7072ce262",
+    "thread_positions.csv": "c2c314a7eb959581c5ef05f6f2fcd4835f8e1090ed82366b30fb34ac52e233b0",
+    "user.svg": "e394c5bc9e03cf662d72a83a06a16c1c62e983d63da8febe575b9a04aab176b4",
+    "user_positions.csv": "b708709fc414950e26f0802d7f79d11119d0919cecf51ecde29264587c9aa9b8",
+}
+
+
+def test_written_figures_are_byte_pinned(tmp_path):
+    """The positions and SVGs that analyze writes, to the last bit of
+    every coordinate."""
+    run_pipeline(pin_data(), PipelineConfig(out_dir=tmp_path / "out"))
+    figures = tmp_path / "out" / "figures"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in figures.iterdir()}
+    assert digests == PINNED_FIGURES
+
+
+@pytest.mark.parametrize("mode", ["bipartite", "thread"])
+def test_layout_bytes_do_not_depend_on_blas_threads(tmp_path, mode):
+    """Layout calls nothing BLAS-backed, so the drawing is the same
+    whatever thread count BLAS is given."""
+    data = tmp_path / "data.json"
+    data.write_text(dataset_to_json(pin_data()), encoding="utf-8")
+    drawings = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{mode}-{threads}.svg"
+        result = subprocess.run(
+            [sys.executable, "-m", "forumnet", "viz", "--data", str(data), "--mode", mode,
+             "--format", "svg", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+        drawings.append(out.read_bytes())
+    assert drawings[0] == drawings[1]
 
 
 def test_layout_rejects_bad_inputs():
