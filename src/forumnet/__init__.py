@@ -11,16 +11,11 @@ whole flow; the ``forumnet`` console script exposes it as subcommands.
 __version__ = "0.1.0"
 
 from .centrality import (
-    CentralityRow,
     CentralityTable,
     CoreSet,
-    MeasureSummary,
-    betweenness_centrality,
     bipartite_degree_centrality,
     centrality_table,
-    closeness_centrality,
     core_set,
-    degree_centrality,
     silent_initiators,
 )
 from .errors import ConfigError, ForumNetError, InputError, SchemaError
@@ -52,21 +47,18 @@ from .metrics import (
 )
 from .report import AnalysisBundle, PipelineConfig, run_pipeline
 from .synth import PlantedStructure, SynthConfig, generate, planted_structure
-from .viz import LayoutResult, ThinningSpec, export_graph, layout, thin
+from .viz import ThinningSpec, export_graph, layout, thin
 
 __all__ = [
     "ActivityOverview",
     "AnalysisBundle",
     "BipartiteNetwork",
-    "CentralityRow",
     "CentralityTable",
     "ConfigError",
     "CoreSet",
     "ForumDataset",
     "ForumNetError",
     "InputError",
-    "LayoutResult",
-    "MeasureSummary",
     "OneModeNetwork",
     "PipelineConfig",
     "PlantedStructure",
@@ -80,13 +72,10 @@ __all__ = [
     "USER_MODE",
     "UserProfile",
     "activity_overview",
-    "betweenness_centrality",
     "bipartite_degree_centrality",
     "build_bipartite",
     "centrality_table",
-    "closeness_centrality",
     "core_set",
-    "degree_centrality",
     "degree_centralization",
     "density",
     "export_graph",

@@ -24,30 +24,13 @@ MEASURES = ("degree", "closeness", "betweenness")
 HISTOGRAM_BINS = 50
 
 
-@dataclass(frozen=True)
-class CentralityRow:
-    node: str
-    degree: float
-    closeness: float
-    betweenness: float
-
-
-@dataclass(frozen=True)
-class MeasureSummary:
-    min: float
-    q1: float
-    median: float
-    q3: float
-    max: float
-    mean: float
-
-
 @dataclass
 class CentralityTable:
+    """Each measure in ``MEASURES`` as a float64 column in node order."""
+
     mode: str
-    rows: list[CentralityRow]
-    summaries: dict[str, MeasureSummary]
-    histograms: dict[str, list[int]]
+    nodes: tuple[str, ...]
+    columns: dict[str, np.ndarray]
 
 
 @dataclass
@@ -60,84 +43,46 @@ class CoreSet:
     roles: dict[str, str]
 
 
-def degree_centrality(g: OneModeNetwork) -> dict[str, float]:
-    """Direct ties divided by (n - 1); all zeros when n <= 1."""
-    n = len(g.nodes)
-    if n <= 1:
-        return dict.fromkeys(g.nodes, 0.0)
-    return {node: d / (n - 1) for node, d in zip(g.nodes, g.degrees().tolist())}
-
-
-def closeness_centrality(g: OneModeNetwork, stats: PathStats | None = None) -> dict[str, float]:
-    """Reach-penalized closeness.
-
-    For a node that reaches r others with total distance s:
-    (r / (n-1)) * (r / s). On a connected graph this is the classic
-    (n-1)/s; isolates score 0.
-    """
-    n = len(g.nodes)
-    if n <= 1:
-        return dict.fromkeys(g.nodes, 0.0)
-    if stats is None:
-        stats = path_stats(g)
-    pairs = zip(g.nodes, stats.reach.tolist(), stats.distance_sum.tolist())
-    return {node: (r / (n - 1)) * (r / s) if r else 0.0 for node, r, s in pairs}
-
-
-def betweenness_centrality(g: OneModeNetwork, stats: PathStats | None = None) -> dict[str, float]:
-    """Brandes betweenness normalized by (n-1)(n-2)/2; zeros when n < 3."""
-    n = len(g.nodes)
-    if n < 3:
-        return dict.fromkeys(g.nodes, 0.0)
-    if stats is None:
-        stats = path_stats(g)
-    scale = (n - 1) * (n - 2) / 2.0
-    return {node: raw / scale for node, raw in zip(g.nodes, stats.betweenness.tolist())}
-
-
-def _summarize(values: np.ndarray) -> MeasureSummary:
+def _summarize(values: np.ndarray) -> dict[str, float]:
     if values.size == 0:
-        return MeasureSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), 0.0)
     q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-    return MeasureSummary(
-        min=float(values.min()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        max=float(values.max()),
-        mean=float(values.mean()),
-    )
-
-
-def _histogram(values: np.ndarray) -> list[int]:
-    counts, _ = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    return [int(c) for c in counts]
+    return {
+        "min": float(values.min()),
+        "q1": float(q1),
+        "median": float(median),
+        "q3": float(q3),
+        "max": float(values.max()),
+        "mean": float(values.mean()),
+    }
 
 
 def centrality_table(g: OneModeNetwork, stats: PathStats | None = None) -> CentralityTable:
-    """One row per node (isolates included) plus summaries and histograms.
+    """Degree, closeness and betweenness of every node, isolates included.
 
-    ``stats`` is the network's ``path_stats``, computed here when omitted.
+    Degree is direct ties over (n - 1). Closeness is reach-penalized: a
+    node that reaches r others with total distance s scores
+    (r / (n-1)) * (r / s), the classic (n-1)/s on a connected graph, and
+    0 when r is 0. Betweenness is Brandes betweenness over
+    (n-1)(n-2)/2, all zeros when n < 3. Each is 0 for every node when
+    n <= 1. ``stats`` is the network's ``path_stats``, computed here when
+    omitted.
     """
     if stats is None:
         stats = path_stats(g)
-    degree = degree_centrality(g)
-    closeness = closeness_centrality(g, stats)
-    betweenness = betweenness_centrality(g, stats)
-    rows = [
-        CentralityRow(node, degree[node], closeness[node], betweenness[node])
-        for node in g.nodes
-    ]
-    columns = {
-        "degree": np.array([r.degree for r in rows], dtype=np.float64),
-        "closeness": np.array([r.closeness for r in rows], dtype=np.float64),
-        "betweenness": np.array([r.betweenness for r in rows], dtype=np.float64),
-    }
+    n = len(g.nodes)
+    pairs = max(n - 1, 1)
+    reach = stats.reach
+    inverse_mean = np.divide(reach, stats.distance_sum, out=np.zeros(n), where=reach > 0)
+    scale = (n - 1) * (n - 2) / 2.0
     return CentralityTable(
         mode=g.mode,
-        rows=rows,
-        summaries={name: _summarize(col) for name, col in columns.items()},
-        histograms={name: _histogram(col) for name, col in columns.items()},
+        nodes=g.nodes,
+        columns={
+            "degree": g.degrees() / pairs,
+            "closeness": (reach / pairs) * inverse_mean,
+            "betweenness": stats.betweenness / scale if n >= 3 else np.zeros(n),
+        },
     )
 
 
@@ -153,7 +98,7 @@ def core_set(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    members = {row.node for row in table.rows if row.degree >= threshold}
+    members = {table.nodes[i] for i in np.flatnonzero(table.columns["degree"] >= threshold)}
     supplied = roles or {}
     return CoreSet(
         mode=table.mode,
@@ -205,26 +150,17 @@ def table_csv(table: CentralityTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node_id", "degree", "closeness", "betweenness"])
-    for row in table.rows:
-        writer.writerow([row.node, repr(row.degree), repr(row.closeness), repr(row.betweenness)])
+    columns = [table.columns[name].tolist() for name in MEASURES]
+    for node, *values in zip(table.nodes, *columns):
+        writer.writerow([node, *map(repr, values)])
     return buf.getvalue()
 
 
 def summaries_json(table: CentralityTable, provenance: dict | None = None) -> str:
     payload: dict = {
         "mode": table.mode,
-        "node_count": len(table.rows),
-        "measures": {
-            name: {
-                "min": s.min,
-                "q1": s.q1,
-                "median": s.median,
-                "q3": s.q3,
-                "max": s.max,
-                "mean": s.mean,
-            }
-            for name, s in table.summaries.items()
-        },
+        "node_count": len(table.nodes),
+        "measures": {name: _summarize(column) for name, column in table.columns.items()},
     }
     if provenance is not None:
         payload["provenance"] = provenance
@@ -235,11 +171,11 @@ def histogram_csv(table: CentralityTable, measure: str) -> str:
     """Fixed-width bin counts over [0, 1]: bin_lo,bin_hi,count."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure: {measure!r}")
-    counts = table.histograms[measure]
+    counts, _ = np.histogram(table.columns[measure], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_lo", "bin_hi", "count"])
-    for i, count in enumerate(counts):
+    for i, count in enumerate(counts.tolist()):
         writer.writerow([repr(i / HISTOGRAM_BINS), repr((i + 1) / HISTOGRAM_BINS), count])
     return buf.getvalue()
 

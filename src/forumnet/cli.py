@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -116,9 +117,12 @@ VIZ_OPTIONS = {
 
 def _checked(name: str, kind, value):
     """``value`` as the option ``name`` of ``kind`` takes it. A str or bool
-    option takes only a str or a bool (``bool("false")`` is True), and a
-    tuple option only a list of strings (``tuple("user")`` splits it into
-    characters); other types convert the value."""
+    option takes only a str or a bool (``bool("false")`` is True), a tuple
+    option only a list of strings (``tuple("user")`` splits it into
+    characters), and a dict option only an object of strings. A number
+    option takes a number or a numeric string, never a bool: an int
+    option only an integral one (``int(1.7)`` is 1), a float option only
+    a finite one (NaN is not valid JSON in provenance)."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
@@ -127,14 +131,26 @@ def _checked(name: str, kind, value):
         if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
             raise ConfigError(f"{name} must be a list of strings, got {value!r}")
         return tuple(value)
+    if kind is dict:
+        if not isinstance(value, dict) or not all(
+            isinstance(key, str) and isinstance(item, str) for key, item in value.items()
+        ):
+            raise ConfigError(f"{name} must be an object of strings, got {value!r}")
+        return value
     if kind in (str, bool):
         if not isinstance(value, kind):
             raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         return value
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite float, got {value!r}")
+    return number
 
 
 def _options(table: dict[str, Option], args: argparse.Namespace) -> dict:
@@ -241,7 +257,7 @@ def _cmd_viz(options: dict) -> int:
         placed = layout(
             network, seed=options["layout_seed"], iterations=options["layout_iterations"]
         )
-    rendered = export_graph(network, layout_result=placed, format=options["format"])
+    rendered = export_graph(network, placed, format=options["format"])
     out_path = Path(options["out"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(rendered, encoding="utf-8")

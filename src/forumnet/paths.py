@@ -8,8 +8,11 @@ average path length, closeness inputs and raw betweenness. The
 components, isolates included, are read from the search's distance
 matrix. The searches run level-synchronously over a dense adjacency
 matrix. At the scale this package targets (hundreds to a few thousand
-nodes) the matrix form is fast, and every reduction happens in a fixed
-order, so repeated runs are bit-identical.
+nodes) the matrix form is fast. Repeated runs are bit-identical only
+under the same BLAS thread count: the path-count products go through
+BLAS, which splits their sums by thread, so the last bits of betweenness
+can change with ``OPENBLAS_NUM_THREADS``. ROADMAP item 1 plans a pass
+without BLAS.
 """
 
 from __future__ import annotations

@@ -176,8 +176,8 @@ def _figure_artifacts(
                 continue
             target = thin(full, spec)
         placed = layout(target, seed=config.layout_seed, iterations=config.layout_iterations)
-        write(f"figures/{name}_positions.csv", positions_csv(placed))
-        rendered = export_graph(target, layout_result=placed, format=config.figure_format)
+        write(f"figures/{name}_positions.csv", positions_csv(target, placed))
+        rendered = export_graph(target, placed, format=config.figure_format)
         write(f"figures/{name}.{config.figure_format}", rendered)
 
 

@@ -43,11 +43,6 @@ class ThinningSpec:
             raise ConfigError("k_sd must be >= 0")
 
 
-@dataclass
-class LayoutResult:
-    positions: dict[str, tuple[float, float]]
-
-
 def _sqrt_of_ratio(num: int, den: int) -> float:
     """sqrt(num / den), correctly rounded, as ``statistics.stdev`` rounds it.
 
@@ -98,8 +93,9 @@ def _drawing(network):
     return network.nodes, network.edges, network.weights, None, network.node_attr
 
 
-def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
-    """Seeded spring embedding scaled to the unit square.
+def layout(network, seed: int = 42, iterations: int = 100) -> np.ndarray:
+    """Seeded spring embedding scaled to the unit square: an (n, 2) array
+    of positions, one row per node in the order ``export_graph`` writes.
 
     Nodes repel each other, edges pull their endpoints together, and a
     linearly cooling step cap anneals the placement. Identical
@@ -120,7 +116,7 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 2))
     if n == 1:
-        return LayoutResult({nodes[0]: (0.5, 0.5)})
+        return np.array([[0.5, 0.5]])
 
     ei, ej = edges.T
     m = len(ei)
@@ -173,15 +169,22 @@ def layout(network, seed: int = 42, iterations: int = 100) -> LayoutResult:
             pos[:, axis] = (pos[:, axis] - lo[axis]) / span[axis]
         else:
             pos[:, axis] = 0.5
-    positions = {node: (float(pos[i, 0]), float(pos[i, 1])) for i, node in enumerate(nodes)}
-    return LayoutResult(positions)
+    return pos
 
 
-def positions_csv(result: LayoutResult) -> str:
+def _placed(nodes, positions: np.ndarray) -> np.ndarray:
+    if positions.shape != (len(nodes), 2):
+        raise ValueError(f"layout has shape {positions.shape}, expected ({len(nodes)}, 2)")
+    return positions
+
+
+def positions_csv(network, positions: np.ndarray) -> str:
+    """node_id,x,y per node of ``network``, from its ``layout``."""
+    nodes = _drawing(network)[0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node_id", "x", "y"])
-    for node, (x, y) in result.positions.items():
+    for node, (x, y) in zip(nodes, _placed(nodes, positions).tolist()):
         writer.writerow([node, repr(x), repr(y)])
     return buf.getvalue()
 
@@ -236,17 +239,9 @@ def _to_graphml(nodes, ties, modes, sizes) -> str:
     return "\n".join(out) + "\n"
 
 
-def _scale_point(point) -> tuple[float, float]:
-    x, y = point
+def _to_svg(nodes, ties, modes, sizes, positions: np.ndarray) -> str:
     usable = SVG_SIZE - 2 * SVG_MARGIN
-    return (SVG_MARGIN + x * usable, SVG_MARGIN + y * usable)
-
-
-def _to_svg(nodes, ties, modes, sizes, result: LayoutResult) -> str:
-    missing = [node for node in nodes if node not in result.positions]
-    if missing:
-        raise ValueError(f"layout is missing positions for {missing[:3]}")
-    points = [_scale_point(result.positions[node]) for node in nodes]
+    points = (SVG_MARGIN + _placed(nodes, positions) * usable).tolist()
     max_weight = max((w for _, _, w in ties), default=1)
     sizes = sizes or [0] * len(nodes)
     max_size = max(sizes, default=0)
@@ -286,11 +281,11 @@ def _to_svg(nodes, ties, modes, sizes, result: LayoutResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_graph(network, layout_result: LayoutResult | None = None, format: str = "dot") -> str:
+def export_graph(network, positions: np.ndarray | None = None, format: str = "dot") -> str:
     """Serialize a network (one-mode or bipartite) as DOT, GraphML, or SVG.
 
-    SVG needs a layout. One-mode nodes are sized by the network's own
-    ``node_attr``.
+    SVG needs the network's ``layout`` positions. One-mode nodes are
+    sized by the network's own ``node_attr``.
     """
     if format not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format: {format!r}")
@@ -301,6 +296,6 @@ def export_graph(network, layout_result: LayoutResult | None = None, format: str
         return _to_dot(nodes, ties, modes, sizes)
     if format == "graphml":
         return _to_graphml(nodes, ties, modes, sizes)
-    if layout_result is None:
+    if positions is None:
         raise ValueError("svg export requires a layout")
-    return _to_svg(nodes, ties, modes, sizes, layout_result)
+    return _to_svg(nodes, ties, modes, sizes, positions)

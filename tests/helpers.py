@@ -35,6 +35,11 @@ def edge_dict(g: OneModeNetwork) -> dict[tuple[str, str], int]:
     }
 
 
+def by_node(table, measure: str) -> dict[str, float]:
+    """One column of a ``CentralityTable`` keyed by node name."""
+    return dict(zip(table.nodes, table.columns[measure].tolist()))
+
+
 def incidence_dict(b: BipartiteNetwork) -> dict[tuple[str, str], int]:
     """Post counts keyed by (user, thread) names."""
     return {
@@ -281,16 +286,16 @@ def projection_oracle(b: BipartiteNetwork, mode: str, weighting: str = "events")
     return edges
 
 
-def dense_layout(network, seed: int, iterations: int) -> dict[str, tuple[float, float]]:
+def dense_layout(network, seed: int, iterations: int) -> np.ndarray:
     """Reference spring embedding: the whole n x n repulsion per step and
-    the edge pulls added by ``np.add.at``. ``viz.layout`` must match it
-    bit for bit."""
+    the edge pulls added by ``np.add.at``. ``viz.layout`` must match its
+    (n, 2) positions bit for bit."""
     nodes, edges, _, _, _ = _drawing(network)
     n = len(nodes)
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 2))
     if n == 1:
-        return {nodes[0]: (0.5, 0.5)}
+        return np.array([[0.5, 0.5]])
 
     ei, ej = edges.T
     k = (1.0 / n) ** 0.5
@@ -327,4 +332,4 @@ def dense_layout(network, seed: int, iterations: int) -> dict[str, tuple[float, 
             pos[:, axis] = (pos[:, axis] - lo[axis]) / span[axis]
         else:
             pos[:, axis] = 0.5
-    return {node: (float(pos[i, 0]), float(pos[i, 1])) for i, node in enumerate(nodes)}
+    return pos

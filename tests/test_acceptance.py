@@ -13,12 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from forumnet.centrality import (
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-    silent_initiators,
-)
+from forumnet.centrality import MEASURES, centrality_table, silent_initiators
 from forumnet.graph import build_bipartite, project
 from forumnet.metrics import (
     degree_centralization,
@@ -30,6 +25,7 @@ from forumnet.synth import SynthConfig, generate, planted_structure
 from forumnet.viz import ThinningSpec, layout, thin
 
 from helpers import (
+    by_node,
     complete_graph,
     cycle_graph,
     edge_dict,
@@ -135,9 +131,9 @@ def test_criterion_1_canonical_graphs():
             ok = ok and close(degree_centralization(g), want["centralization"])
             ok = ok and structural_report(g).diameter == want["diameter"]
             ok = ok and close(structural_report(g).avg_path_length, want["apl"])
-            ok = ok and mapping_close(degree_centrality(g), want["degree"])
-            ok = ok and mapping_close(closeness_centrality(g), want["closeness"])
-            ok = ok and mapping_close(betweenness_centrality(g), want["betweenness"])
+            table = centrality_table(g)
+            for measure in MEASURES:
+                ok = ok and mapping_close(by_node(table, measure), want[measure])
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     report(1, ok, f"canonical closed forms within 1e-9 in {elapsed:.3f}s (< 1s)")
@@ -149,7 +145,7 @@ def test_criterion_2_random_graph_oracles():
     for i in range(200):
         rng = random.Random(1000 + i)
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.4, 0.6, 0.8]))
-        got = betweenness_centrality(g)
+        got = by_node(centrality_table(g), "betweenness")
         want = naive_betweenness(g)
         ok = ok and mapping_close(got, want)
         want_diam, want_apl = oracle_diameter_apl(g)
@@ -205,7 +201,7 @@ def test_criterion_5_full_scale_regression():
     )
     g = project(build_bipartite(data), "user")
     rep = structural_report(g)
-    degrees = np.array(sorted(degree_centrality(g).values()))
+    degrees = np.sort(centrality_table(g).columns["degree"])
     med, top = float(np.median(degrees)), float(degrees.max())
     ok = len({p.user_id for p in data.posts}) == 621
     ok = ok and rep.density <= 0.10
@@ -283,8 +279,7 @@ def test_criterion_9_layout_centers_the_hub():
     g = star_graph(9)  # hub plus 8 leaves
     ok = True
     for seed in (1, 2, 3, 4, 5):
-        result = layout(g, seed=seed, iterations=500)
-        pts = {k: np.array(v) for k, v in result.positions.items()}
+        pts = dict(zip(g.nodes, layout(g, seed=seed, iterations=500)))
         centroid = np.mean(list(pts.values()), axis=0)
         dist = {k: float(np.linalg.norm(v - centroid)) for k, v in pts.items()}
         hub = dist.pop("hub")

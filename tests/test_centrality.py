@@ -1,5 +1,6 @@
 """Per-node centrality against enumeration oracles and hand values."""
 
+import hashlib
 import json
 import random
 
@@ -9,21 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumnet.centrality import (
-    betweenness_centrality,
+    MEASURES,
     bipartite_degree_centrality,
     centrality_table,
-    closeness_centrality,
     core_json,
     core_set,
-    degree_centrality,
     histogram_csv,
     silent_initiators,
     summaries_json,
     table_csv,
 )
 from forumnet.graph import project
+from forumnet.report import PipelineConfig, run_pipeline
+from forumnet.synth import SynthConfig, generate
 
 from helpers import (
+    by_node,
     complete_graph,
     cycle_graph,
     edge_dict,
@@ -39,7 +41,7 @@ from helpers import (
 
 def test_degree_star_example():
     g = star_graph(5)
-    values = degree_centrality(g)
+    values = by_node(centrality_table(g), "degree")
     assert values["hub"] == pytest.approx(1.0)
     for leaf in g.nodes:
         if leaf != "hub":
@@ -48,8 +50,8 @@ def test_degree_star_example():
 
 def test_degree_isolate_and_singleton():
     g = make_network([("a", "b")], nodes=["c"])
-    assert degree_centrality(g)["c"] == 0.0
-    assert degree_centrality(make_network([], nodes=["only"])) == {"only": 0.0}
+    assert by_node(centrality_table(g), "degree")["c"] == 0.0
+    assert by_node(centrality_table(make_network([], nodes=["only"])), "degree") == {"only": 0.0}
 
 
 def test_degree_matches_neighbor_enumeration():
@@ -57,23 +59,24 @@ def test_degree_matches_neighbor_enumeration():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8))
         n = len(g.nodes)
-        values = degree_centrality(g)
+        values = by_node(centrality_table(g), "degree")
         for node in g.nodes:
             count = sum(1 for (a, b) in edge_dict(g) if node in (a, b))
             assert values[node] == pytest.approx(count / (n - 1))
 
 
 def test_closeness_path_and_complete():
-    values = closeness_centrality(path_graph(3))
+    values = by_node(centrality_table(path_graph(3)), "closeness")
     assert values["n00"] == pytest.approx(2 / 3)
     assert values["n01"] == pytest.approx(1.0)
     assert values["n02"] == pytest.approx(2 / 3)
-    assert all(v == pytest.approx(1.0) for v in closeness_centrality(complete_graph(4)).values())
+    complete = by_node(centrality_table(complete_graph(4)), "closeness")
+    assert all(v == pytest.approx(1.0) for v in complete.values())
 
 
 def test_closeness_penalizes_disconnection():
     g = make_network([("a", "b"), ("b", "c"), ("a", "c")], nodes=["iso"])
-    values = closeness_centrality(g)
+    values = by_node(centrality_table(g), "closeness")
     for node in ("a", "b", "c"):
         assert values[node] == pytest.approx((2 / 3) * (2 / 2))
     assert values["iso"] == 0.0
@@ -84,7 +87,7 @@ def test_closeness_matches_component_bfs_oracle():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8), 0.35)
         n = len(g.nodes)
-        values = closeness_centrality(g)
+        values = by_node(centrality_table(g), "closeness")
         from helpers import floyd_warshall
 
         dist = floyd_warshall(g)
@@ -103,35 +106,36 @@ def test_closeness_matches_component_bfs_oracle():
 
 
 def test_betweenness_path_example():
-    values = betweenness_centrality(path_graph(3))
+    values = by_node(centrality_table(path_graph(3)), "betweenness")
     assert values["n01"] == pytest.approx(1.0)
     assert values["n00"] == pytest.approx(0.0)
     assert values["n02"] == pytest.approx(0.0)
 
 
 def test_betweenness_cycle4():
-    values = betweenness_centrality(cycle_graph(4))
+    values = by_node(centrality_table(cycle_graph(4)), "betweenness")
     for node in cycle_graph(4).nodes:
         assert values[node] == pytest.approx(0.5 / 3)
 
 
 def test_betweenness_star_center_is_one():
     for n in (4, 6, 8):
-        values = betweenness_centrality(star_graph(n))
+        values = by_node(centrality_table(star_graph(n)), "betweenness")
         assert values["hub"] == pytest.approx(1.0)
         assert all(v == pytest.approx(0.0) for k, v in values.items() if k != "hub")
 
 
 def test_betweenness_small_graph_conventions():
-    assert betweenness_centrality(make_network([("a", "b")])) == {"a": 0.0, "b": 0.0}
-    assert betweenness_centrality(make_network([], nodes=["x"])) == {"x": 0.0}
+    pair = centrality_table(make_network([("a", "b")]))
+    assert by_node(pair, "betweenness") == {"a": 0.0, "b": 0.0}
+    assert by_node(centrality_table(make_network([], nodes=["x"])), "betweenness") == {"x": 0.0}
 
 
 def test_betweenness_matches_enumeration_oracle():
     rng = random.Random(23)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.25, 0.5, 0.75]))
-        got = betweenness_centrality(g)
+        got = by_node(centrality_table(g), "betweenness")
         want = naive_betweenness(g)
         for node in g.nodes:
             assert got[node] == pytest.approx(want[node], abs=1e-9)
@@ -143,21 +147,21 @@ def test_raw_betweenness_total_matches_oracle_total():
         g = random_graph(rng, rng.randint(3, 8), 0.5)
         n = len(g.nodes)
         scale = (n - 1) * (n - 2) / 2.0
-        got_total = sum(betweenness_centrality(g).values()) * scale
+        got_total = sum(by_node(centrality_table(g), "betweenness").values()) * scale
         want_total = sum(naive_betweenness_raw(g).values())
         assert got_total == pytest.approx(want_total, abs=1e-9)
 
 
 def test_vertex_transitive_graphs_have_uniform_centralities():
     for g in (cycle_graph(6), complete_graph(5)):
-        for mapping in (degree_centrality(g), closeness_centrality(g), betweenness_centrality(g)):
-            values = list(mapping.values())
-            assert max(values) - min(values) < 1e-12
+        table = centrality_table(g)
+        for measure in MEASURES:
+            assert np.ptp(table.columns[measure]) < 1e-12
 
 
 def test_tree_leaves_have_zero_betweenness():
     tree = make_network([("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")])
-    values = betweenness_centrality(tree)
+    values = by_node(centrality_table(tree), "betweenness")
     for leaf in ("b", "c", "d"):
         assert values[leaf] == 0.0
 
@@ -171,64 +175,64 @@ def test_tree_leaves_have_zero_betweenness():
 )
 def test_centralities_bounded_property(pairs):
     g = make_network([(f"n{a}", f"n{b}") for a, b in pairs], nodes=[f"n{i}" for i in range(7)])
-    for mapping in (degree_centrality(g), closeness_centrality(g), betweenness_centrality(g)):
-        for value in mapping.values():
+    table = centrality_table(g)
+    for measure in MEASURES:
+        for value in table.columns[measure].tolist():
             assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+def summaries(table) -> dict[str, dict[str, float]]:
+    return json.loads(summaries_json(table))["measures"]
+
+
 def test_table_summaries_path3():
-    table = centrality_table(path_graph(3))
-    deg = table.summaries["degree"]
-    assert deg.min == pytest.approx(0.5)
-    assert deg.median == pytest.approx(0.5)
-    assert deg.max == pytest.approx(1.0)
-    assert deg.mean == pytest.approx(2 / 3)
+    deg = summaries(centrality_table(path_graph(3)))["degree"]
+    assert deg["min"] == pytest.approx(0.5)
+    assert deg["median"] == pytest.approx(0.5)
+    assert deg["max"] == pytest.approx(1.0)
+    assert deg["mean"] == pytest.approx(2 / 3)
 
 
 def test_table_single_node_all_zero():
     table = centrality_table(make_network([], nodes=["solo"]))
-    row = table.rows[0]
-    assert (row.degree, row.closeness, row.betweenness) == (0.0, 0.0, 0.0)
+    assert [table.columns[measure].tolist() for measure in MEASURES] == [[0.0]] * 3
 
 
 def test_table_even_count_median_is_midpoint_mean():
     g = make_network([("a", "b"), ("c", "d")])
     table = centrality_table(g)
-    degrees = sorted(row.degree for row in table.rows)
+    degrees = sorted(table.columns["degree"].tolist())
     expected = (degrees[1] + degrees[2]) / 2
-    assert table.summaries["degree"].median == pytest.approx(expected)
+    assert summaries(table)["degree"]["median"] == pytest.approx(expected)
 
 
 def test_table_summaries_recomputable_from_rows():
     rng = random.Random(25)
     g = random_graph(rng, 8, 0.4)
     table = centrality_table(g)
-    for measure in ("degree", "closeness", "betweenness"):
-        values = np.array([getattr(row, measure) for row in table.rows])
-        summary = table.summaries[measure]
-        assert summary.min == pytest.approx(values.min())
-        assert summary.max == pytest.approx(values.max())
-        assert summary.mean == pytest.approx(values.mean())
-        assert summary.median == pytest.approx(np.median(values))
-        assert summary.q1 == pytest.approx(np.quantile(values, 0.25))
-        assert summary.q3 == pytest.approx(np.quantile(values, 0.75))
+    for measure in MEASURES:
+        values, summary = table.columns[measure], summaries(table)[measure]
+        assert summary["min"] == pytest.approx(values.min())
+        assert summary["max"] == pytest.approx(values.max())
+        assert summary["mean"] == pytest.approx(values.mean())
+        assert summary["median"] == pytest.approx(np.median(values))
+        assert summary["q1"] == pytest.approx(np.quantile(values, 0.25))
+        assert summary["q3"] == pytest.approx(np.quantile(values, 0.75))
 
 
 def test_table_histogram_sums_to_node_count():
     g = star_graph(6)
     table = centrality_table(g)
-    for measure in ("degree", "closeness", "betweenness"):
-        assert sum(table.histograms[measure]) == len(g.nodes)
-        assert len(table.histograms[measure]) == 50
+    for measure in MEASURES:
+        counts = [int(line.rsplit(",", 1)[1]) for line in histogram_csv(table, measure).split()[1:]]
+        assert sum(counts) == len(g.nodes)
+        assert len(counts) == 50
 
 
 def test_table_includes_isolates():
     g = make_network([("a", "b")], nodes=["iso"])
     table = centrality_table(g)
-    by_id = {row.node: row for row in table.rows}
-    assert by_id["iso"].degree == 0.0
-    assert by_id["iso"].closeness == 0.0
-    assert by_id["iso"].betweenness == 0.0
+    assert [by_node(table, measure)["iso"] for measure in MEASURES] == [0.0] * 3
 
 
 def test_core_set_threshold_examples():
@@ -296,8 +300,8 @@ def test_degree_ranking_invariant_under_weighting_flag():
         ("u4", "t3"): 1,
     }
     b = make_bipartite(incidence)
-    by_events = degree_centrality(project(b, "user", "events"))
-    by_posts = degree_centrality(project(b, "user", "posts"))
+    by_events = by_node(centrality_table(project(b, "user", "events")), "degree")
+    by_posts = by_node(centrality_table(project(b, "user", "posts")), "degree")
     rank = lambda m: sorted(m, key=lambda k: (-m[k], k))
     assert rank(by_events) == rank(by_posts)
     assert by_events == by_posts
@@ -346,3 +350,48 @@ def test_core_json_shape():
     assert payload["members"] == ["hub"]
     assert payload["roles"]["hub"] == "moderator"
     assert payload["provenance"] == {"v": 2}
+
+
+# sha256 of what analyze writes on synth 60/80/400, alpha 1.5, seed 3,
+# taken while the table still held one object per node. Betweenness is
+# left out: its last bits follow the BLAS thread count (see ROADMAP).
+PINNED_FILES = {
+    "core.json": "c54681734afd51e7744187300e2f02fa2e94ed44b8c382b3cb9b13db5501f4e2",
+    "thread_closeness_hist.csv": "f70b25e113445fc9dc09552786047daa986f5ad2719ee7ab07fe9113f4d3c33f",
+    "thread_degree_hist.csv": "9b92d25766149844b5c2358fd59790fe1fe766af12bb70def477107eb80bbccc",
+    "thread_structural.json": "26dc9da26de1f03dc77b4938d35d4ffcbccebcaa09ee82a2eb98bd0e87d1b231",
+    "user_closeness_hist.csv": "70286306d3df25854699b282de1a32d827fb7dff1334abcb32daed7e70a5ac6b",
+    "user_degree_hist.csv": "4a377474f6b392af4c4c55d4f92c19c2c226bfdca0ca1cd0b5dda9dfee35fa64",
+    "user_structural.json": "02f32b129416eb0f9f151dd47a9a1a241b45418fe5d740ba825ffa47688c6cf8",
+}
+# the node, degree and closeness columns of each *_centrality.csv, and
+# the degree and closeness blocks of each *_centrality_summary.json
+PINNED_PARTS = {
+    "thread_centrality.csv": "01320f8052677dd66eea9779892a438d7264389c929ad4186029760df7e743fe",
+    "thread_centrality_summary.json": (
+        "9c54879dde543ce9a8689a5e886e98eba366c0b35325dee7eebe1b4f23087244"
+    ),
+    "user_centrality.csv": "963243a3be05b17ceec1fa896ef8ab950ee6891c7a13d69735ef6f62bbda43db",
+    "user_centrality_summary.json": (
+        "a9cb16e7dd0319050951e04915d9e1afb04cbf1bb67cd6795d88df4d725c3543"
+    ),
+}
+
+
+def test_written_centrality_artifacts_are_byte_pinned(tmp_path):
+    data = generate(
+        SynthConfig(user_count=60, thread_count=80, post_count=400, skew_alpha=1.5, seed=3)
+    )
+    out = tmp_path / "out"
+    run_pipeline(data, PipelineConfig(out_dir=out))
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert {name: sha((out / name).read_text()) for name in PINNED_FILES} == PINNED_FILES
+    parts = {}
+    for mode in ("user", "thread"):
+        lines = (out / f"{mode}_centrality.csv").read_text().splitlines()
+        without_betweenness = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+        parts[f"{mode}_centrality.csv"] = sha(without_betweenness)
+        measures = json.loads((out / f"{mode}_centrality_summary.json").read_text())["measures"]
+        blocks = {name: measures[name] for name in ("degree", "closeness")}
+        parts[f"{mode}_centrality_summary.json"] = sha(json.dumps(blocks, sort_keys=True))
+    assert parts == PINNED_PARTS

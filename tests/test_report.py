@@ -64,8 +64,8 @@ def test_toy_bundle_composition(tmp_path):
     bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
     assert bundle.user_report.n == 3
     assert bundle.thread_report.n == 2
-    assert len(bundle.user_centrality.rows) == 3
-    assert len(bundle.thread_centrality.rows) == 2
+    assert len(bundle.user_centrality.nodes) == 3
+    assert len(bundle.thread_centrality.nodes) == 2
     figures = [a for a in bundle.artifacts if a.startswith("figures/")]
     assert figures
     for artifact in bundle.artifacts:
@@ -108,14 +108,15 @@ def test_bundle_internal_consistency(tmp_path):
         (bundle.user_centrality, bundle.user_report),
         (bundle.thread_centrality, bundle.thread_report),
     ):
-        assert len(table.rows) == report.n
+        assert len(table.nodes) == report.n
+        written = tmp_path / "out" / f"{table.mode}_centrality_summary.json"
+        summaries = json.loads(written.read_text())["measures"]
         for measure in MEASURES:
-            values = np.array([getattr(row, measure) for row in table.rows])
-            summary = table.summaries[measure]
-            assert summary.min == pytest.approx(values.min())
-            assert summary.max == pytest.approx(values.max())
-            assert summary.mean == pytest.approx(values.mean())
-            assert summary.median == pytest.approx(np.median(values))
+            values, summary = table.columns[measure], summaries[measure]
+            assert summary["min"] == pytest.approx(values.min())
+            assert summary["max"] == pytest.approx(values.max())
+            assert summary["mean"] == pytest.approx(values.mean())
+            assert summary["median"] == pytest.approx(np.median(values))
 
 
 def test_structural_json_matches_bundle(tmp_path):
@@ -397,15 +398,18 @@ def test_cli_config_string_bool_rejected(tmp_path):
 
 
 def test_cli_synth_config_values_coerced(tmp_path):
-    """Config-file strings take their field's type, as in analyze; a value
-    that cannot take it exits 2 with a message, not a traceback."""
+    """Config-file strings take their field's type, as in analyze, and an
+    integral number such as 1e3 is an int option's integer; a value that
+    cannot take it exits 2 with a message, not a traceback."""
     flags = ["synth", "--users", "5", "--threads", "3", "--posts", "10"]
-    assert run_cli(*flags, "--alpha", "1.5", "--out", str(tmp_path / "flag.json")).returncode == 0
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"alpha": "1.5"}), encoding="utf-8")
-    result = run_cli(*flags, "--out", str(tmp_path / "cfg.json"), "--config", str(cfg))
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+    cases = ((["--alpha", "1.5"], '{"alpha": "1.5"}'), (["--seed", "1000"], '{"seed": 1e3}'))
+    for flag, config in cases:
+        assert run_cli(*flags, *flag, "--out", str(tmp_path / "flag.json")).returncode == 0
+        cfg.write_text(config, encoding="utf-8")
+        result = run_cli(*flags, "--out", str(tmp_path / "cfg.json"), "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
     for bad in ({"alpha": "steep"}, {"seed": [1]}):
         cfg.write_text(json.dumps(bad), encoding="utf-8")
         result = run_cli(*flags, "--out", str(tmp_path / "bad.json"), "--config", str(cfg))
@@ -507,6 +511,9 @@ def test_cli_exit_code_names_the_fault(tmp_path, command, flags, config, csv_tex
     assert "Traceback" not in result.stderr
 
 
+ANALYZE_FLAGS = ["--data", "{data}", "--out", "{tmp}/out"]
+
+
 @pytest.mark.parametrize(
     "command, flags, config",
     [
@@ -515,8 +522,21 @@ def test_cli_exit_code_names_the_fault(tmp_path, command, flags, config, csv_tex
         ("viz", ["--data", "{data}", "--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot"],
          {"layout_seed": "abc"}),
         ("metrics", ["--mode", "user"], {"data": ["x"]}),
+        ("analyze", ANALYZE_FLAGS, {"layout_seed": 1.7}),
+        ("synth", ["--users", "5", "--threads", "3", "--posts", "10", "--out", "{tmp}/s.json"],
+         {"seed": 1.5}),
+        ("analyze", ANALYZE_FLAGS, {"silent_min_threads": True}),
+        ("analyze", ANALYZE_FLAGS, {"thin_sd": True}),
+        ("viz", ["--data", "{data}", "--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot",
+                 "--thin-sd", "nan"], {}),
+        ("analyze", ANALYZE_FLAGS, {"thin_sd": float("nan")}),
+        ("analyze", ANALYZE_FLAGS, {"thin_sd": float("inf")}),
+        ("analyze", ANALYZE_FLAGS, {"roles": ["ab"]}),
+        ("analyze", ANALYZE_FLAGS, {"roles": {"u0001": 5}}),
     ],
-    ids=["analyze-out", "ingest-posts", "viz-layout-seed", "metrics-data"],
+    ids=["analyze-out", "ingest-posts", "viz-layout-seed", "metrics-data",
+         "fractional-int", "synth-fractional-int", "bool-int", "bool-float", "nan-flag",
+         "nan-config", "inf-config", "roles-list", "roles-non-string-value"],
 )
 def test_cli_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, flags, config):
     """A config value of the wrong type is refused before any file is

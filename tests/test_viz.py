@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from forumnet import viz
 from forumnet.viz import (
     LAYOUT_BLOCK,
-    LayoutResult,
     ThinningSpec,
     export_graph,
     layout,
@@ -134,32 +133,30 @@ def test_thinning_matches_statistics_reference(case, strict):
 
 def test_layout_single_node_centered():
     g = make_network([], nodes=["solo"])
-    result = layout(g, seed=1, iterations=10)
-    assert result.positions == {"solo": (0.5, 0.5)}
+    assert layout(g, seed=1, iterations=10).tolist() == [[0.5, 0.5]]
 
 
 def test_layout_deterministic_per_seed():
     g = star_graph(6)
     a = layout(g, seed=7, iterations=60)
     b = layout(g, seed=7, iterations=60)
-    assert a == b
+    assert np.array_equal(a, b)
     c = layout(g, seed=8, iterations=60)
-    assert a.positions != c.positions
+    assert not np.array_equal(a, c)
 
 
 def test_layout_positions_in_unit_square():
     g = star_graph(9)
     result = layout(g, seed=3, iterations=120)
-    for x, y in result.positions.values():
+    for x, y in result.tolist():
         assert 0.0 <= x <= 1.0
         assert 0.0 <= y <= 1.0
-    assert set(result.positions) == set(g.nodes)
+    assert result.shape == (len(g.nodes), 2)
 
 
 def test_layout_star_hub_lands_nearest_centroid():
     g = star_graph(9)
-    result = layout(g, seed=11, iterations=500)
-    pts = {k: np.array(v) for k, v in result.positions.items()}
+    pts = dict(zip(g.nodes, layout(g, seed=11, iterations=500)))
     centroid = np.mean(list(pts.values()), axis=0)
     dist = {k: float(np.linalg.norm(v - centroid)) for k, v in pts.items()}
     hub = dist.pop("hub")
@@ -207,8 +204,8 @@ def test_layout_matches_dense_reference(n, bipartite, ties, seed, iterations, bl
     whole n x n step with np.add.at exactly, whatever the block size."""
     g = drawn_network(n, bipartite, ties, data.draw)
     with mock.patch.object(viz, "LAYOUT_BLOCK", block):
-        positions = layout(g, seed=seed, iterations=iterations).positions
-    assert positions == dense_layout(g, seed, iterations)
+        positions = layout(g, seed=seed, iterations=iterations)
+    assert np.array_equal(positions, dense_layout(g, seed, iterations))
 
 
 def pin_data():
@@ -265,7 +262,7 @@ def test_layout_rejects_bad_inputs():
 
 def test_positions_csv_shape():
     g = make_network([("a", "b")])
-    text = positions_csv(layout(g, seed=2, iterations=5))
+    text = positions_csv(g, layout(g, seed=2, iterations=5))
     lines = text.splitlines()
     assert lines[0] == "node_id,x,y"
     assert len(lines) == 3
@@ -333,7 +330,7 @@ def test_dot_round_trip_topology_and_weights():
 def test_svg_triangle_elements():
     g = make_network([("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
     placed = layout(g, seed=5, iterations=40)
-    text = export_graph(g, layout_result=placed, format="svg")
+    text = export_graph(g, placed, format="svg")
     assert text.count("<circle") == 3
     assert text.count("<line") == 3
     assert 'viewBox="0 0 1000 1000"' in text
@@ -345,17 +342,26 @@ def test_svg_requires_layout():
         export_graph(g, format="svg")
 
 
+def test_positions_must_have_one_row_per_node():
+    g = make_network([("a", "b")])
+    for wrong in (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+            export_graph(g, wrong, format="svg")
+        with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+            positions_csv(g, wrong)
+
+
 def test_svg_node_sizes_scale_radius():
     g = make_network([("a", "b", 1)])
     placed = layout(g, seed=1, iterations=5)
     sized = export_graph(
         make_network([("a", "b", 1)], node_attr={"a": 10, "b": 1}),
-        layout_result=placed,
+        placed,
         format="svg",
     )
     radii = [float(r) for r in re.findall(r'r="([0-9.]+)"', sized)]
     assert len(set(radii)) == 2
-    plain = export_graph(g, layout_result=placed, format="svg")
+    plain = export_graph(g, placed, format="svg")
     radii_plain = set(re.findall(r'r="([0-9.]+)"', plain))
     assert len(radii_plain) == 1
 
@@ -367,7 +373,7 @@ def test_bipartite_export_marks_modes():
     graphml = export_graph(b, format="graphml")
     assert "mode" in graphml
     placed = layout(b, seed=4, iterations=30)
-    svg = export_graph(b, layout_result=placed, format="svg")
+    svg = export_graph(b, placed, format="svg")
     assert svg.count("<circle") == 2
     assert svg.count("<rect") >= 1  # thread nodes drawn as the second shape
 
@@ -380,12 +386,12 @@ def test_export_unknown_format():
 def test_layout_result_round_trips_through_csv():
     g = make_network([("a", "b"), ("b", "c")])
     result = layout(g, seed=9, iterations=25)
-    text = positions_csv(result)
+    text = positions_csv(g, result)
     parsed = {}
     for line in text.splitlines()[1:]:
         node, x, y = line.split(",")
-        parsed[node] = (float(x), float(y))
-    assert parsed == result.positions
+        parsed[node] = [float(x), float(y)]
+    assert parsed == dict(zip(g.nodes, result.tolist()))
 
 
 def test_shared_user_thread_ids_are_mode_qualified():
@@ -393,15 +399,15 @@ def test_shared_user_thread_ids_are_mode_qualified():
     written as user:<id> or thread:<id>, in every format."""
     b = build_bipartite(dataset_from_posts([("1", "1"), ("2", "1"), ("1", "2")]))
     placed = layout(b, seed=1, iterations=5)
-    assert sorted(placed.positions) == ["thread:1", "thread:2", "user:1", "user:2"]
-    assert positions_csv(placed).splitlines()[1].startswith("user:1,")
+    written = [line.split(",")[0] for line in positions_csv(b, placed).splitlines()[1:]]
+    assert written == ["user:1", "user:2", "thread:1", "thread:2"]
     dot = export_graph(b, format="dot")
     assert '"user:1" -- "thread:2" [weight=1];' in dot
     assert '"thread:2" [mode="thread"];' in dot
     root = ET.fromstring(export_graph(b, format="graphml"))
     ids = [node.get("id") for node in root.iter("{http://graphml.graphdrawing.org/xmlns}node")]
     assert ids == ["user:1", "user:2", "thread:1", "thread:2"]
-    svg = export_graph(b, layout_result=placed, format="svg")
+    svg = export_graph(b, placed, format="svg")
     assert re.findall(r"<title>(.*?)</title>", svg) == ids
     # without a shared ID the names are written as they are
     plain = build_bipartite(dataset_from_posts([("u1", "1"), ("u2", "1")]))
