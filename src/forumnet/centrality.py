@@ -5,20 +5,20 @@ Closeness uses the component-size-penalized form so disconnected
 networks still get meaningful nonzero values; betweenness is computed
 with Brandes dependency accumulation (fractional credit over multiple
 shortest paths). Both read one ``paths.path_stats`` pass, which the
-structural report shares.
+structural report shares. ``table_csv`` and ``histogram_csv`` write a
+table through ``text.csv_text``; ``summaries`` and ``CoreSet.to_dict``
+give the payloads that ``report`` writes as JSON.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import BipartiteNetwork, OneModeNetwork, USER_MODE
 from .paths import PathStats, path_stats
+from .text import csv_text
 
 MEASURES = ("degree", "closeness", "betweenness")
 HISTOGRAM_BINS = 50
@@ -41,6 +41,14 @@ class CoreSet:
     threshold: float
     members: set[str]
     roles: dict[str, str]
+
+    def to_dict(self) -> dict:
+        return {
+            "mode": self.mode,
+            "threshold": self.threshold,
+            "members": sorted(self.members),
+            "roles": dict(self.roles),
+        }
 
 
 def _summarize(values: np.ndarray) -> dict[str, float]:
@@ -147,24 +155,17 @@ def bipartite_degree_centrality(b: BipartiteNetwork, mode: str) -> dict[str, flo
 
 def table_csv(table: CentralityTable) -> str:
     """Full-precision per-node CSV: node_id,degree,closeness,betweenness."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node_id", "degree", "closeness", "betweenness"])
     columns = [table.columns[name].tolist() for name in MEASURES]
-    for node, *values in zip(table.nodes, *columns):
-        writer.writerow([node, *map(repr, values)])
-    return buf.getvalue()
+    return csv_text(("node_id", *MEASURES), zip(table.nodes, *columns))
 
 
-def summaries_json(table: CentralityTable, provenance: dict | None = None) -> str:
-    payload: dict = {
+def summaries(table: CentralityTable) -> dict:
+    """The mode, node count and per-measure quartile summary of a table."""
+    return {
         "mode": table.mode,
         "node_count": len(table.nodes),
         "measures": {name: _summarize(column) for name, column in table.columns.items()},
     }
-    if provenance is not None:
-        payload["provenance"] = provenance
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def histogram_csv(table: CentralityTable, measure: str) -> str:
@@ -172,21 +173,5 @@ def histogram_csv(table: CentralityTable, measure: str) -> str:
     if measure not in MEASURES:
         raise ValueError(f"unknown measure: {measure!r}")
     counts, _ = np.histogram(table.columns[measure], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lo", "bin_hi", "count"])
-    for i, count in enumerate(counts.tolist()):
-        writer.writerow([repr(i / HISTOGRAM_BINS), repr((i + 1) / HISTOGRAM_BINS), count])
-    return buf.getvalue()
-
-
-def core_json(core: CoreSet, provenance: dict | None = None) -> str:
-    payload: dict = {
-        "mode": core.mode,
-        "threshold": core.threshold,
-        "members": sorted(core.members),
-        "roles": {node: core.roles[node] for node in sorted(core.roles)},
-    }
-    if provenance is not None:
-        payload["provenance"] = provenance
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    bounds = [i / HISTOGRAM_BINS for i in range(HISTOGRAM_BINS + 1)]
+    return csv_text(("bin_lo", "bin_hi", "count"), zip(bounds, bounds[1:], counts.tolist()))

@@ -240,6 +240,8 @@ def _cmd_metrics(options: dict) -> int:
 def _cmd_viz(options: dict) -> int:
     # range checks come before --data is read, as in analyze
     spec = None if options["thin_sd"] is None else ThinningSpec(k_sd=options["thin_sd"])
+    if options["layout_seed"] < 0:
+        raise ConfigError("layout_seed must be >= 0")
     if options["layout_iterations"] < 1:
         raise ConfigError("layout_iterations must be >= 1")
     data = load_dataset(options["data"])

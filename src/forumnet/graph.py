@@ -9,19 +9,19 @@ Both kinds are integer-indexed: a node is its position in a tuple of
 names, and ties are rows of index arrays. Names are used only when a
 network is written out. ``build_bipartite`` sorts them, so index order
 is name order in every network built from data. Networks compare by
-identity, since arrays have no single truth value.
+identity, since arrays have no single truth value. ``edge_list_csv`` and
+``node_list_csv`` write a projection through ``text.csv_text``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .ingest import ForumDataset
+from .text import csv_text
 
 USER_MODE = "user"
 THREAD_MODE = "thread"
@@ -120,17 +120,10 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneMod
 
 
 def edge_list_csv(g: OneModeNetwork) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target", "weight"])
     names = np.array(g.nodes, dtype=object)[g.edges]
-    writer.writerows(zip(names[:, 0].tolist(), names[:, 1].tolist(), g.weights.tolist()))
-    return buf.getvalue()
+    rows = zip(names[:, 0].tolist(), names[:, 1].tolist(), g.weights.tolist())
+    return csv_text(("source", "target", "weight"), rows)
 
 
 def node_list_csv(g: OneModeNetwork) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "attr"])
-    writer.writerows(zip(g.nodes, g.node_attr.tolist()))
-    return buf.getvalue()
+    return csv_text(("id", "attr"), zip(g.nodes, g.node_attr.tolist()))

@@ -9,6 +9,9 @@ input row.
 Each row validates to a plain tuple or to a ``RejectedRow``; one pass
 then drops duplicate post IDs, picks each thread's starter and builds a
 single ``PostRecord`` per kept row.
+
+``dataset_to_json``, ``posts_csv`` and ``users_csv`` write a dataset
+back out through ``text``, which fixes the bytes of both formats.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError, InputError, SchemaError
+from .text import csv_text, json_text
 
 POSTS_COLUMNS = ("post_id", "thread_id", "user_id", "forum_id", "timestamp")
 START_COLUMN = "is_thread_start"
@@ -138,12 +142,6 @@ def _read_text(source) -> str:
     return data.lstrip("﻿")
 
 
-def _csv_line(values: Iterable[str]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(list(values))
-    return buf.getvalue()
-
-
 def _validate_fields(raw: str, fields: list[str], start: bool | str):
     """The row as (post_id, thread_id, user_id, forum_id, timestamp, start,
     raw), or the RejectedRow that says why it cannot be kept.
@@ -234,7 +232,7 @@ def _parse_posts_csv(text: str) -> ForumDataset:
     for row in reader:
         if not row:
             continue
-        raw = _csv_line(row)
+        raw = csv_text(row, ())[:-1]  # the row as one CSV line, without its "\n"
         if len(row) != len(header):
             rows.append(RejectedRow(raw, "wrong column count"))
         else:
@@ -258,17 +256,21 @@ def _parse_posts_json(text: str) -> ForumDataset:
     if not isinstance(doc, dict) or not isinstance(doc.get("posts"), list):
         raise SchemaError("JSON dataset must be an object with a 'posts' array")
 
+    for name in ("users", "rejected"):
+        if not isinstance(doc.get(name, []), list):
+            raise SchemaError(f"JSON dataset field {name!r} must be an array")
+    if not all(isinstance(entry, dict) for entry in doc.get("rejected", [])):
+        raise SchemaError("JSON dataset field 'rejected' must hold only objects")
+
     roster: list[UserProfile] = []
     for entry in doc.get("users", []):
-        if isinstance(entry, dict) and _json_text(entry, "user_id").strip():
-            profession = entry.get("profession")
-            roster.append(
-                UserProfile(str(entry["user_id"]), str(profession) if profession else None)
-            )
+        # IDs and professions are stripped, as in a users CSV
+        user_id = _json_text(entry, "user_id").strip() if isinstance(entry, dict) else ""
+        if user_id:
+            roster.append(UserProfile(user_id, _json_text(entry, "profession").strip() or None))
     carried = [
         RejectedRow(str(entry.get("raw", "")), str(entry.get("reason", "")))
         for entry in doc.get("rejected", [])
-        if isinstance(entry, dict)
     ]
 
     rows: list = []
@@ -366,50 +368,37 @@ def activity_overview(data: ForumDataset, period: str = "year") -> ActivityOverv
 
 # --- serialization -------------------------------------------------------
 
-def dataset_to_dict(data: ForumDataset) -> dict:
-    return {
-        "posts": [
-            {
-                "post_id": p.post_id,
-                "thread_id": p.thread_id,
-                "user_id": p.user_id,
-                "forum_id": p.forum_id,
-                "timestamp": format_timestamp(p.timestamp),
-                "is_thread_start": p.is_thread_start,
-            }
-            for p in data.posts
-        ],
-        "users": [{"user_id": u.user_id, "profession": u.profession} for u in data.users],
-        "rejected": [{"raw": r.raw, "reason": r.reason} for r in data.rejected],
-    }
-
-
 def dataset_to_json(data: ForumDataset) -> str:
-    return json.dumps(dataset_to_dict(data), indent=2, sort_keys=True) + "\n"
+    """The dataset document that ``parse_posts(..., "json")`` reads back."""
+    posts = [
+        {
+            "post_id": p.post_id,
+            "thread_id": p.thread_id,
+            "user_id": p.user_id,
+            "forum_id": p.forum_id,
+            "timestamp": format_timestamp(p.timestamp),
+            "is_thread_start": p.is_thread_start,
+        }
+        for p in data.posts
+    ]
+    return json_text(
+        {
+            "posts": posts,
+            "users": [{"user_id": u.user_id, "profession": u.profession} for u in data.users],
+            "rejected": [{"raw": r.raw, "reason": r.reason} for r in data.rejected],
+        }
+    )
 
 
 def posts_csv(data: ForumDataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(POSTS_COLUMNS) + [START_COLUMN])
-    for p in data.posts:
-        writer.writerow(
-            [
-                p.post_id,
-                p.thread_id,
-                p.user_id,
-                p.forum_id,
-                format_timestamp(p.timestamp),
-                "true" if p.is_thread_start else "false",
-            ]
-        )
-    return buf.getvalue()
+    """The retained posts as a posts CSV with its is_thread_start column."""
+    rows = (
+        (p.post_id, p.thread_id, p.user_id, p.forum_id, format_timestamp(p.timestamp),
+         "true" if p.is_thread_start else "false")
+        for p in data.posts
+    )
+    return csv_text((*POSTS_COLUMNS, START_COLUMN), rows)
 
 
 def users_csv(data: ForumDataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(USERS_COLUMNS))
-    for u in data.users:
-        writer.writerow([u.user_id, u.profession or ""])
-    return buf.getvalue()
+    return csv_text(USERS_COLUMNS, ((u.user_id, u.profession or "") for u in data.users))

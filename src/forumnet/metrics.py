@@ -6,12 +6,12 @@ matter here. Diameter and average path length are computed within the
 largest connected component, with component counts reported alongside so
 nothing is silently dropped. They and the component and isolate counts
 come from ``paths.path_stats``, the same shortest-path pass the
-centrality table reads.
+centrality table reads. ``StructuralReport.to_dict`` is the payload that
+``report`` writes as ``<mode>_structural.json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -89,13 +89,6 @@ def bipartite_density(b: BipartiteNetwork) -> float:
     if possible == 0:
         return 0.0
     return len(b.incidence) / possible
-
-
-def report_json(report: StructuralReport, provenance: dict | None = None) -> str:
-    payload = report.to_dict()
-    if provenance is not None:
-        payload["provenance"] = provenance
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 _TABLE_ROWS = (

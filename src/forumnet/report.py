@@ -4,15 +4,15 @@
 projections, structural reports, centrality tables, core detection,
 silent-initiator scan, thinned figures) and publishes every artifact,
 under fixed file names, as one output directory that holds one run's
-complete set. Outputs embed a provenance block so a report always states
-what produced it; reruns with identical inputs and seeds are
-byte-identical.
+complete set. Every JSON artifact is written by one ``write_json`` that
+adds the run's provenance block, so a report always states what produced
+it; ``text`` fixes the bytes of each CSV and JSON file, and reruns with
+identical inputs and seeds are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import tempfile
@@ -28,11 +28,10 @@ from .centrality import (
     MEASURES,
     bipartite_degree_centrality,
     centrality_table,
-    core_json,
     core_set,
     histogram_csv,
     silent_initiators,
-    summaries_json,
+    summaries,
     table_csv,
 )
 from .errors import ConfigError
@@ -48,8 +47,9 @@ from .graph import (
     project,
 )
 from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, dataset_to_json
-from .metrics import StructuralReport, bipartite_density, report_json, structural_report
+from .metrics import StructuralReport, bipartite_density, structural_report
 from .paths import path_stats
+from .text import json_text
 from .viz import EXPORT_FORMATS, ThinningSpec, export_graph, layout, positions_csv, thin
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
@@ -79,6 +79,8 @@ class PipelineConfig:
             raise ConfigError("core_threshold must be in [0, 1]")
         if self.thin_sd < 0:
             raise ConfigError("thin_sd must be >= 0")
+        if self.layout_seed < 0:
+            raise ConfigError("layout_seed must be >= 0")
         if self.layout_iterations < 1:
             raise ConfigError("layout_iterations must be >= 1")
         if self.period not in PERIODS:
@@ -128,10 +130,6 @@ def _provenance(data: ForumDataset, config: PipelineConfig) -> dict:
         "input_sha256": checksum,
         "config": snapshot,
     }
-
-
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @contextmanager
@@ -198,6 +196,7 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
     artifacts: list[str] = []
 
     with _published(Path(config.out_dir)) as stage:
+        provenance = _provenance(data, config)
 
         def write(relative: str, text: str) -> None:
             path = stage / relative
@@ -205,11 +204,11 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
             path.write_text(text, encoding="utf-8")
             artifacts.append(relative)
 
-        provenance = _provenance(data, config)
+        def write_json(relative: str, payload: dict) -> None:
+            write(relative, json_text({**payload, "provenance": provenance}))
+
         overview = activity_overview(data, config.period)
-        payload = overview.to_dict()
-        payload["provenance"] = provenance
-        write("overview.json", _dump_json(payload))
+        write_json("overview.json", overview.to_dict())
 
         b = build_bipartite(data)
         networks = {
@@ -221,44 +220,38 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         tables = {mode: centrality_table(g, stats[mode]) for mode, g in networks.items()}
 
         for mode in (USER_MODE, THREAD_MODE):
-            write(f"{mode}_structural.json", report_json(reports[mode], provenance))
+            write_json(f"{mode}_structural.json", reports[mode].to_dict())
             write(f"{mode}_centrality.csv", table_csv(tables[mode]))
-            write(f"{mode}_centrality_summary.json", summaries_json(tables[mode], provenance))
+            write_json(f"{mode}_centrality_summary.json", summaries(tables[mode]))
             for measure in MEASURES:
                 write(f"{mode}_{measure}_hist.csv", histogram_csv(tables[mode], measure))
             write(f"{mode}_edges.csv", edge_list_csv(networks[mode]))
             write(f"{mode}_nodes.csv", node_list_csv(networks[mode]))
 
         core = core_set(tables[USER_MODE], config.core_threshold, config.roles)
-        write("core.json", core_json(core, provenance))
+        write_json("core.json", core.to_dict())
 
         silent = silent_initiators(b, networks[USER_MODE], config.silent_min_threads)
-        write(
+        write_json(
             "silent.json",
-            _dump_json(
-                {
-                    "min_threads": config.silent_min_threads,
-                    "users": [{"user_id": uid, "thread_count": n} for uid, n in silent],
-                    "provenance": provenance,
-                }
-            ),
+            {
+                "min_threads": config.silent_min_threads,
+                "users": [{"user_id": uid, "thread_count": n} for uid, n in silent],
+            },
         )
 
         if config.bipartite_norm:
-            write(
+            write_json(
                 "bipartite.json",
-                _dump_json(
-                    {
-                        "density": bipartite_density(b),
-                        "user_degree": bipartite_degree_centrality(b, USER_MODE),
-                        "thread_degree": bipartite_degree_centrality(b, THREAD_MODE),
-                        "provenance": provenance,
-                    }
-                ),
+                {
+                    "density": bipartite_density(b),
+                    "user_degree": bipartite_degree_centrality(b, USER_MODE),
+                    "thread_degree": bipartite_degree_centrality(b, THREAD_MODE),
+                },
             )
 
         _figure_artifacts(write, config, b, networks)
-        write("manifest.json", _dump_json({"artifacts": artifacts, "provenance": provenance}))
+        write_json("manifest.json", {"artifacts": list(artifacts)})
 
     return AnalysisBundle(
         overview=overview,

@@ -4,13 +4,12 @@ Thinning hides ties below a statistical cutoff (mean + k * sd of the tie
 weights) so dense networks stay readable; nodes are never dropped. The
 layout is a seeded spring embedder: connected hubs migrate toward the
 middle of the drawing. Exports cover DOT, GraphML, and a dependency-free
-SVG rendering.
+SVG rendering; ``positions_csv`` writes a layout through
+``text.csv_text``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import BipartiteNetwork, OneModeNetwork
+from .text import csv_text
 
 EXPORT_FORMATS = ("dot", "graphml", "svg")
 
@@ -181,12 +181,7 @@ def _placed(nodes, positions: np.ndarray) -> np.ndarray:
 def positions_csv(network, positions: np.ndarray) -> str:
     """node_id,x,y per node of ``network``, from its ``layout``."""
     nodes = _drawing(network)[0]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node_id", "x", "y"])
-    for node, (x, y) in zip(nodes, _placed(nodes, positions).tolist()):
-        writer.writerow([node, repr(x), repr(y)])
-    return buf.getvalue()
+    return csv_text(("node_id", "x", "y"), zip(nodes, *_placed(nodes, positions).T.tolist()))
 
 
 def _dot_quote(value: str) -> str:

@@ -13,11 +13,10 @@ from forumnet.centrality import (
     MEASURES,
     bipartite_degree_centrality,
     centrality_table,
-    core_json,
     core_set,
     histogram_csv,
     silent_initiators,
-    summaries_json,
+    summaries,
     table_csv,
 )
 from forumnet.graph import project
@@ -181,12 +180,8 @@ def test_centralities_bounded_property(pairs):
             assert -1e-12 <= value <= 1.0 + 1e-12
 
 
-def summaries(table) -> dict[str, dict[str, float]]:
-    return json.loads(summaries_json(table))["measures"]
-
-
 def test_table_summaries_path3():
-    deg = summaries(centrality_table(path_graph(3)))["degree"]
+    deg = summaries(centrality_table(path_graph(3)))["measures"]["degree"]
     assert deg["min"] == pytest.approx(0.5)
     assert deg["median"] == pytest.approx(0.5)
     assert deg["max"] == pytest.approx(1.0)
@@ -203,7 +198,7 @@ def test_table_even_count_median_is_midpoint_mean():
     table = centrality_table(g)
     degrees = sorted(table.columns["degree"].tolist())
     expected = (degrees[1] + degrees[2]) / 2
-    assert summaries(table)["degree"]["median"] == pytest.approx(expected)
+    assert summaries(table)["measures"]["degree"]["median"] == pytest.approx(expected)
 
 
 def test_table_summaries_recomputable_from_rows():
@@ -211,7 +206,7 @@ def test_table_summaries_recomputable_from_rows():
     g = random_graph(rng, 8, 0.4)
     table = centrality_table(g)
     for measure in MEASURES:
-        values, summary = table.columns[measure], summaries(table)[measure]
+        values, summary = table.columns[measure], summaries(table)["measures"][measure]
         assert summary["min"] == pytest.approx(values.min())
         assert summary["max"] == pytest.approx(values.max())
         assert summary["mean"] == pytest.approx(values.mean())
@@ -327,10 +322,9 @@ def test_table_csv_shape():
     assert lines[2].startswith("n01,1.0,1.0,1.0")
 
 
-def test_summaries_json_shape():
-    payload = json.loads(summaries_json(centrality_table(path_graph(3)), {"v": 1}))
+def test_summaries_shape():
+    payload = summaries(centrality_table(path_graph(3)))
     assert set(payload["measures"]) == {"degree", "closeness", "betweenness"}
-    assert payload["provenance"] == {"v": 1}
     assert payload["mode"] == "user"
 
 
@@ -343,13 +337,12 @@ def test_histogram_csv_shape():
         histogram_csv(centrality_table(path_graph(3)), "sway")
 
 
-def test_core_json_shape():
+def test_core_to_dict_shape():
     core = core_set(centrality_table(star_graph(4)), 0.5, roles={"hub": "moderator"})
-    payload = json.loads(core_json(core, {"v": 2}))
+    payload = core.to_dict()
     assert payload["threshold"] == 0.5
     assert payload["members"] == ["hub"]
     assert payload["roles"]["hub"] == "moderator"
-    assert payload["provenance"] == {"v": 2}
 
 
 # sha256 of what analyze writes on synth 60/80/400, alpha 1.5, seed 3,

@@ -1,5 +1,6 @@
 """Parsing, validation, aggregation, and round-trip serialization."""
 
+import hashlib
 import io
 import json
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumnet import cli
 from forumnet.errors import InputError, SchemaError
 from forumnet.ingest import (
     activity_overview,
@@ -246,6 +248,43 @@ def test_json_roster_first_entry_wins():
     assert [(u.user_id, u.profession) for u in data.users] == [("u1", "nursing")]
 
 
+def test_json_roster_ids_are_stripped():
+    """As in a users CSV: " u1 " is the poster u1, not a second user."""
+    data = parse_posts(
+        json_posts(
+            json_post("p1", "2012-01-01T00:00:00Z"),
+            users=[{"user_id": " u1 ", "profession": " nursing "}],
+        ),
+        format="json",
+    )
+    assert [(u.user_id, u.profession) for u in data.users] == [("u1", "nursing")]
+    assert activity_overview(data).registered_user_count == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"posts": [], "users": 5},
+        {"posts": [], "users": {"u1": "x"}},
+        {"posts": [], "users": None},
+        {"posts": [], "rejected": 7},
+        {"posts": [], "rejected": {"raw": "x", "reason": "y"}},
+        {"posts": [], "rejected": [{"raw": "x", "reason": "y"}, "p1,t1"]},
+    ],
+    ids=["users-number", "users-object", "users-null", "rejected-number", "rejected-object",
+         "rejected-entry-not-object"],
+)
+def test_json_users_and_rejected_must_be_arrays_of_the_right_entries(tmp_path, capsys, doc):
+    """A roster or rejection log of the wrong shape is refused, never read
+    as empty: a dropped rejection would break lossless-or-logged."""
+    with pytest.raises(SchemaError):
+        parse_posts(io.StringIO(json.dumps(doc)), format="json")
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["ingest", "--posts", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_timestamp_variants():
     utc = timezone.utc
     assert parse_timestamp("2012-03-04T05:06:07Z") == datetime(2012, 3, 4, 5, 6, 7, tzinfo=utc)
@@ -397,3 +436,27 @@ def test_serialized_json_shape():
     assert set(doc) == {"posts", "users", "rejected"}
     assert doc["posts"][0]["post_id"] == "p0000"
     assert doc["posts"][0]["is_thread_start"] is True
+
+
+# sha256 of the posts and users CSVs that synth 60/80/400, alpha 1.5,
+# seed 3 writes, and of the dataset.json that ingest makes from them;
+# no file holds a float
+PINNED_DATASET_FILES = {
+    "x.csv": "f9d7863fc44fb78f7b1a9e095133b41680e6fe90effaa004f1ab02aced426b8b",
+    "x.users.csv": "2383f49301f3fccaf2122f2d0afdecd2d2a06f536a99d09364f5bfae08c7b85a",
+    "clean/dataset.json": "a507a745469d8fb6b6a78eb8dc0ac2fd4860ffbf5d3cf32f332932b113375cc7",
+}
+
+
+def test_written_dataset_files_are_byte_pinned(tmp_path, capsys):
+    synth = ["synth", "--users", "60", "--threads", "80", "--posts", "400", "--alpha", "1.5",
+             "--seed", "3", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(synth) == 0
+    ingest = ["ingest", "--posts", str(tmp_path / "x.csv"),
+              "--users", str(tmp_path / "x.users.csv"), "--out", str(tmp_path / "clean")]
+    assert cli.main(ingest) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_DATASET_FILES
+    }
+    assert digests == PINNED_DATASET_FILES

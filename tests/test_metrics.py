@@ -1,7 +1,6 @@
 """Structural measures against closed forms and brute-force oracles."""
 
 import itertools
-import json
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from forumnet.metrics import (
     degree_centralization,
     density,
     format_structural_table,
-    report_json,
     structural_report,
 )
 from forumnet.paths import path_stats
@@ -219,8 +217,8 @@ def test_adding_edge_monotonicity_on_connected_graphs():
             current = grown
 
 
-def test_report_json_fields_and_provenance():
-    payload = json.loads(report_json(structural_report(path_graph(3)), {"tool": "x"}))
+def test_report_to_dict_fields():
+    payload = structural_report(path_graph(3)).to_dict()
     expected_keys = {
         "mode",
         "n",
@@ -232,11 +230,9 @@ def test_report_json_fields_and_provenance():
         "component_count",
         "largest_component_size",
         "isolate_count",
-        "provenance",
     }
     assert set(payload) == expected_keys
     assert payload["density"] == 2 / 3
-    assert payload["provenance"] == {"tool": "x"}
 
 
 def test_text_table_two_decimal_columns():

@@ -130,14 +130,38 @@ def test_structural_json_matches_bundle(tmp_path):
 
 def test_provenance_embedded_everywhere(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
-    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
+    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out", bipartite_norm=True))
     checksum = hashlib.sha256(dataset_to_json(data).encode()).hexdigest()
     assert bundle.provenance["input_sha256"] == checksum
-    for artifact in bundle.artifacts:
-        if artifact.endswith(".json"):
-            payload = json.loads((tmp_path / "out" / artifact).read_text())
-            assert payload["provenance"]["input_sha256"] == checksum
-            assert payload["provenance"]["tool"] == "forumnet"
+    written = [artifact for artifact in bundle.artifacts if artifact.endswith(".json")]
+    assert len(written) == 9  # overview, 2 structural, 2 summaries, core, silent, bipartite, manifest
+    for artifact in written:
+        payload = json.loads((tmp_path / "out" / artifact).read_text())
+        assert payload["provenance"] == bundle.provenance
+        assert payload["provenance"]["input_sha256"] == checksum
+        assert payload["provenance"]["tool"] == "forumnet"
+
+
+# sha256 of the JSON artifacts that no other pin covers, as analyze writes
+# them with bipartite_norm on synth 60/80/400, alpha 1.5, seed 3. None
+# holds a BLAS-dependent float. Each embeds the provenance block, so a new
+# version or config default moves them all.
+PINNED_JSON = {
+    "bipartite.json": "147b452df93e9ae217ec9cc7564b6a49e76de30f1e1af26c550ebba6f6274299",
+    "manifest.json": "f1d1539be719984f03e0d040db04651989e448d90889b708bc1cce665042603b",
+    "overview.json": "5834115efbb52e648f4419c863a912ec8f4f0371cc0c38f5460665e4247f85fe",
+    "silent.json": "e28dcc6715f274f488380d8fe95f2100abf03a5a8122904cbe51b6974059ce1b",
+}
+
+
+def test_written_json_artifacts_are_byte_pinned(tmp_path):
+    data = generate(
+        SynthConfig(user_count=60, thread_count=80, post_count=400, skew_alpha=1.5, seed=3)
+    )
+    out = tmp_path / "out"
+    run_pipeline(data, PipelineConfig(out_dir=out, bipartite_norm=True))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_JSON}
+    assert digests == PINNED_JSON
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -491,10 +515,14 @@ def test_cli_viz_svg_and_graphml(tmp_path):
                  "--layout-iterations", "0"], {}, HEADER_ONLY_CSV, 2),
         ("viz", ["--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot",
                  "--thin-sd", "-1"], {}, "who,what\n1,2\n", 2),
+        ("analyze", ["--out", "{tmp}/out"], {"layout_seed": -1}, SMALL_CSV, 2),
+        ("viz", ["--mode", "user", "--format", "svg", "--out", "{tmp}/g.svg",
+                 "--layout-seed", "-1"], {}, "who,what\n1,2\n", 2),
     ],
     ids=["period", "weighting", "posts-format", "layout-iterations", "negative-thin-sd",
          "string-thin-sd", "config-not-utf8", "no-post-to-draw",
-         "layout-iterations-before-data", "negative-thin-sd-before-data"],
+         "layout-iterations-before-data", "negative-thin-sd-before-data",
+         "negative-layout-seed", "negative-layout-seed-before-data"],
 )
 def test_cli_exit_code_names_the_fault(tmp_path, command, flags, config, csv_text, code):
     """Configuration faults exit 2 and data faults exit 1, each with a
