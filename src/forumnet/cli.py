@@ -233,7 +233,7 @@ def _cmd_analyze(options: dict) -> int:
 def _cmd_metrics(options: dict) -> int:
     data = load_dataset(options["data"])
     g = project(build_bipartite(data), options["mode"], options["weighting"])
-    print(format_structural_table([structural_report(g)]))
+    print(format_structural_table([structural_report(g)]), end="")
     return 0
 
 

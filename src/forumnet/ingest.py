@@ -259,13 +259,13 @@ def _parse_posts_json(text: str) -> ForumDataset:
     for name in ("users", "rejected"):
         if not isinstance(doc.get(name, []), list):
             raise SchemaError(f"JSON dataset field {name!r} must be an array")
-    if not all(isinstance(entry, dict) for entry in doc.get("rejected", [])):
-        raise SchemaError("JSON dataset field 'rejected' must hold only objects")
+        if not all(isinstance(entry, dict) for entry in doc.get(name, [])):
+            raise SchemaError(f"JSON dataset field {name!r} must hold only objects")
 
     roster: list[UserProfile] = []
     for entry in doc.get("users", []):
         # IDs and professions are stripped, as in a users CSV
-        user_id = _json_text(entry, "user_id").strip() if isinstance(entry, dict) else ""
+        user_id = _json_text(entry, "user_id").strip()
         if user_id:
             roster.append(UserProfile(user_id, _json_text(entry, "profession").strip() or None))
     carried = [

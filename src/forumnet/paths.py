@@ -4,15 +4,17 @@ One all-sources breadth-first search per network feeds every path-based
 measure. ``path_stats`` runs it once, counting shortest paths as it goes,
 accumulates Brandes dependencies from the same levels, and keeps only
 per-node results: components, the largest component's diameter and
-average path length, closeness inputs and raw betweenness. The
-components, isolates included, are read from the search's distance
-matrix. The searches run level-synchronously over a dense adjacency
-matrix. At the scale this package targets (hundreds to a few thousand
-nodes) the matrix form is fast. Repeated runs are bit-identical only
-under the same BLAS thread count: the path-count products go through
-BLAS, which splits their sums by thread, so the last bits of betweenness
-can change with ``OPENBLAS_NUM_THREADS``. ROADMAP item 1 plans a pass
-without BLAS.
+average path length, closeness inputs and raw betweenness. Each node is
+labelled with the smallest index it reaches, and those labels give the
+components, isolates included.
+
+The search is level-synchronous over ``SOURCE_BLOCK`` sources at a time:
+O(m + SOURCE_BLOCK·n) memory, no n x n array. Every neighbour sum is a
+scipy CSR product with an (n x block) array, a plain loop over each row's
+ties in index order with no BLAS, and blocks are summed in source order.
+Results are bit-identical whatever the BLAS thread count as long as the
+sums keep that fixed order and the path counts stay exact, which float64
+guarantees below 2**53 shortest paths per pair.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import numpy as np
 
 from .graph import OneModeNetwork
 
+SOURCE_BLOCK = 64  # sources searched together; memory grows with it, not with n
+
 
 @dataclass(frozen=True)
 class PathStats:
     """Path-based figures of one network; arrays are per node, in node order.
 
-    Nothing here is n x n: the distance and path-count matrices are
-    dropped once these are derived.
+    Nothing here is n x n: each block of the search is dropped once these
+    are read from it.
     """
 
     components: list[list[str]]  # sorted node lists, largest first
@@ -40,86 +44,98 @@ class PathStats:
     betweenness: np.ndarray  # raw Brandes betweenness
 
 
-def adjacency_matrix(g: OneModeNetwork) -> np.ndarray:
-    """Boolean adjacency in node order (weights ignored: binary view)."""
-    n = len(g.nodes)
-    adj = np.zeros((n, n), dtype=bool)
+def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+    """0/1 CSR matrix with ones at (rows, cols); scipy loads on first use,
+    so the commands that run no search start without it."""
+    from scipy import sparse
+    return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+
+def adjacency_matrix(g: OneModeNetwork):
+    """Symmetric 0/1 adjacency in node order as CSR (weights ignored)."""
     i, j = g.edges.T
-    adj[i, j] = True
-    adj[j, i] = True
-    return adj
+    return _csr(np.concatenate([i, j]), np.concatenate([j, i]), (len(g.nodes),) * 2)
 
 
-def _bfs_levels(adj: np.ndarray):
-    """All-sources BFS. Returns (dist, sigma); dist is -1 when unreachable,
-    sigma counts shortest paths."""
-    n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int32)
-    sigma = np.eye(n, dtype=np.float64)
-    if n == 0:
-        return dist, sigma
-    np.fill_diagonal(dist, 0)
-    hop = adj.astype(np.float64)
-    frontier = np.eye(n, dtype=bool)
-    level = 0
-    while True:
-        reach = np.where(frontier, sigma, 0.0) @ hop
-        newly = (reach > 0.0) & (dist < 0)
-        if not newly.any():
-            break
-        level += 1
-        dist[newly] = level
-        sigma[newly] = reach[newly]
-        frontier = newly
-    return dist, sigma
+def _neighbour_sum(adj):
+    """The product x -> adj @ x for an (n, k) array, in CSR index order.
 
-
-def _accumulate(adj: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Raw betweenness per node: Brandes dependency accumulation.
-
-    Credit for a pair splits evenly over its shortest paths; each
-    unordered pair is counted once. Sources are accumulated in index
-    order (vectorized), so output is deterministic.
+    When more than half of all pairs are tied, the absent ties Ā are
+    fewer (so n² is O(m)) and are stored instead: adj @ x = 1ᵀx - x - Ā @ x.
+    Both sums run in index order, so where x is 0 at a node and at all its
+    neighbours they add the same terms alike and the node gets an exact 0.0.
     """
     n = adj.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    hop = adj.astype(np.float64)
-    inv_sigma = np.zeros_like(sigma)
-    np.divide(1.0, sigma, out=inv_sigma, where=sigma > 0.0)
-    delta = np.zeros((n, n), dtype=np.float64)
-    for level in range(int(dist.max()), 0, -1):
-        # nodes at `level` push (1 + delta)/sigma back to predecessors
-        coef = np.where(dist == level, (1.0 + delta) * inv_sigma, 0.0)
-        pushed = coef @ hop
-        on_prev = dist == level - 1
-        delta += np.where(on_prev, pushed * sigma, 0.0)
-    np.fill_diagonal(delta, 0.0)
-    # each unordered pair was visited from both endpoints
-    return delta.sum(axis=0) / 2.0
+    if 2 * adj.nnz <= n * (n - 1):
+        return lambda x: adj @ x
+    # one byte per ordered pair: fewer bytes than adj's own 2m column indices here
+    absent = np.ones(n * n, dtype=bool)
+    absent[np.ravel_multi_index(adj.nonzero(), (n, n))] = False
+    absent[:: n + 1] = False
+    complement = _csr(*np.unravel_index(np.flatnonzero(absent), (n, n)), (n, n))
+    ones_row = _csr(np.zeros(n, dtype=np.int64), np.arange(n), (1, n))
+    return lambda x: ones_row @ x - x - complement @ x
 
 
-def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
-    """dist[i, j] = hops from i to j; -1 when unreachable."""
-    return _bfs_levels(adj)[0]
+def _source_blocks(adj):
+    """Search from each block of sources; yield (sources, dist, delta).
+
+    ``dist`` and ``delta`` are (n x block): column c holds the hops from
+    ``sources[c]`` (-1 when unreachable) and the Brandes dependency of
+    every node on that source.
+    """
+    n = adj.shape[0]
+    neighbour_sum = _neighbour_sum(adj)
+    for start in range(0, n, SOURCE_BLOCK):
+        sources = np.arange(start, min(start + SOURCE_BLOCK, n))
+        dist = np.full((n, len(sources)), -1, dtype=np.int32)
+        sigma = np.zeros(dist.shape)  # shortest paths from each source
+        dist[sources, np.arange(len(sources))] = 0
+        sigma[sources, np.arange(len(sources))] = 1.0
+        frontier, level = sigma, 0
+        while True:
+            reached = neighbour_sum(frontier)
+            newly = (reached > 0.0) & (dist < 0)
+            if not newly.any():
+                break
+            level += 1
+            dist[newly] = level
+            sigma[newly] = reached[newly]
+            frontier = np.where(newly, sigma, 0.0)
+        inv_sigma = np.divide(1.0, sigma, out=np.zeros(dist.shape), where=sigma > 0.0)
+        delta = np.zeros(dist.shape)
+        # nodes at `level` push (1 + delta)/sigma back to predecessors;
+        # level 1 would push only onto the source, which is not counted
+        for level in range(level, 1, -1):
+            pushed = neighbour_sum(np.where(dist == level, (1.0 + delta) * inv_sigma, 0.0))
+            delta += np.where(dist == level - 1, pushed * sigma, 0.0)
+        yield sources, dist, delta
 
 
-def betweenness_raw(adj: np.ndarray) -> np.ndarray:
+def all_pairs_distances(adj) -> np.ndarray:
+    """dist[i, j] = hops from i to j; -1 when unreachable (n x n)."""
+    dist = np.full(adj.shape, -1, dtype=np.int32)
+    for sources, block, _ in _source_blocks(adj):
+        dist[sources] = block.T
+    return dist
+
+
+def betweenness_raw(adj) -> np.ndarray:
     """Raw Brandes betweenness per node, from a search of its own."""
-    return _accumulate(adj, *_bfs_levels(adj))
+    blocks = (delta.sum(axis=1) for *_, delta in _source_blocks(adj))
+    return sum(blocks, np.zeros(adj.shape[0])) / 2.0
 
 
-def _components(nodes: tuple[str, ...], dist: np.ndarray) -> list[tuple[list[str], np.ndarray]]:
+def _components(nodes: tuple[str, ...], labels: np.ndarray) -> list[tuple[list[str], np.ndarray]]:
     """Components as (sorted node list, index array) pairs, largest first.
 
     Two nodes share a component exactly when one reaches the other, so
-    each node is labelled with the smallest index it reaches. Ties on
+    nodes with the same label (smallest index reached) form one. Ties on
     size break toward the component holding the lexicographically
     smallest node, so "the largest component" is deterministic.
     """
     if not nodes:
         return []
-    labels = (dist >= 0).argmax(axis=1)
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     components = [(sorted(nodes[i] for i in ids), ids) for ids in groups]
@@ -130,18 +146,18 @@ def _components(nodes: tuple[str, ...], dist: np.ndarray) -> list[tuple[list[str
 def path_stats(g: OneModeNetwork) -> PathStats:
     """Every path-based figure of ``g`` from one shortest-path pass."""
     n = len(g.nodes)
-    if n == 0:
-        none = np.zeros(0, dtype=np.int64)
-        return PathStats([], 0, 0.0, none, none, np.zeros(0, dtype=np.float64))
-    adj = adjacency_matrix(g)
-    dist, sigma = _bfs_levels(adj)
-    betweenness = _accumulate(adj, dist, sigma)
-    reach = (dist > 0).sum(axis=1)
-    # a row sums its distances, 0 for itself and -1 per unreached node
-    distance_sum = dist.sum(axis=1, dtype=np.int64) + (n - 1 - reach)
-    eccentricity = dist.max(axis=1)
-    components = _components(g.nodes, dist)
-    ids = components[0][1]
+    reach, distance_sum, eccentricity, labels = (np.zeros(n, dtype=np.int64) for _ in range(4))
+    betweenness = np.zeros(n)
+    for sources, dist, delta in _source_blocks(adjacency_matrix(g)):
+        reach[sources] = (dist > 0).sum(axis=0)
+        # a column sums its hops, 0 for its source and -1 per unreached node
+        distance_sum[sources] = dist.sum(axis=0, dtype=np.int64) + (n - 1 - reach[sources])
+        eccentricity[sources] = dist.max(axis=0)
+        labels[sources] = (dist >= 0).argmax(axis=0)
+        betweenness += delta.sum(axis=1)
+    betweenness /= 2.0  # each unordered pair was visited from both endpoints
+    components = _components(g.nodes, labels)
+    ids = components[0][1] if components else labels  # labels is empty then
     size = len(ids)
     if size > 1:
         diameter = int(eccentricity[ids].max())
@@ -157,4 +173,4 @@ def path_stats(g: OneModeNetwork) -> PathStats:
 def connected_components(g: OneModeNetwork) -> list[list[str]]:
     """Components as sorted node lists, largest first, from a search of
     their own; ``path_stats`` reads them from its pass instead."""
-    return [comp for comp, _ in _components(g.nodes, all_pairs_distances(adjacency_matrix(g)))]
+    return path_stats(g).components

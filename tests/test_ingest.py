@@ -267,12 +267,13 @@ def test_json_roster_ids_are_stripped():
         {"posts": [], "users": 5},
         {"posts": [], "users": {"u1": "x"}},
         {"posts": [], "users": None},
+        {"posts": [], "users": [5, "u9", {"user_id": "u2"}]},
         {"posts": [], "rejected": 7},
         {"posts": [], "rejected": {"raw": "x", "reason": "y"}},
         {"posts": [], "rejected": [{"raw": "x", "reason": "y"}, "p1,t1"]},
     ],
-    ids=["users-number", "users-object", "users-null", "rejected-number", "rejected-object",
-         "rejected-entry-not-object"],
+    ids=["users-number", "users-object", "users-null", "users-entry-not-object",
+         "rejected-number", "rejected-object", "rejected-entry-not-object"],
 )
 def test_json_users_and_rejected_must_be_arrays_of_the_right_entries(tmp_path, capsys, doc):
     """A roster or rejection log of the wrong shape is refused, never read

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumnet import paths
 from forumnet.metrics import (
     bipartite_density,
     degree_centralization,
@@ -90,6 +91,13 @@ def test_distances_match_floyd_warshall_oracle():
         want_diam, want_apl = oracle_diameter_apl(g)
         assert structural_report(g).diameter == want_diam
         assert structural_report(g).avg_path_length == pytest.approx(want_apl)
+
+
+def test_floyd_warshall_oracle_across_several_source_blocks(monkeypatch):
+    """Graphs of up to 8 nodes span several blocks of 2 sources."""
+    monkeypatch.setattr(paths, "SOURCE_BLOCK", 2)
+    test_distances_match_floyd_warshall_oracle()
+    test_components_and_isolates_match_oracle()
 
 
 def test_structural_report_path3():

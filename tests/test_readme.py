@@ -31,7 +31,7 @@ def test_readme_quick_start_metrics_table(tmp_path):
             cwd=tmp_path, capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-    assert result.stdout.rstrip("\n") == table.rstrip("\n")
+    assert result.stdout == table
 
 
 def test_readme_library_example_runs(tmp_path):

@@ -189,12 +189,12 @@ def test_one_shortest_path_pass_per_projection(tmp_path, monkeypatch):
 
         monkeypatch.setattr(paths_module, name, wrapper)
 
-    counted("_bfs_levels")
+    counted("_source_blocks")
     counted("connected_components")
     run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=tmp_path / "out"))
     # both toy projections are non-empty: one search each, and the
     # components come from that search, not from a scan of their own
-    assert calls == {"_bfs_levels": 2}
+    assert calls == {"_source_blocks": 2}
 
 
 def test_failure_rolls_back_partial_output(tmp_path, monkeypatch):

@@ -252,6 +252,29 @@ def test_layout_bytes_do_not_depend_on_blas_threads(tmp_path, mode):
     assert drawings[0] == drawings[1]
 
 
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The path pass sums through scipy's CSR loop, not BLAS, so every
+    artifact, betweenness included, is the same whatever thread count
+    BLAS is given."""
+    synth = SynthConfig(user_count=150, thread_count=180, post_count=1200, skew_alpha=1.5, seed=7)
+    data = tmp_path / "data.json"
+    data.write_text(dataset_to_json(generate(synth)), encoding="utf-8")
+    no_figures = tmp_path / "config.json"
+    no_figures.write_text('{"figures": []}', encoding="utf-8")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "forumnet", "analyze", "--data", str(data),
+             "--out", str(out), "--config", str(no_figures)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert {"user_centrality.csv", "thread_centrality_summary.json"} <= set(runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_layout_rejects_bad_inputs():
     g = star_graph(4)
     with pytest.raises(ValueError):
