@@ -60,13 +60,14 @@ def degree_centralization(g: OneModeNetwork) -> float:
 def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> StructuralReport:
     """All structural measures plus component metadata.
 
-    ``stats`` is the network's ``path_stats``, computed here when omitted.
+    ``stats`` is the network's ``path_stats``, computed here without the
+    betweenness sweep when omitted.
     """
     n = len(g.nodes)
     if n == 0:
         return StructuralReport(g.mode, 0, 0, 0.0, 0.0, 0, 0.0, 0, 0, 0)
     if stats is None:
-        stats = path_stats(g)
+        stats = path_stats(g, betweenness=False)
     return StructuralReport(
         mode=g.mode,
         n=n,

@@ -8,17 +8,30 @@ average path length, closeness inputs and raw betweenness. Each node is
 labelled with the smallest index it reaches, and those labels give the
 components, isolates included.
 
-The search is level-synchronous over ``SOURCE_BLOCK`` sources at a time:
-O(m + SOURCE_BLOCK·n) memory, no n x n array. Every neighbour sum is a
-scipy CSR product with an (n x block) array, a plain loop over each row's
-ties in index order with no BLAS, and blocks are summed in source order.
-Results are bit-identical whatever the BLAS thread count as long as the
-sums keep that fixed order and the path counts stay exact, which float64
-guarantees below 2**53 shortest paths per pair.
+The search is level-synchronous over ``SOURCE_BLOCK`` sources at a time,
+and the blocks run on a pool of threads, one per core this process may
+run on (its CPU affinity, else the machine's core count). scipy's CSR
+product and numpy's array loops release the GIL, so the blocks overlap.
+Each worker runs its blocks in one workspace of under five (n x block)
+float64 arrays' bytes, and a block hands back only its O(n) reductions,
+so the pass holds O(m + workers·SOURCE_BLOCK·n) memory and no n x n
+array. The calling thread allocates the workspaces, so once the pass
+frees them they serve its later allocations.
+
+Every neighbour sum is a scipy CSR product with an (n x block) array, a
+plain loop over each row's ties in index order with no BLAS. Each block
+is computed whole by one thread, and the consumer adds the blocks in
+source order, so results are bit-identical whatever the BLAS thread count
+or the number of cores, as long as the path counts stay exact, which
+float64 guarantees below 2**53 shortest paths per pair.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +54,16 @@ class PathStats:
     avg_path_length: float  # mean over the largest component's unordered pairs
     reach: np.ndarray  # other nodes each node reaches
     distance_sum: np.ndarray  # total hops to those nodes
-    betweenness: np.ndarray  # raw Brandes betweenness
+    betweenness: np.ndarray | None  # raw Brandes betweenness; None when not asked for
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
-    """0/1 CSR matrix with ones at (rows, cols); scipy loads on first use,
-    so the commands that run no search start without it."""
+    """Canonical 0/1 CSR matrix with ones at (rows, cols); scipy loads on
+    first use, so the commands that run no search start without it."""
     from scipy import sparse
-    return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
+    matrix = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
+    matrix.sum_duplicates()  # sorted and summed now: the search threads only read it
+    return matrix
 
 
 def adjacency_matrix(g: OneModeNetwork):
@@ -57,73 +72,177 @@ def adjacency_matrix(g: OneModeNetwork):
     return _csr(np.concatenate([i, j]), np.concatenate([j, i]), (len(g.nodes),) * 2)
 
 
-def _neighbour_sum(adj):
-    """The product x -> adj @ x for an (n, k) array, in CSR index order.
+def _product(adj):
+    """The product (x, out) -> out = adj @ x for (n, k) C-ordered arrays.
+
+    It runs ``csr_matvecs`` from scipy's private ``_sparsetools``, the loop
+    behind ``adj @ x``, with no BLAS: each row sums its ties in index
+    order. It writes into ``out`` rather than allocating, and it may
+    overwrite ``x``.
 
     When more than half of all pairs are tied, the absent ties Ā are
     fewer (so n² is O(m)) and are stored instead: adj @ x = 1ᵀx - x - Ā @ x.
     Both sums run in index order, so where x is 0 at a node and at all its
     neighbours they add the same terms alike and the node gets an exact 0.0.
     """
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    def into(matrix, x, out):
+        out.fill(0.0)  # csr_matvecs adds to what out holds
+        csr_matvecs(*matrix.shape, x.shape[1], matrix.indptr, matrix.indices, matrix.data,
+                    x.ravel(), out.ravel())
+
     n = adj.shape[0]
     if 2 * adj.nnz <= n * (n - 1):
-        return lambda x: adj @ x
+        return lambda x, out: into(adj, x, out)
     # one byte per ordered pair: fewer bytes than adj's own 2m column indices here
     absent = np.ones(n * n, dtype=bool)
     absent[np.ravel_multi_index(adj.nonzero(), (n, n))] = False
     absent[:: n + 1] = False
     complement = _csr(*np.unravel_index(np.flatnonzero(absent), (n, n)), (n, n))
     ones_row = _csr(np.zeros(n, dtype=np.int64), np.arange(n), (1, n))
-    return lambda x: ones_row @ x - x - complement @ x
+
+    def product(x, out):
+        into(complement, x, out)
+        np.subtract(ones_row @ x, x, out=x)
+        np.subtract(x, out, out=out)
+
+    return product
 
 
-def _source_blocks(adj):
-    """Search from each block of sources; yield (sources, dist, delta).
+def _search(product, n: int, sources: np.ndarray, workspace: list[np.ndarray]):
+    """One block's search in ``workspace``: (dist, delta), both (n x block).
 
-    ``dist`` and ``delta`` are (n x block): column c holds the hops from
-    ``sources[c]`` (-1 when unreachable) and the Brandes dependency of
-    every node on that source.
+    Column c of ``dist`` holds the hops from ``sources[c]`` (-1 when
+    unreachable) and of ``delta`` the Brandes dependency of every node on
+    that source; ``delta`` is None when the workspace has no room for it.
+    Both are views of the workspace.
     """
-    n = adj.shape[0]
-    neighbour_sum = _neighbour_sum(adj)
-    for start in range(0, n, SOURCE_BLOCK):
-        sources = np.arange(start, min(start + SOURCE_BLOCK, n))
-        dist = np.full((n, len(sources)), -1, dtype=np.int32)
-        sigma = np.zeros(dist.shape)  # shortest paths from each source
-        dist[sources, np.arange(len(sources))] = 0
-        sigma[sources, np.arange(len(sources))] = 1.0
-        frontier, level = sigma, 0
-        while True:
-            reached = neighbour_sum(frontier)
-            newly = (reached > 0.0) & (dist < 0)
-            if not newly.any():
-                break
-            level += 1
-            dist[newly] = level
-            sigma[newly] = reached[newly]
-            frontier = np.where(newly, sigma, 0.0)
-        inv_sigma = np.divide(1.0, sigma, out=np.zeros(dist.shape), where=sigma > 0.0)
-        delta = np.zeros(dist.shape)
-        # nodes at `level` push (1 + delta)/sigma back to predecessors;
-        # level 1 would push only onto the source, which is not counted
-        for level in range(level, 1, -1):
-            pushed = neighbour_sum(np.where(dist == level, (1.0 + delta) * inv_sigma, 0.0))
-            delta += np.where(dist == level - 1, pushed * sigma, 0.0)
-        yield sources, dist, delta
+    cols = np.arange(len(sources))
+    dist, unseen, newly, sigma, frontier, reached, *delta = (
+        flat[: n * len(sources)].reshape(n, len(sources)) for flat in workspace)
+    dist.fill(-1)
+    unseen.fill(True)
+    sigma.fill(0.0)  # shortest paths from each source
+    dist[sources, cols] = 0
+    unseen[sources, cols] = False
+    sigma[sources, cols] = 1.0
+    np.copyto(frontier, sigma)
+    level = 0
+    while True:
+        product(frontier, reached)
+        np.greater(reached, 0.0, out=newly)
+        newly &= unseen
+        if not newly.any():
+            break
+        level += 1
+        np.copyto(dist, level, where=newly)
+        unseen ^= newly
+        # sigma is 0 wherever newly is set, so adding the masked counts sets them
+        reached *= newly
+        sigma += reached
+        frontier, reached = reached, frontier
+    if not delta:
+        return dist, None
+    _dependencies(product, dist, sigma, level, delta[0], frontier, reached, newly)
+    return dist, delta[0]
+
+
+def _dependencies(product, dist, sigma, top, delta, work, pushed, at) -> None:
+    """Brandes accumulation into ``delta``, from the deepest level up.
+
+    ``work``, ``pushed`` and ``at`` are scratch. ``sigma`` is spent: the
+    counts of each level turn into their reciprocals once last read.
+    """
+    delta.fill(0.0)
+    # nodes at `level` push (1 + delta)/sigma back to predecessors;
+    # level 1 would push only onto the source, which is not counted
+    for level in range(top, 1, -1):
+        np.equal(dist, level, out=at)
+        np.divide(1.0, sigma, out=sigma, where=at)
+        work.fill(0.0)
+        np.add(1.0, delta, out=work, where=at)
+        np.multiply(work, sigma, out=work, where=at)
+        product(work, pushed)
+        np.equal(dist, level - 1, out=at)
+        np.multiply(pushed, sigma, out=pushed, where=at)
+        np.add(delta, pushed, out=delta, where=at)
+
+
+def _workers() -> int:
+    """Threads for the search: one per core this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _source_blocks(adj, reduce, betweenness=True):
+    """Search from each block of sources; yield ``reduce(sources, dist,
+    delta)`` per block (see ``_search``), in source order.
+
+    Blocks and their ``reduce`` run on ``_workers()`` threads. At most one
+    block per thread is submitted ahead of the consumer, and each block
+    borrows one of as many workspaces. ``reduce`` must copy what it keeps
+    of ``dist`` and ``delta``: the next block reuses them. The pool ends
+    with the search.
+    """
+    n, size = adj.shape[0], SOURCE_BLOCK
+    product = _product(adj)
+    starts = range(0, n, size)
+    workers = _workers()
+    # a workspace: hops, two masks, path counts, two product operands and,
+    # for betweenness, the dependencies
+    dtypes = [np.int32, bool, bool] + [np.float64] * (4 if betweenness else 3)
+    free = queue.SimpleQueue()
+    for _ in range(min(workers, len(starts))):
+        free.put([np.empty(n * size, dtype=dtype) for dtype in dtypes])
+
+    def block(start):
+        workspace = free.get()
+        try:
+            sources = np.arange(start, min(start + size, n))
+            return reduce(sources, *_search(product, n, sources, workspace))
+        finally:
+            free.put(workspace)
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for start in starts:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(block, start))
+        while pending:
+            yield pending.popleft().result()
 
 
 def all_pairs_distances(adj) -> np.ndarray:
     """dist[i, j] = hops from i to j; -1 when unreachable (n x n)."""
     dist = np.full(adj.shape, -1, dtype=np.int32)
-    for sources, block, _ in _source_blocks(adj):
+
+    def keep(sources, block, _):
+        return sources, block.copy()
+
+    for sources, block in _source_blocks(adj, keep, False):
         dist[sources] = block.T
     return dist
 
 
 def betweenness_raw(adj) -> np.ndarray:
     """Raw Brandes betweenness per node, from a search of its own."""
-    blocks = (delta.sum(axis=1) for *_, delta in _source_blocks(adj))
+    blocks = _source_blocks(adj, lambda _sources, _dist, delta: delta.sum(axis=1))
     return sum(blocks, np.zeros(adj.shape[0])) / 2.0
+
+
+def _block_figures(sources: np.ndarray, dist: np.ndarray, delta: np.ndarray | None):
+    """What ``path_stats`` keeps of one block: (sources, reach, distance
+    sum, eccentricity, component label, summed dependencies or None)."""
+    n = len(dist)
+    reach = (dist > 0).sum(axis=0)
+    # a column sums its hops, 0 for its source and -1 per unreached node
+    distance_sum = dist.sum(axis=0, dtype=np.int64) + (n - 1 - reach)
+    labels = (dist >= 0).argmax(axis=0)
+    dependency = None if delta is None else delta.sum(axis=1)
+    return sources, reach, distance_sum, dist.max(axis=0), labels, dependency
 
 
 def _components(nodes: tuple[str, ...], labels: np.ndarray) -> list[tuple[list[str], np.ndarray]]:
@@ -143,19 +262,19 @@ def _components(nodes: tuple[str, ...], labels: np.ndarray) -> list[tuple[list[s
     return components
 
 
-def path_stats(g: OneModeNetwork) -> PathStats:
-    """Every path-based figure of ``g`` from one shortest-path pass."""
+def path_stats(g: OneModeNetwork, betweenness: bool = True) -> PathStats:
+    """Every path-based figure of ``g`` from one shortest-path pass;
+    ``betweenness=False`` skips the Brandes sweep and leaves it None."""
     n = len(g.nodes)
     reach, distance_sum, eccentricity, labels = (np.zeros(n, dtype=np.int64) for _ in range(4))
-    betweenness = np.zeros(n)
-    for sources, dist, delta in _source_blocks(adjacency_matrix(g)):
-        reach[sources] = (dist > 0).sum(axis=0)
-        # a column sums its hops, 0 for its source and -1 per unreached node
-        distance_sum[sources] = dist.sum(axis=0, dtype=np.int64) + (n - 1 - reach[sources])
-        eccentricity[sources] = dist.max(axis=0)
-        labels[sources] = (dist >= 0).argmax(axis=0)
-        betweenness += delta.sum(axis=1)
-    betweenness /= 2.0  # each unordered pair was visited from both endpoints
+    total = np.zeros(n) if betweenness else None
+    blocks = _source_blocks(adjacency_matrix(g), _block_figures, betweenness)
+    for sources, *figures, dependency in blocks:
+        reach[sources], distance_sum[sources], eccentricity[sources], labels[sources] = figures
+        if betweenness:
+            total += dependency  # in source order, whatever order the blocks finished in
+    if betweenness:
+        total /= 2.0  # each unordered pair was visited from both endpoints
     components = _components(g.nodes, labels)
     ids = components[0][1] if components else labels  # labels is empty then
     size = len(ids)
@@ -167,7 +286,7 @@ def path_stats(g: OneModeNetwork) -> PathStats:
     else:
         diameter, apl = 0, 0.0
     names = [comp for comp, _ in components]
-    return PathStats(names, diameter, apl, reach, distance_sum, betweenness)
+    return PathStats(names, diameter, apl, reach, distance_sum, total)
 
 
 def connected_components(g: OneModeNetwork) -> list[list[str]]:

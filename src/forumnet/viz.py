@@ -138,8 +138,12 @@ def layout(network, seed: int = 42, iterations: int = 100) -> np.ndarray:
             hi = min(lo + block, n)
             rows = hi - lo
             bx, by, bf, by2 = dx[:rows], dy[:rows], factor[:rows], dy2[:rows]
-            np.subtract(x[lo:hi, None], x[None, :], out=bx)
-            np.subtract(y[lo:hi, None], y[None, :], out=by)
+            # fill from the column, then subtract rows contiguously: a
+            # stride-0 first operand makes the subtraction loop slow
+            bx[...] = x[lo:hi, None]
+            bx -= x
+            by[...] = y[lo:hi, None]
+            by -= y
             np.multiply(bx, bx, out=bf)
             np.multiply(by, by, out=by2)
             bf += by2

@@ -1,0 +1,201 @@
+"""The path pass's thread pool: the same bits whatever the worker count,
+a bounded working set, no thread left behind, and a structural-only
+pass that skips the Brandes sweep."""
+
+import os
+import random
+import subprocess
+import sys
+import threading
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forumnet import cli, paths
+from forumnet.ingest import dataset_to_json
+from forumnet.paths import path_stats
+from forumnet.synth import SynthConfig, generate
+
+from helpers import one_mode
+
+ARRAYS = ("reach", "distance_sum", "betweenness")
+
+
+@st.composite
+def graphs(draw):
+    """Up to three components, each sparse to complete (a lone dense one
+    takes the absent-ties product), plus up to three isolates."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts = draw(st.lists(st.tuples(st.integers(1, 12), st.sampled_from([0.2, 0.6, 0.9, 1.0])),
+                          min_size=1, max_size=3))
+    n = sum(size for size, _ in parts) + draw(st.integers(0, 3))
+    order = list(range(n))
+    rng.shuffle(order)  # components interleave in node order
+    edges, base = {}, 0
+    for size, p in parts:
+        for i in range(base, base + size):
+            for j in range(i + 1, base + size):
+                if rng.random() < p:
+                    edges[(f"n{order[i]:02d}", f"n{order[j]:02d}")] = 1
+        base += size
+    return one_mode([f"n{i:02d}" for i in range(n)], edges)
+
+
+def _stats_with(monkeypatch, g, workers, rng):
+    monkeypatch.setattr(paths, "_workers", lambda: workers)
+    search = paths._search
+
+    def late(*args):
+        time.sleep(rng.random() * 0.002)  # blocks finish out of order
+        return search(*args)
+
+    monkeypatch.setattr(paths, "_search", late)
+    try:
+        return path_stats(g)
+    finally:
+        monkeypatch.setattr(paths, "_search", search)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.integers(2, 3), st.integers(2, 3), st.randoms(use_true_random=False))
+def test_figures_do_not_depend_on_the_worker_count(g, block, workers, rng):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        one = _stats_with(monkeypatch, g, 1, rng)
+        many = _stats_with(monkeypatch, g, workers, rng)
+    assert (one.components, one.diameter, one.avg_path_length) == (
+        many.components, many.diameter, many.avg_path_length)
+    for name in ARRAYS:
+        assert getattr(one, name).tobytes() == getattr(many, name).tobytes(), name
+
+
+def test_many_workers_switching_often_share_no_workspace(monkeypatch):
+    """Eight workers, more than the cores, swap threads every microsecond;
+    two blocks in one workspace would corrupt the figures."""
+    g = _sparse_graph(120, 400, seed=6)
+    monkeypatch.setattr(paths, "SOURCE_BLOCK", 4)
+    monkeypatch.setattr(paths, "_workers", lambda: 1)
+    want = path_stats(g)
+    monkeypatch.setattr(paths, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [path_stats(g) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for stats in got:
+        for name in ARRAYS:
+            assert getattr(stats, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _write_small_input(tmp_path):
+    synth = SynthConfig(user_count=150, thread_count=180, post_count=1200, skew_alpha=1.5, seed=7)
+    data = tmp_path / "data.json"
+    data.write_text(dataset_to_json(generate(synth)), encoding="utf-8")
+    return data
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_analyze_bytes_do_not_depend_on_the_cores(tmp_path):
+    """One core gives the pool one worker; the run's bytes stay the same."""
+    data = _write_small_input(tmp_path)
+    no_figures = tmp_path / "config.json"
+    no_figures.write_text('{"figures": []}', encoding="utf-8")
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        out = tmp_path / f"out-{len(runs)}"
+        result = subprocess.run(
+            [sys.executable, "-m", "forumnet", "analyze", "--data", str(data),
+             "--out", str(out), "--config", str(no_figures)],
+            capture_output=True, text=True, preexec_fn=pin,
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert {"user_centrality.csv", "thread_centrality_summary.json"} <= set(runs[0])
+    assert runs[0] == runs[1]
+
+
+def _sparse_graph(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(m, 2))
+    names = [f"n{i:04d}" for i in range(n)]
+    ties = {(names[min(i, j)], names[max(i, j)]): 1 for i, j in pairs if i != j}
+    return one_mode(names, ties)
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pass_memory_is_adjacency_plus_one_workspace_per_worker(monkeypatch):
+    """O(m + workers·SOURCE_BLOCK·n): each worker's workspace is under five
+    (n x block) float64 arrays, and nothing else grows with n x block."""
+    g = _sparse_graph(1500, 12_000, seed=3)
+    workers = 2
+    monkeypatch.setattr(paths, "_workers", lambda: workers)
+    path_stats(g)  # scipy's import is not the pass's memory
+    block = len(g.nodes) * paths.SOURCE_BLOCK * 8
+    adjacency = _peak(lambda: paths.adjacency_matrix(g))
+    assert _peak(lambda: path_stats(g)) <= adjacency + workers * 5 * block
+
+
+def test_pass_leaves_no_thread_running():
+    g = _sparse_graph(300, 1_500, seed=4)
+    before = threading.active_count()
+    path_stats(g)
+    assert threading.active_count() == before
+
+
+METRICS_STDOUT = {
+    "user": (
+        "Measure                User (n=150)\n"
+        "-----------------------------------\n"
+        "Nodes                           150\n"
+        "Edges                          1097\n"
+        "Density                        0.10\n"
+        "Degree centralization          0.85\n"
+        "Diameter                       3.00\n"
+        "Average path length            1.93\n"
+        "Components                        1\n"
+        "Largest component               150\n"
+        "Isolates                          0\n"
+    ),
+    "thread": (
+        "Measure                Thread (n=180)\n"
+        "-------------------------------------\n"
+        "Nodes                             180\n"
+        "Edges                           14498\n"
+        "Density                          0.90\n"
+        "Degree centralization            0.10\n"
+        "Diameter                         2.00\n"
+        "Average path length              1.10\n"
+        "Components                          1\n"
+        "Largest component                 180\n"
+        "Isolates                            0\n"
+    ),
+}
+
+
+def test_metrics_prints_the_same_table_without_the_brandes_sweep(tmp_path, monkeypatch, capsys):
+    """The user projection takes the plain product, the near-complete
+    thread projection the absent-ties one; neither runs the sweep."""
+    data = _write_small_input(tmp_path)
+    sweeps = []
+    sweep = paths._dependencies
+    monkeypatch.setattr(paths, "_dependencies", lambda *args: sweeps.append(sweep(*args)))
+    for mode, table in METRICS_STDOUT.items():
+        assert cli.main(["metrics", "--data", str(data), "--mode", mode]) == 0
+        assert capsys.readouterr().out == table
+    assert sweeps == []
+    path_stats(_sparse_graph(10, 20, seed=5))
+    assert sweeps  # the counter sees the sweep where betweenness is asked for
