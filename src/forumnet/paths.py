@@ -18,12 +18,14 @@ so the pass holds O(m + workers·SOURCE_BLOCK·n) memory and no n x n
 array. The calling thread allocates the workspaces, so once the pass
 frees them they serve its later allocations.
 
-Every neighbour sum is a scipy CSR product with an (n x block) array, a
-plain loop over each row's ties in index order with no BLAS. Each block
-is computed whole by one thread, and the consumer adds the blocks in
-source order, so results are bit-identical whatever the BLAS thread count
-or the number of cores, as long as the path counts stay exact, which
-float64 guarantees below 2**53 shortest paths per pair.
+Every neighbour sum is a CSR product with an (n x block) array, a plain
+loop over each row's ties in index order with no BLAS. The operand is
+built straight from the sorted edge list; it holds the absent ties Ā
+instead of A when more than half of all pairs are tied. Each block is
+computed whole by one thread, and the consumer adds the blocks in source
+order, so results are bit-identical whatever the BLAS thread count or the
+number of cores, as long as the path counts stay exact, which float64
+guarantees below 2**53 shortest paths per pair.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +46,9 @@ SOURCE_BLOCK = 64  # sources searched together; memory grows with it, not with n
 
 @dataclass(frozen=True)
 class PathStats:
-    """Path-based figures of one network; arrays are per node, in node order.
-
-    Nothing here is n x n: each block of the search is dropped once these
-    are read from it.
-    """
+    """Path-based figures of one network; arrays are per node, in node
+    order. Nothing here is n x n: each block of the search is dropped once
+    these are read from it."""
 
     components: list[list[str]]  # sorted node lists, largest first
     diameter: int  # longest shortest path inside the largest component
@@ -57,66 +58,71 @@ class PathStats:
     betweenness: np.ndarray | None  # raw Brandes betweenness; None when not asked for
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
-    """Canonical 0/1 CSR matrix with ones at (rows, cols); scipy loads on
-    first use, so the commands that run no search start without it."""
-    from scipy import sparse
-    matrix = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
-    matrix.sum_duplicates()  # sorted and summed now: the search threads only read it
-    return matrix
+class Adjacency(NamedTuple):
+    """A 0/1 CSR operand in node order; see ``adjacency_matrix``."""
+
+    indptr: np.ndarray  # int32; row v is indices[indptr[v]:indptr[v + 1]], ascending
+    indices: np.ndarray  # int32
+    data: np.ndarray  # float64 ones
+    absent: bool  # the rows are those of Ā, the absent ties, not of A
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
 
 
-def adjacency_matrix(g: OneModeNetwork):
-    """Symmetric 0/1 adjacency in node order as CSR (weights ignored)."""
-    i, j = g.edges.T
-    return _csr(np.concatenate([i, j]), np.concatenate([j, i]), (len(g.nodes),) * 2)
+def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
+    """The operand of ``g`` (weights ignored), straight from its sorted edge
+    list: A, from the keys i·n + j of both directions of every tie, sorted
+    once; or, when more than half of all pairs are tied (4m > n(n - 1)), the
+    fewer absent ties Ā, from an n² byte mask that is O(m) then, without A."""
+    n, (i, j) = len(g.nodes), g.edges.T
+    absent = 4 * len(g.edges) > n * (n - 1)
+    if absent:
+        square = np.ones((n, n), dtype=bool)
+        square[i, j] = square[j, i] = False
+        np.fill_diagonal(square, False)
+        keys, counts = np.flatnonzero(square), n - 1 - g.degrees()  # keys ascend
+    else:
+        keys, counts = np.sort(np.concatenate([i * n + j, j * n + i])), g.degrees()
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = np.remainder(keys, max(n, 1), out=keys).astype(np.int32)
+    del keys  # before the ones are allocated
+    return Adjacency(indptr, indices, np.ones(len(indices)), absent)
 
 
-def _product(adj):
-    """The product (x, out) -> out = adj @ x for (n, k) C-ordered arrays.
-
-    It runs ``csr_matvecs`` from scipy's private ``_sparsetools``, the loop
-    behind ``adj @ x``, with no BLAS: each row sums its ties in index
-    order. It writes into ``out`` rather than allocating, and it may
-    overwrite ``x``.
-
-    When more than half of all pairs are tied, the absent ties Ā are
-    fewer (so n² is O(m)) and are stored instead: adj @ x = 1ᵀx - x - Ā @ x.
-    Both sums run in index order, so where x is 0 at a node and at all its
-    neighbours they add the same terms alike and the node gets an exact 0.0.
+def _product(adj: Adjacency):
+    """The product (x, out) -> out = adj @ x for (n, k) C-ordered arrays;
+    ``x`` may be overwritten. It runs ``csr_matvecs`` from scipy's private
+    ``_sparsetools``, the loop behind ``adj @ x``: no BLAS, each row sums
+    its ties in index order. scipy loads here, on the first search. For Ā
+    it takes adj @ x = 1ᵀx - x - Ā @ x, 1ᵀx from the same loop over a
+    one-row operand. Both sums run in index order, so where x is 0 at a node
+    and at all its neighbours they add the same terms alike: an exact 0.0.
     """
     from scipy.sparse._sparsetools import csr_matvecs
 
-    def into(matrix, x, out):
-        out.fill(0.0)  # csr_matvecs adds to what out holds
-        csr_matvecs(*matrix.shape, x.shape[1], matrix.indptr, matrix.indices, matrix.data,
-                    x.ravel(), out.ravel())
-
-    n = adj.shape[0]
-    if 2 * adj.nnz <= n * (n - 1):
-        return lambda x, out: into(adj, x, out)
-    # one byte per ordered pair: fewer bytes than adj's own 2m column indices here
-    absent = np.ones(n * n, dtype=bool)
-    absent[np.ravel_multi_index(adj.nonzero(), (n, n))] = False
-    absent[:: n + 1] = False
-    complement = _csr(*np.unravel_index(np.flatnonzero(absent), (n, n)), (n, n))
-    ones_row = _csr(np.zeros(n, dtype=np.int64), np.arange(n), (1, n))
+    n = adj.n
+    if adj.absent:  # the operand of 1ᵀx
+        every = (np.array([0, n], dtype=np.int32), np.arange(n, dtype=np.int32), np.ones(n))
 
     def product(x, out):
-        into(complement, x, out)
-        np.subtract(ones_row @ x, x, out=x)
-        np.subtract(x, out, out=out)
+        out.fill(0.0)  # csr_matvecs adds to what out holds
+        csr_matvecs(n, n, x.shape[1], *adj[:3], x.ravel(), out.ravel())
+        if adj.absent:
+            total = np.zeros(x.shape[1])
+            csr_matvecs(1, n, x.shape[1], *every, x.ravel(), total)
+            np.subtract(total, x, out=x)
+            np.subtract(x, out, out=out)
 
     return product
 
 
 def _search(product, n: int, sources: np.ndarray, workspace: list[np.ndarray]):
-    """One block's search in ``workspace``: (dist, delta), both (n x block).
-
-    Column c of ``dist`` holds the hops from ``sources[c]`` (-1 when
-    unreachable) and of ``delta`` the Brandes dependency of every node on
-    that source; ``delta`` is None when the workspace has no room for it.
-    Both are views of the workspace.
+    """One block's search in ``workspace``: (dist, delta), both (n x block)
+    views of it. Column c of ``dist`` holds the hops from ``sources[c]`` (-1
+    when unreachable) and of ``delta`` the Brandes dependency of every node
+    on that source; ``delta`` is None when the workspace has no room for it.
     """
     cols = np.arange(len(sources))
     dist, unseen, newly, sigma, frontier, reached, *delta = (
@@ -150,10 +156,8 @@ def _search(product, n: int, sources: np.ndarray, workspace: list[np.ndarray]):
 
 def _dependencies(product, dist, sigma, top, delta, work, pushed, at) -> None:
     """Brandes accumulation into ``delta``, from the deepest level up.
-
     ``work``, ``pushed`` and ``at`` are scratch. ``sigma`` is spent: the
-    counts of each level turn into their reciprocals once last read.
-    """
+    counts of each level turn into their reciprocals once last read."""
     delta.fill(0.0)
     # nodes at `level` push (1 + delta)/sigma back to predecessors;
     # level 1 would push only onto the source, which is not counted
@@ -178,15 +182,12 @@ def _workers() -> int:
 
 def _source_blocks(adj, reduce, betweenness=True):
     """Search from each block of sources; yield ``reduce(sources, dist,
-    delta)`` per block (see ``_search``), in source order.
-
-    Blocks and their ``reduce`` run on ``_workers()`` threads. At most one
-    block per thread is submitted ahead of the consumer, and each block
-    borrows one of as many workspaces. ``reduce`` must copy what it keeps
-    of ``dist`` and ``delta``: the next block reuses them. The pool ends
-    with the search.
-    """
-    n, size = adj.shape[0], SOURCE_BLOCK
+    delta)`` per block (see ``_search``), in source order. Blocks and their
+    ``reduce`` run on ``_workers()`` threads. At most one block per thread
+    is submitted ahead of the consumer, and each block borrows one of as
+    many workspaces. ``reduce`` must copy what it keeps of ``dist`` and
+    ``delta``: the next block reuses them. The pool ends with the search."""
+    n, size = adj.n, SOURCE_BLOCK
     product = _product(adj)
     starts = range(0, n, size)
     workers = _workers()
@@ -217,12 +218,10 @@ def _source_blocks(adj, reduce, betweenness=True):
 
 def all_pairs_distances(adj) -> np.ndarray:
     """dist[i, j] = hops from i to j; -1 when unreachable (n x n)."""
-    dist = np.full(adj.shape, -1, dtype=np.int32)
+    dist = np.full((adj.n, adj.n), -1, dtype=np.int32)
 
-    def keep(sources, block, _):
-        return sources, block.copy()
-
-    for sources, block in _source_blocks(adj, keep, False):
+    blocks = _source_blocks(adj, lambda sources, block, _: (sources, block.copy()), False)
+    for sources, block in blocks:
         dist[sources] = block.T
     return dist
 
@@ -230,29 +229,30 @@ def all_pairs_distances(adj) -> np.ndarray:
 def betweenness_raw(adj) -> np.ndarray:
     """Raw Brandes betweenness per node, from a search of its own."""
     blocks = _source_blocks(adj, lambda _sources, _dist, delta: delta.sum(axis=1))
-    return sum(blocks, np.zeros(adj.shape[0])) / 2.0
+    return sum(blocks, np.zeros(adj.n)) / 2.0
 
 
 def _block_figures(sources: np.ndarray, dist: np.ndarray, delta: np.ndarray | None):
     """What ``path_stats`` keeps of one block: (sources, reach, distance
-    sum, eccentricity, component label, summed dependencies or None)."""
-    n = len(dist)
-    reach = (dist > 0).sum(axis=0)
-    # a column sums its hops, 0 for its source and -1 per unreached node
-    distance_sum = dist.sum(axis=0, dtype=np.int64) + (n - 1 - reach)
-    labels = (dist >= 0).argmax(axis=0)
+    sum, eccentricity, component label, summed dependencies or None).
+    ``dist`` is spent, turned into masks in place: no (n x block) temporary."""
+    n, eccentricity = len(dist), dist.max(axis=0)
+    hops = dist.sum(axis=0, dtype=np.int64)  # 0 for the source, -1 per unreached node
+    reached = np.greater_equal(dist, 0, out=dist)  # 1 where reached, the source too
+    reach = reached.sum(axis=0) - 1
+    # n - row is largest at the smallest row reached: the component label
+    np.multiply(reached, np.arange(n, 0, -1, dtype=np.int32)[:, None], out=reached)
+    labels = n - reached.max(axis=0)
     dependency = None if delta is None else delta.sum(axis=1)
-    return sources, reach, distance_sum, dist.max(axis=0), labels, dependency
+    return sources, reach, hops + (n - 1 - reach), eccentricity, labels, dependency
 
 
 def _components(nodes: tuple[str, ...], labels: np.ndarray) -> list[tuple[list[str], np.ndarray]]:
     """Components as (sorted node list, index array) pairs, largest first.
-
     Two nodes share a component exactly when one reaches the other, so
     nodes with the same label (smallest index reached) form one. Ties on
-    size break toward the component holding the lexicographically
-    smallest node, so "the largest component" is deterministic.
-    """
+    size break toward the component holding the lexicographically smallest
+    node, so "the largest component" is deterministic."""
     if not nodes:
         return []
     order = np.argsort(labels, kind="stable")
@@ -285,11 +285,10 @@ def path_stats(g: OneModeNetwork, betweenness: bool = True) -> PathStats:
         apl = float(pair_sum) / (size * (size - 1) / 2)
     else:
         diameter, apl = 0, 0.0
-    names = [comp for comp, _ in components]
-    return PathStats(names, diameter, apl, reach, distance_sum, total)
+    return PathStats([comp for comp, _ in components], diameter, apl, reach, distance_sum, total)
 
 
 def connected_components(g: OneModeNetwork) -> list[list[str]]:
-    """Components as sorted node lists, largest first, from a search of
-    their own; ``path_stats`` reads them from its pass instead."""
+    """Components as sorted node lists, largest first, from a pass of their
+    own; ``path_stats`` reads them from its pass instead."""
     return path_stats(g).components

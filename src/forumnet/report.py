@@ -13,6 +13,7 @@ identical inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shutil
 import tempfile
@@ -77,8 +78,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if not 0.0 <= self.core_threshold <= 1.0:
             raise ConfigError("core_threshold must be in [0, 1]")
-        if self.thin_sd < 0:
-            raise ConfigError("thin_sd must be >= 0")
+        if not 0 <= self.thin_sd < math.inf:  # NaN fails too
+            raise ConfigError("thin_sd must be a finite number >= 0")
         if self.layout_seed < 0:
             raise ConfigError("layout_seed must be >= 0")
         if self.layout_iterations < 1:
@@ -92,6 +93,8 @@ class PipelineConfig:
         unknown = set(self.figures) - set(FIGURE_NETWORKS)
         if unknown:
             raise ConfigError(f"unknown figure networks: {sorted(unknown)}")
+        if len(set(self.figures)) < len(self.figures):
+            raise ConfigError(f"repeated figure networks: {list(self.figures)}")
         if self.silent_min_threads < 0:
             raise ConfigError("silent_min_threads must be >= 0")
         # a swap never deletes foreign files: out_dir must be missing,

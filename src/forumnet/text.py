@@ -3,7 +3,8 @@
 CSV has a header row and ``\\n``-terminated rows. The ``csv`` module
 writes a float as ``repr`` does, in its shortest round-trip form, so a
 float column reads back to the same bits. JSON has sorted keys, a
-two-space indent and a trailing newline.
+two-space indent and a trailing newline, and never holds NaN or Infinity,
+which are not JSON.
 """
 
 from __future__ import annotations
@@ -24,4 +25,4 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

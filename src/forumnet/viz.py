@@ -39,8 +39,8 @@ class ThinningSpec:
     strict: bool = True
 
     def __post_init__(self):
-        if self.k_sd < 0:
-            raise ConfigError("k_sd must be >= 0")
+        if not 0 <= self.k_sd < math.inf:  # NaN fails too
+            raise ConfigError("k_sd must be a finite number >= 0")
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:

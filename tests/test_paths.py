@@ -1,6 +1,7 @@
-"""The path pass's thread pool: the same bits whatever the worker count,
-a bounded working set, no thread left behind, and a structural-only
-pass that skips the Brandes sweep."""
+"""The path pass: its CSR operand, built from the sorted edge list, and
+its thread pool: the same bits whatever the worker count, a bounded
+working set, no thread left behind, a structural-only pass that skips
+the Brandes sweep, and scipy loaded on the first search only."""
 
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumnet import cli, paths
+from forumnet.graph import OneModeNetwork
 from forumnet.ingest import dataset_to_json
 from forumnet.paths import path_stats
 from forumnet.synth import SynthConfig, generate
@@ -137,6 +139,54 @@ def _peak(fn):
         tracemalloc.stop()
 
 
+def _random_graph(n, p, seed):
+    """G(n, p), its edges sorted rows (i, j), i < j, as projections hold them."""
+    i, j = np.triu_indices(n, 1)
+    keep = np.random.default_rng(seed).random(len(i)) < p
+    edges = np.column_stack([i[keep], j[keep]])
+    return OneModeNetwork("user", tuple(f"n{k:04d}" for k in range(n)), edges,
+                          np.ones(len(edges), dtype=np.int64), np.zeros(n, dtype=np.int64))
+
+
+OPERAND_GRAPHS = {
+    "empty": (0, 0.0), "one-node": (1, 0.0), "two-apart": (2, 0.0), "two-tied": (2, 1.0),
+    "edgeless": (9, 0.0), "complete": (9, 1.0), "sparse": (40, 0.1), "half": (40, 0.4),
+    "dense": (40, 0.6), "near-complete": (60, 0.95), "sparse-larger": (300, 0.02),
+}
+
+
+@pytest.mark.parametrize("n, p", OPERAND_GRAPHS.values(), ids=OPERAND_GRAPHS.keys())
+@pytest.mark.parametrize("seed", [1, 2])
+def test_operand_is_the_canonical_csr_of_a_or_of_its_absent_ties(n, p, seed):
+    """The rule 4m > n(n - 1) picks Ā; either way indptr and indices are
+    scipy's canonical CSR of the matrix held."""
+    from scipy import sparse
+
+    g = _random_graph(n, p, seed)
+    dense = np.zeros((n, n))
+    dense[tuple(g.edges.T)] = dense[tuple(g.edges.T[::-1])] = 1.0
+    adj = paths.adjacency_matrix(g)
+    assert adj.absent == (4 * len(g.edges) > n * (n - 1))
+    if adj.absent:
+        dense = 1.0 - dense - np.eye(n)
+    want = sparse.csr_array(dense)
+    assert adj.n == n
+    assert adj.indptr.dtype == adj.indices.dtype == np.int32
+    assert np.array_equal(adj.indptr, want.indptr)
+    assert np.array_equal(adj.indices, want.indices)
+    assert adj.data.dtype == np.float64 and np.array_equal(adj.data, want.data)
+
+
+def test_near_complete_operand_never_holds_the_adjacency():
+    """Ā is read from an n² byte mask set from the edge list, with a few
+    bytes per tie on top, where building A first took about 80."""
+    g = _random_graph(800, 0.95, seed=8)
+    path_stats(_random_graph(3, 1.0, seed=1))  # scipy's import is not the operand's memory
+    n, m = len(g.nodes), len(g.edges)
+    peak = _peak(lambda: paths.adjacency_matrix(g))
+    assert peak <= n * n + 8 * m
+
+
 def test_pass_memory_is_adjacency_plus_one_workspace_per_worker(monkeypatch):
     """O(m + workers·SOURCE_BLOCK·n): each worker's workspace is under five
     (n x block) float64 arrays, and nothing else grows with n x block."""
@@ -199,3 +249,29 @@ def test_metrics_prints_the_same_table_without_the_brandes_sweep(tmp_path, monke
     assert sweeps == []
     path_stats(_sparse_graph(10, 20, seed=5))
     assert sweeps  # the counter sees the sweep where betweenness is asked for
+
+
+SCIPY_LOADS = """
+import sys
+from forumnet import cli
+data, out = sys.argv[1:]
+loaded = []
+for argv in (["synth", "--users", "30", "--threads", "20", "--posts", "150", "--out", data],
+             ["ingest", "--posts", data, "--out", out],
+             ["metrics", "--data", data, "--mode", "user"]):
+    if cli.main(argv) != 0:
+        sys.exit(argv[0] + " failed")
+    loaded.append("scipy" in sys.modules)
+sys.stderr.write(repr(loaded))
+"""
+
+
+def test_scipy_loads_on_the_first_search_only(tmp_path):
+    """synth and ingest run no search and start without scipy."""
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_LOADS, str(tmp_path / "data.json"), str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "dataset.json").is_file()
+    assert result.stderr == "[False, False, True]"

@@ -24,6 +24,7 @@ from forumnet.errors import ConfigError
 from forumnet.ingest import POSTS_COLUMNS, START_COLUMN, dataset_to_json
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
+from forumnet.text import json_text
 
 from helpers import dataset_from_posts
 
@@ -302,6 +303,17 @@ def test_config_validation():
         PipelineConfig(figures=("user", "mystery")).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(period="decade").validate()
+    for thin_sd in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="thin_sd"):
+            PipelineConfig(thin_sd=thin_sd).validate()
+    with pytest.raises(ConfigError, match="repeated figure networks"):
+        PipelineConfig(figures=("user", "thread", "user")).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_text_refuses_values_json_cannot_hold(value):
+    with pytest.raises(ValueError):
+        json_text({"thin_sd": value})
 
 
 def test_bipartite_norm_flag_adds_report(tmp_path):
@@ -610,6 +622,18 @@ def test_cli_figures_must_be_a_list_of_names(tmp_path, capsys, figures):
     err = capsys.readouterr().err
     assert err.startswith("error: figures must be a list of strings")
     assert repr(figures) in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "posts.csv"]
+
+
+def test_cli_figures_must_not_repeat(tmp_path, capsys):
+    """A figure named twice would be laid out twice and written once."""
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"figures": ["user", "user"]}), encoding="utf-8")
+    args = ["--data", str(data), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    assert cli.main(["analyze", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: repeated figure networks: ['user', 'user']")
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "posts.csv"]
 
 

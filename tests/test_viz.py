@@ -86,8 +86,9 @@ def test_thinning_huge_k_drops_everything():
 
 
 def test_thinning_spec_validation():
-    with pytest.raises(ValueError):
-        ThinningSpec(k_sd=-0.5)
+    for k_sd in (-0.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            ThinningSpec(k_sd=k_sd)
 
 
 @settings(max_examples=50, deadline=None)
