@@ -11,7 +11,9 @@ Each subcommand's option table declares every input once: its type or
 allowed values, its default, and its flag help (none: config file only).
 ``--config FILE`` takes a JSON object keyed by option name; flags override
 it, and null leaves an option at its default. Every value is checked
-before any input file is read. Exit codes: 0 success, 1 unreadable or
+before any input file is read, and a command that reads a posts file
+reads it once and reports its rejected rows on stderr, one line per
+reason, once its work is done. Exit codes: 0 success, 1 unreadable or
 invalid input (or a failed file operation), 2 bad configuration or usage.
 Any other exception is a bug and ends with a traceback.
 """
@@ -20,9 +22,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +35,15 @@ from typing import NamedTuple
 from . import __version__
 from .errors import ConfigError, InputError
 from .graph import THREAD_MODE, USER_MODE, WEIGHTINGS, build_bipartite, project
-from .ingest import PERIODS, POSTS_FORMATS, dataset_to_json, load_dataset, posts_csv, users_csv
+from .ingest import (
+    PERIODS,
+    POSTS_FORMATS,
+    dataset_to_json,
+    load_dataset,
+    posts_csv,
+    posts_format,
+    users_csv,
+)
 from .metrics import format_structural_table, structural_report
 from .report import PipelineConfig, run_pipeline
 from .synth import SynthConfig, generate
@@ -190,15 +203,32 @@ def _build_config(cls, table: dict[str, Option], options: dict):
     return cls(**{opt.field: options[name] for name, opt in table.items() if opt.field})
 
 
+@contextmanager
+def _loaded(path: str, users: str | None = None, format: str | None = None):
+    """Yield the dataset parsed from one read of ``path`` (with the
+    optional ``users`` roster) and the sha256 of the bytes read. When the
+    command's work is done, print one stderr line per rejection reason,
+    with its count, sorted by reason."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
+    data = load_dataset(text, users, format=format or posts_format(path))
+    yield data, hashlib.sha256(raw).hexdigest()
+    for reason, count in sorted(Counter(row.reason for row in data.rejected).items()):
+        print(f"rejected {count} row{'' if count == 1 else 's'}: {reason}", file=sys.stderr)
+
+
 def _cmd_ingest(options: dict) -> int:
-    data = load_dataset(options["posts"], options["users"], format=options["format"])
-    out_dir = Path(options["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "dataset.json").write_text(dataset_to_json(data), encoding="utf-8")
-    print(
-        f"ingested {len(data.posts)} posts, {len(data.users)} users, "
-        f"{len(data.rejected)} rejected -> {out_dir / 'dataset.json'}"
-    )
+    with _loaded(options["posts"], options["users"], options["format"]) as (data, _):
+        out_dir = Path(options["out"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "dataset.json").write_text(dataset_to_json(data), encoding="utf-8")
+        print(
+            f"ingested {len(data.posts)} posts, {len(data.users)} users, "
+            f"{len(data.rejected)} rejected -> {out_dir / 'dataset.json'}"
+        )
     return 0
 
 
@@ -220,20 +250,17 @@ def _cmd_synth(options: dict) -> int:
 def _cmd_analyze(options: dict) -> int:
     config = _build_config(PipelineConfig, ANALYZE_OPTIONS, options)
     config.validate()  # a bad value or a refused --out wins over any fault in --data
-    try:
-        raw = Path(options["data"]).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {options['data']}: {exc}") from exc
-    config.input_checksum = hashlib.sha256(raw).hexdigest()
-    bundle = run_pipeline(load_dataset(options["data"]), config)
-    print(f"wrote {len(bundle.artifacts)} files under {options['out']}")
+    with _loaded(options["data"]) as (data, checksum):
+        config.input_checksum = checksum
+        bundle = run_pipeline(data, config)
+        print(f"wrote {len(bundle.artifacts)} files under {options['out']}")
     return 0
 
 
 def _cmd_metrics(options: dict) -> int:
-    data = load_dataset(options["data"])
-    g = project(build_bipartite(data), options["mode"], options["weighting"])
-    print(format_structural_table([structural_report(g)]), end="")
+    with _loaded(options["data"]) as (data, _):
+        g = project(build_bipartite(data), options["mode"], options["weighting"])
+        print(format_structural_table([structural_report(g)]), end="")
     return 0
 
 
@@ -244,26 +271,26 @@ def _cmd_viz(options: dict) -> int:
         raise ConfigError("layout_seed must be >= 0")
     if options["layout_iterations"] < 1:
         raise ConfigError("layout_iterations must be >= 1")
-    data = load_dataset(options["data"])
-    b = build_bipartite(data)
-    if options["mode"] == "bipartite":
-        network = b
-    else:
-        network = project(b, options["mode"])
-        if spec is not None:
-            network = thin(network, spec)
-    placed = None
-    if options["format"] == "svg":
-        if not data.posts:
-            raise InputError("layout requires at least one node, and no post was retained")
-        placed = layout(
-            network, seed=options["layout_seed"], iterations=options["layout_iterations"]
-        )
-    rendered = export_graph(network, placed, format=options["format"])
-    out_path = Path(options["out"])
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(rendered, encoding="utf-8")
-    print(f"wrote {options['format']} graph -> {out_path}")
+    with _loaded(options["data"]) as (data, _):
+        b = build_bipartite(data)
+        if options["mode"] == "bipartite":
+            network = b
+        else:
+            network = project(b, options["mode"])
+            if spec is not None:
+                network = thin(network, spec)
+        placed = None
+        if options["format"] == "svg":
+            if not data.posts:
+                raise InputError("layout requires at least one node, and no post was retained")
+            placed = layout(
+                network, seed=options["layout_seed"], iterations=options["layout_iterations"]
+            )
+        rendered = export_graph(network, placed, format=options["format"])
+        out_path = Path(options["out"])
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(rendered, encoding="utf-8")
+        print(f"wrote {options['format']} graph -> {out_path}")
     return 0
 
 

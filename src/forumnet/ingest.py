@@ -325,11 +325,14 @@ def with_users(data: ForumDataset, roster: list[UserProfile]) -> ForumDataset:
     return replace(data, users=_merge_users(roster, data.users))
 
 
+def posts_format(path) -> str:
+    """The posts format a file name implies: json for a .json suffix, else csv."""
+    return "json" if str(path).lower().endswith(".json") else "csv"
+
+
 def load_dataset(posts_path, users_path=None, format: str | None = None) -> ForumDataset:
     """Convenience loader: format inferred from the file suffix unless given."""
-    if format is None:
-        format = "json" if str(posts_path).lower().endswith(".json") else "csv"
-    data = parse_posts(posts_path, format)
+    data = parse_posts(posts_path, format or posts_format(posts_path))
     if users_path is not None:
         data = with_users(data, parse_users(users_path))
     return data

@@ -12,11 +12,11 @@ The search is level-synchronous over ``SOURCE_BLOCK`` sources at a time,
 and the blocks run on a pool of threads, one per core this process may
 run on (its CPU affinity, else the machine's core count). scipy's CSR
 product and numpy's array loops release the GIL, so the blocks overlap.
-Each worker runs its blocks in one workspace of under five (n x block)
-float64 arrays' bytes, and a block hands back only its O(n) reductions,
-so the pass holds O(m + workers·SOURCE_BLOCK·n) memory and no n x n
-array. The calling thread allocates the workspaces, so once the pass
-frees them they serve its later allocations.
+Each block in flight has one of ``workers`` workspaces, each under five
+(n x block) float64 arrays' bytes, and a block hands back only its O(n)
+reductions, so the pass holds O(m + workers·SOURCE_BLOCK·n) memory and
+no n x n array. The calling thread allocates the workspaces, so once the
+pass frees them they serve its later allocations.
 
 Every neighbour sum is a CSR product with an (n x block) array, a plain
 loop over each row's ties in index order with no BLAS. The operand is
@@ -31,7 +31,6 @@ guarantees below 2**53 shortest paths per pair.
 from __future__ import annotations
 
 import os
-import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -183,10 +182,11 @@ def _workers() -> int:
 def _source_blocks(adj, reduce, betweenness=True):
     """Search from each block of sources; yield ``reduce(sources, dist,
     delta)`` per block (see ``_search``), in source order. Blocks and their
-    ``reduce`` run on ``_workers()`` threads. At most one block per thread
-    is submitted ahead of the consumer, and each block borrows one of as
-    many workspaces. ``reduce`` must copy what it keeps of ``dist`` and
-    ``delta``: the next block reuses them. The pool ends with the search."""
+    ``reduce`` run on ``_workers()`` threads. Block k runs in workspace
+    k % workers, and block k + workers is submitted only after block k's
+    result is taken, so no two running blocks share one. ``reduce`` must
+    copy what it keeps of ``dist`` and ``delta``: a later block reuses
+    them. The pool ends with the search."""
     n, size = adj.n, SOURCE_BLOCK
     product = _product(adj)
     starts = range(0, n, size)
@@ -194,24 +194,21 @@ def _source_blocks(adj, reduce, betweenness=True):
     # a workspace: hops, two masks, path counts, two product operands and,
     # for betweenness, the dependencies
     dtypes = [np.int32, bool, bool] + [np.float64] * (4 if betweenness else 3)
-    free = queue.SimpleQueue()
-    for _ in range(min(workers, len(starts))):
-        free.put([np.empty(n * size, dtype=dtype) for dtype in dtypes])
+    workspaces = [
+        [np.empty(n * size, dtype=dtype) for dtype in dtypes]
+        for _ in range(min(workers, len(starts)))
+    ]
 
-    def block(start):
-        workspace = free.get()
-        try:
-            sources = np.arange(start, min(start + size, n))
-            return reduce(sources, *_search(product, n, sources, workspace))
-        finally:
-            free.put(workspace)
+    def block(k, start):
+        sources = np.arange(start, min(start + size, n))
+        return reduce(sources, *_search(product, n, sources, workspaces[k % workers]))
 
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
-        for start in starts:
+        for k, start in enumerate(starts):
             if len(pending) == workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(block, start))
+            pending.append(pool.submit(block, k, start))
         while pending:
             yield pending.popleft().result()
 

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .errors import ConfigError
 from .ingest import ForumDataset, PostRecord, UserProfile
 
@@ -69,47 +71,51 @@ def _ids(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(1, count + 1)]
 
 
+def _planted(cfg: SynthConfig, users: list[str]) -> PlantedStructure:
+    m, s = cfg.moderator_count, cfg.silent_initiator_count
+    return PlantedStructure(moderators=tuple(users[:m]), silent_initiators=tuple(users[m : m + s]))
+
+
 def planted_structure(cfg: SynthConfig) -> PlantedStructure:
     cfg.validate()
-    users = _ids("u", cfg.user_count)
-    moderators = tuple(users[: cfg.moderator_count])
-    silent = tuple(users[cfg.moderator_count : cfg.moderator_count + cfg.silent_initiator_count])
-    return PlantedStructure(moderators=moderators, silent_initiators=silent)
+    return _planted(cfg, _ids("u", cfg.user_count))
 
 
 class _PreferentialPicker:
     """Weighted draw over users with weight (posts + 1 + boost)^alpha.
 
     Weights update as posts accumulate, so early winners keep winning;
-    the +1 smoothing lets idle users enter at all.
+    the +1 smoothing lets idle users enter at all. A draw takes the first
+    user whose running sum of weights exceeds ``random() * total``.
     """
 
-    def __init__(self, users, alpha, boosts, rng):
-        self.users = users
-        self.alpha = alpha
-        self.boosts = boosts
-        self.rng = rng
-        self.counts = [0] * len(users)
-        self.weights = [(1.0 + boosts[i]) ** alpha for i in range(len(users))]
-        self.total = sum(self.weights)
+    def __init__(self, alpha, boosts, rng):
+        self.alpha, self.boosts, self.rng = alpha, boosts, rng
+        self.counts = [0] * len(boosts)
+        weights = [self._weight(i) for i in range(len(boosts))]
+        self.total = sum(weights)  # a Python float, summed in index order
+        self.weights = np.array(weights, dtype=np.float64)
+
+    def _weight(self, index: int) -> float:
+        try:
+            return (self.counts[index] + 1.0 + self.boosts[index]) ** self.alpha
+        except OverflowError:
+            return np.inf  # the total turns infinite and the next draw refuses it
 
     def record(self, index: int) -> None:
         self.counts[index] += 1
-        new_weight = (self.counts[index] + 1.0 + self.boosts[index]) ** self.alpha
-        self.total += new_weight - self.weights[index]
+        new_weight = self._weight(index)
+        self.total += new_weight - self.weights.item(index)
         self.weights[index] = new_weight
 
     def pick(self) -> int:
+        if not np.isfinite(self.total):
+            raise ConfigError(f"skew_alpha {self.alpha!r} overflows the attachment weights")
         target = self.rng.random() * self.total
-        acc = 0.0
-        for i, w in enumerate(self.weights):
-            acc += w
-            if target < acc:
-                self.record(i)
-                return i
-        last = len(self.weights) - 1  # float round-off fallback
-        self.record(last)
-        return last
+        found = np.searchsorted(np.cumsum(self.weights), target, side="right")
+        index = min(int(found), len(self.weights) - 1)
+        self.record(index)
+        return index
 
 
 def generate(cfg: SynthConfig) -> ForumDataset:
@@ -127,16 +133,15 @@ def generate(cfg: SynthConfig) -> ForumDataset:
     users = _ids("u", cfg.user_count)
     threads = _ids("t", cfg.thread_count)
     forums = _ids("f", cfg.forum_count)
-    planted = planted_structure(cfg)
-    silent_set = set(planted.silent_initiators)
+    planted = _planted(cfg, users)
+    silent_set, moderator_set = set(planted.silent_initiators), set(planted.moderators)
 
-    silent_thread_total = cfg.silent_initiator_count * THREADS_PER_SILENT_INITIATOR
-    regular_threads = threads[: cfg.thread_count - silent_thread_total]
-    silent_threads = threads[cfg.thread_count - silent_thread_total :]
+    split = cfg.thread_count - cfg.silent_initiator_count * THREADS_PER_SILENT_INITIATOR
+    regular_threads, silent_threads = threads[:split], threads[split:]
 
     regular_users = [u for u in users if u not in silent_set]
-    boosts = [MODERATOR_BOOST if u in planted.moderators else 0.0 for u in regular_users]
-    picker = _PreferentialPicker(regular_users, cfg.skew_alpha, boosts, rng)
+    boosts = [MODERATOR_BOOST if u in moderator_set else 0.0 for u in regular_users]
+    picker = _PreferentialPicker(cfg.skew_alpha, boosts, rng)
 
     thread_forum = {t: forums[rng.randrange(len(forums))] for t in threads}
     start_epoch = int(DEFAULT_WINDOW_START.timestamp())
@@ -151,16 +156,9 @@ def generate(cfg: SynthConfig) -> ForumDataset:
             thread_started_at[thread] = ts
         else:
             ts = rng.randrange(thread_started_at[thread] + 1, end_epoch + 1)
-        posts.append(
-            PostRecord(
-                post_id=f"p{len(posts) + 1:06d}",
-                thread_id=thread,
-                user_id=user,
-                forum_id=thread_forum[thread],
-                timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
-                is_thread_start=is_start,
-            )
-        )
+        post_id = f"p{len(posts) + 1:06d}"
+        stamp = datetime.fromtimestamp(ts, tz=timezone.utc)
+        posts.append(PostRecord(post_id, thread, user, thread_forum[thread], stamp, is_start))
 
     # silent initiators start their private threads, one post each
     for i, user in enumerate(planted.silent_initiators):

@@ -333,3 +333,15 @@ def dense_layout(network, seed: int, iterations: int) -> np.ndarray:
         else:
             pos[:, axis] = 0.5
     return pos
+
+
+def scan_pick(weights, target: float) -> int:
+    """Reference weighted draw: add the weights one by one in index order
+    and return the first index whose running sum exceeds ``target``, or
+    the last index when none does. ``synth``'s picker must agree."""
+    acc = 0.0
+    for i, weight in enumerate(weights):
+        acc += weight
+        if target < acc:
+            return i
+    return len(weights) - 1

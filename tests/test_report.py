@@ -383,6 +383,70 @@ def test_cli_ingest_csv_reports_rejects(tmp_path):
     assert doc["rejected"][0]["reason"] == "bad timestamp"
 
 
+# two posts kept, one bad timestamp and two rows with a column too many
+MIXED_CSV = SMALL_CSV + (
+    "p3,t1,u3,f1,notadate\n"
+    "p4,t2,u1,f1,2012-01-03T00:00:00Z,x\n"
+    "p5,t2,u2,f1,2012-01-04T00:00:00Z,y\n"
+)
+READERS = {
+    "ingest": ["ingest", "--posts", "{data}", "--out", "{tmp}/clean"],
+    "analyze": ["analyze", "--data", "{data}", "--out", "{tmp}/out"],
+    "metrics": ["metrics", "--data", "{data}", "--mode", "user"],
+    "viz": ["viz", "--data", "{data}", "--mode", "user", "--format", "dot", "--out", "{tmp}/g.dot"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+@pytest.mark.parametrize(
+    "csv_text, logged",
+    [
+        (MIXED_CSV, "rejected 1 row: bad timestamp\nrejected 2 rows: wrong column count\n"),
+        (SMALL_CSV, ""),
+    ],
+    ids=["rejections", "clean"],
+)
+def test_cli_reports_rejected_rows_on_stderr(tmp_path, capsys, command, csv_text, logged):
+    """Every command that reads a posts file logs its rejected rows, one
+    stderr line per reason with its count, and nothing when none was."""
+    data = tmp_path / "posts.csv"
+    data.write_text(csv_text, encoding="utf-8")
+    argv = [arg.format(data=data, tmp=tmp_path) for arg in READERS[command]]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == logged
+    assert not any(line in out for line in logged.splitlines())
+
+
+def test_analyze_parses_the_bytes_it_hashes(tmp_path, monkeypatch):
+    """analyze opens --data once, so input_sha256 describes the bytes analysed."""
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    opened = []
+    real_open = Path.open
+
+    def counted_open(self, *args, **kwargs):
+        if self == data:
+            opened.append(args)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    assert cli.main(["analyze", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    assert len(opened) == 1
+    overview = json.loads((tmp_path / "out" / "overview.json").read_text(encoding="utf-8"))
+    checksum = hashlib.sha256(SMALL_CSV.encode()).hexdigest()
+    assert overview["provenance"]["input_sha256"] == checksum
+
+
+def test_cli_synth_refuses_an_overflowing_alpha(tmp_path, capsys):
+    argv = ["synth", "--users", "50", "--threads", "50", "--posts", "500", "--alpha", "200",
+            "--out", str(tmp_path / "data.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "skew_alpha" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_exit_code_input_error(tmp_path):
     result = run_cli("analyze", "--data", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out"))

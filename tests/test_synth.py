@@ -1,6 +1,8 @@
 """Generator contracts: feasibility, determinism, planted structure, skew."""
 
+import hashlib
 import io
+import itertools
 from collections import Counter, defaultdict
 
 import pytest
@@ -10,16 +12,19 @@ from hypothesis import strategies as st
 from forumnet.centrality import silent_initiators
 from forumnet.errors import ConfigError
 from forumnet.graph import build_bipartite, project
-from forumnet.ingest import parse_posts, posts_csv
+from forumnet.ingest import dataset_to_json, parse_posts, posts_csv
 from forumnet.metrics import degree_centralization
 from forumnet.synth import (
     DEFAULT_PROFESSIONS,
     DEFAULT_WINDOW_END,
     DEFAULT_WINDOW_START,
     SynthConfig,
+    _PreferentialPicker,
     generate,
     planted_structure,
 )
+
+from helpers import scan_pick
 
 
 def test_minimal_feasible_config():
@@ -204,3 +209,89 @@ def test_full_scale_top_share_regression():
     assert share > 0.40
     assert share == pytest.approx(0.6360558611933982)
     assert len(counts) == 621
+
+
+# sha256 of dataset_to_json(generate(cfg)), as the linear-scan picker wrote them
+PINNED_DATASETS = [
+    (
+        SynthConfig(user_count=621, thread_count=723, post_count=7089, skew_alpha=1.5, seed=7),
+        "76ff09cb19851bb454562f6b6d9a4503868a586f48c17c3324ec7a5d9570a776",
+    ),
+    (
+        SynthConfig(user_count=1863, thread_count=1500, post_count=9000, skew_alpha=1.0, seed=7),
+        "e52ed39ac83cea448f0f18757da1581dc7526c16a39dd82d152d91ef584f6461",
+    ),
+    (
+        SynthConfig(
+            user_count=120, thread_count=150, post_count=900, skew_alpha=1.4, seed=11,
+            moderator_count=3, silent_initiator_count=2,
+        ),
+        "c2896cfb7150803654888a966495858418cadeadcc96df1e55b8e7713d6fb11c",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", PINNED_DATASETS, ids=["paper", "sparse-large", "roles"])
+def test_generated_dataset_is_byte_pinned(cfg, digest):
+    assert hashlib.sha256(dataset_to_json(generate(cfg)).encode()).hexdigest() == digest
+
+
+class _FixedDraw:
+    """An rng whose every draw is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def picked(weights, target: float) -> int:
+    """The index the picker draws over ``weights`` when its target is ``target``."""
+    picker = _PreferentialPicker(1.0, [0.0] * len(weights), _FixedDraw(target))
+    picker.weights[:] = weights
+    picker.total = 1.0  # random() * total is then the target itself
+    return picker.pick()
+
+
+# 2**-60 leaves a running sum of 1.0 or more unchanged, so prefix sums repeat
+WEIGHTS = st.lists(
+    st.one_of(st.floats(1e-12, 1e12), st.sampled_from([1.0, 2.0**-60])), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WEIGHTS, st.sampled_from(["inside", "prefix", "past"]), st.data())
+def test_pick_matches_linear_scan(weights, where, data):
+    """The search picks the scan's index for a draw anywhere below the
+    total, exactly on a prefix sum, and at or past the last sum."""
+    sums = list(itertools.accumulate(weights))
+    if where == "inside":
+        target = data.draw(st.floats(0.0, sums[-1], exclude_max=True))
+    elif where == "prefix":
+        target = sums[data.draw(st.integers(0, len(sums) - 1))]
+    else:
+        target = data.draw(st.floats(sums[-1], 1e300))
+    assert picked(weights, target) == scan_pick(weights, target)
+
+
+def test_pick_skips_weights_too_small_to_move_the_sum():
+    weights = [1.0, 2.0**-60, 2.0**-60, 1.0]
+    assert picked(weights, 1.0) == scan_pick(weights, 1.0) == 3
+    assert picked(weights, 2.0) == scan_pick(weights, 2.0) == 3  # past the last sum
+
+
+def test_overflowing_alpha_raises_config_error():
+    cfg = SynthConfig(user_count=50, thread_count=50, post_count=500, skew_alpha=200)
+    with pytest.raises(ConfigError, match="skew_alpha"):
+        generate(cfg)
+
+
+def test_overflow_that_no_draw_reads_is_not_refused():
+    """A moderator's weight overflows, but every post starts a silent
+    initiator's thread, so no draw reads it."""
+    cfg = SynthConfig(
+        user_count=3, thread_count=25, post_count=25, skew_alpha=1000,
+        moderator_count=1, silent_initiator_count=1,
+    )
+    assert len(generate(cfg).posts) == 25
