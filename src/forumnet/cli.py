@@ -11,18 +11,18 @@ Each subcommand's option table declares every input once: its type or
 allowed values, its default, and its flag help (none: config file only).
 ``--config FILE`` takes a JSON object keyed by option name; flags override
 it, and null leaves an option at its default. Every value is checked
-before any input file is read, and a command that reads a posts file
-reads it once and reports its rejected rows on stderr, one line per
-reason, once its work is done. Exit codes: 0 success, 1 unreadable or
-invalid input (or a failed file operation), 2 bad configuration or usage.
+before any input file is read. A command that reads a posts file loads
+it with ``ingest.load_dataset``, which reads it once and tells CSV from
+dataset JSON by its content, and reports its rejected rows on stderr, one
+line per reason, once its work is done. Exit codes: 0 success, 1
+unreadable or invalid input (or a failed file operation), 2 bad
+configuration or usage.
 Any other exception is a bug and ends with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import io
 import json
 import math
 import sys
@@ -35,15 +35,7 @@ from typing import NamedTuple
 from . import __version__
 from .errors import ConfigError, InputError
 from .graph import THREAD_MODE, USER_MODE, WEIGHTINGS, build_bipartite, project
-from .ingest import (
-    PERIODS,
-    POSTS_FORMATS,
-    dataset_to_json,
-    load_dataset,
-    posts_csv,
-    posts_format,
-    users_csv,
-)
+from .ingest import PERIODS, dataset_to_json, load_dataset, posts_csv, users_csv
 from .metrics import format_structural_table, structural_report
 from .report import PipelineConfig, run_pipeline
 from .synth import SynthConfig, generate
@@ -68,12 +60,11 @@ def _feeds(cls, field: str, kind, help: str | None = None) -> Option:
     return Option(kind, default, help, field)
 
 
-DATA_HELP = "dataset file (.json or posts .csv)"
+DATA_HELP = "dataset JSON or posts CSV"
 
 INGEST_OPTIONS = {
     "posts": Option(str, REQUIRED, "posts file (CSV or JSON)"),
     "users": Option(str, None, "optional users CSV"),
-    "format": Option(POSTS_FORMATS, None, "posts file format"),
     "out": Option(str, REQUIRED, "output directory"),
 }
 SYNTH_OPTIONS = {
@@ -89,7 +80,7 @@ SYNTH_OPTIONS = {
     ),
     "out": Option(str, REQUIRED, "output file (.json or .csv)"),
 }
-# every PipelineConfig field but input_checksum, which is the hash of --data
+# every PipelineConfig field
 ANALYZE_OPTIONS = {
     "data": Option(str, REQUIRED, DATA_HELP),
     "out": Option(str, REQUIRED, "output directory", "out_dir"),
@@ -113,7 +104,6 @@ ANALYZE_OPTIONS = {
 METRICS_OPTIONS = {
     "data": Option(str, REQUIRED, DATA_HELP),
     "mode": Option((USER_MODE, THREAD_MODE), REQUIRED, "projection to report"),
-    "weighting": Option(WEIGHTINGS, PipelineConfig.weighting, "tie weighting"),
 }
 VIZ_OPTIONS = {
     "data": Option(str, REQUIRED, DATA_HELP),
@@ -204,24 +194,18 @@ def _build_config(cls, table: dict[str, Option], options: dict):
 
 
 @contextmanager
-def _loaded(path: str, users: str | None = None, format: str | None = None):
-    """Yield the dataset parsed from one read of ``path`` (with the
-    optional ``users`` roster) and the sha256 of the bytes read. When the
-    command's work is done, print one stderr line per rejection reason,
-    with its count, sorted by reason."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
-    data = load_dataset(text, users, format=format or posts_format(path))
-    yield data, hashlib.sha256(raw).hexdigest()
+def _loaded(path: str, users: str | None = None):
+    """Yield the dataset loaded from ``path`` (with the optional ``users``
+    roster). When the command's work is done, print one stderr line per
+    rejection reason, with its count, sorted by reason."""
+    data = load_dataset(path, users)
+    yield data
     for reason, count in sorted(Counter(row.reason for row in data.rejected).items()):
         print(f"rejected {count} row{'' if count == 1 else 's'}: {reason}", file=sys.stderr)
 
 
 def _cmd_ingest(options: dict) -> int:
-    with _loaded(options["posts"], options["users"], options["format"]) as (data, _):
+    with _loaded(options["posts"], options["users"]) as data:
         out_dir = Path(options["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "dataset.json").write_text(dataset_to_json(data), encoding="utf-8")
@@ -250,16 +234,15 @@ def _cmd_synth(options: dict) -> int:
 def _cmd_analyze(options: dict) -> int:
     config = _build_config(PipelineConfig, ANALYZE_OPTIONS, options)
     config.validate()  # a bad value or a refused --out wins over any fault in --data
-    with _loaded(options["data"]) as (data, checksum):
-        config.input_checksum = checksum
+    with _loaded(options["data"]) as data:
         bundle = run_pipeline(data, config)
         print(f"wrote {len(bundle.artifacts)} files under {options['out']}")
     return 0
 
 
 def _cmd_metrics(options: dict) -> int:
-    with _loaded(options["data"]) as (data, _):
-        g = project(build_bipartite(data), options["mode"], options["weighting"])
+    with _loaded(options["data"]) as data:
+        g = project(build_bipartite(data), options["mode"])
         print(format_structural_table([structural_report(g)]), end="")
     return 0
 
@@ -271,7 +254,7 @@ def _cmd_viz(options: dict) -> int:
         raise ConfigError("layout_seed must be >= 0")
     if options["layout_iterations"] < 1:
         raise ConfigError("layout_iterations must be >= 1")
-    with _loaded(options["data"]) as (data, _):
+    with _loaded(options["data"]) as data:
         b = build_bipartite(data)
         if options["mode"] == "bipartite":
             network = b

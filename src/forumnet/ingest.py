@@ -1,10 +1,14 @@
 """Parse, validate, and summarize raw forum post logs.
 
 Input is a posts table (CSV or a previously serialized dataset in JSON)
-plus an optional user roster. Rows that violate the record contract are
-never fatal: they are kept in ``ForumDataset.rejected`` with a
-machine-readable reason, so retained + rejected always accounts for every
-input row.
+plus an optional user roster. The content tells the two apart, never the
+file name: a document whose first character after any BOM and whitespace
+is ``{`` or ``[`` is JSON, and anything else is a posts CSV (no valid
+header starts with either). ``load_dataset`` reads a posts file once and
+keeps the sha256 of its bytes on the dataset. Rows that violate the record
+contract are never fatal: they are kept in ``ForumDataset.rejected`` with
+a machine-readable reason, so retained + rejected always accounts for
+every input row.
 
 Each row validates to a plain tuple or to a ``RejectedRow``; one pass
 then drops duplicate post IDs, picks each thread's starter and builds a
@@ -17,6 +21,7 @@ back out through ``text``, which fixes the bytes of both formats.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from collections import Counter
@@ -25,14 +30,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError, InputError, SchemaError
+from .errors import InputError, SchemaError
 from .text import csv_text, json_text
 
 POSTS_COLUMNS = ("post_id", "thread_id", "user_id", "forum_id", "timestamp")
 START_COLUMN = "is_thread_start"
 USERS_COLUMNS = ("user_id", "profession")
 PERIODS = ("year", "quarter", "month")
-POSTS_FORMATS = ("csv", "json")
 
 # rows dated before this are rejected as "timestamp out of range"; there
 # is no upper bound, so a file ingests the same on every day
@@ -69,13 +73,15 @@ class ForumDataset:
 
     ``posts`` are sorted by (timestamp, post_id); ``users`` covers every
     posting user (profiles are auto-created when the roster is missing or
-    incomplete) and is sorted by user_id. Instances are treated as
-    immutable after construction.
+    incomplete) and is sorted by user_id. ``source_sha256`` is the sha256
+    of the posts file it was loaded from, None for one built in memory.
+    Instances are treated as immutable after construction.
     """
 
     posts: list[PostRecord]
     users: list[UserProfile]
     rejected: list[RejectedRow] = field(default_factory=list)
+    source_sha256: str | None = None
 
 
 @dataclass
@@ -128,11 +134,11 @@ def format_timestamp(value: datetime) -> str:
 
 
 def _read_text(source) -> str:
-    """Accept a path, text, or file object; decode as UTF-8."""
+    """Accept a path, bytes, or file object; decode as UTF-8."""
     try:
         if isinstance(source, (str, Path)):
             return Path(source).read_text(encoding="utf-8-sig")
-        data = source.read()
+        data = source if isinstance(source, bytes) else source.read()
         if isinstance(data, bytes):
             return data.decode("utf-8-sig")
     except OSError as exc:
@@ -288,18 +294,17 @@ def _parse_posts_json(text: str) -> ForumDataset:
     return _finalize(rows, roster, carried)
 
 
-def parse_posts(source, format: str = "csv") -> ForumDataset:
+def parse_posts(source) -> ForumDataset:
     """Parse a posts log into a validated dataset.
 
-    ``source`` is a path or file object; ``format`` is ``csv`` (the raw
-    posts table) or ``json`` (a serialized dataset document). Per-row
-    faults land in ``rejected``; only an unreadable stream or a bad
-    header/shape raises.
+    ``source`` is a path, bytes, or file object holding a serialized
+    dataset document (JSON: ``{`` or ``[`` first) or else the raw posts
+    table (CSV). Per-row faults land in ``rejected``; only an unreadable
+    stream or a bad header/shape raises.
     """
-    if format not in POSTS_FORMATS:
-        raise ConfigError(f"unknown posts format: {format!r}")
     text = _read_text(source)
-    return _parse_posts_csv(text) if format == "csv" else _parse_posts_json(text)
+    json_doc = text.lstrip()[:1] in ("{", "[")
+    return _parse_posts_json(text) if json_doc else _parse_posts_csv(text)
 
 
 def parse_users(source) -> list[UserProfile]:
@@ -325,14 +330,15 @@ def with_users(data: ForumDataset, roster: list[UserProfile]) -> ForumDataset:
     return replace(data, users=_merge_users(roster, data.users))
 
 
-def posts_format(path) -> str:
-    """The posts format a file name implies: json for a .json suffix, else csv."""
-    return "json" if str(path).lower().endswith(".json") else "csv"
-
-
-def load_dataset(posts_path, users_path=None, format: str | None = None) -> ForumDataset:
-    """Convenience loader: format inferred from the file suffix unless given."""
-    data = parse_posts(posts_path, format or posts_format(posts_path))
+def load_dataset(posts_path, users_path=None) -> ForumDataset:
+    """The dataset in the posts file at ``posts_path``, with the optional
+    users roster at ``users_path``. The posts file is read once: the bytes
+    parsed are the bytes whose sha256 the dataset carries."""
+    try:
+        raw = Path(posts_path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {posts_path}: {exc}") from exc
+    data = replace(parse_posts(raw), source_sha256=hashlib.sha256(raw).hexdigest())
     if users_path is not None:
         data = with_users(data, parse_users(users_path))
     return data
@@ -372,7 +378,8 @@ def activity_overview(data: ForumDataset, period: str = "year") -> ActivityOverv
 # --- serialization -------------------------------------------------------
 
 def dataset_to_json(data: ForumDataset) -> str:
-    """The dataset document that ``parse_posts(..., "json")`` reads back."""
+    """The dataset document that ``parse_posts`` reads back (without
+    ``source_sha256``)."""
     posts = [
         {
             "post_id": p.post_id,

@@ -73,7 +73,6 @@ class PipelineConfig:
     figure_format: str = "svg"
     bipartite_norm: bool = False
     roles: dict[str, str] = field(default_factory=dict)
-    input_checksum: str | None = None
 
     def validate(self) -> None:
         if not 0.0 <= self.core_threshold <= 1.0:
@@ -120,12 +119,13 @@ class AnalysisBundle:
 
 
 def _provenance(data: ForumDataset, config: PipelineConfig) -> dict:
-    checksum = config.input_checksum
+    """The run's provenance: the input's sha256 is that of the posts file
+    the dataset was loaded from, or of its dataset JSON if built in memory."""
+    checksum = data.source_sha256
     if checksum is None:
         checksum = hashlib.sha256(dataset_to_json(data).encode("utf-8")).hexdigest()
     snapshot = asdict(config)
     snapshot.pop("out_dir")
-    snapshot.pop("input_checksum")
     snapshot["figures"] = list(config.figures)
     return {
         "tool": "forumnet",

@@ -195,7 +195,6 @@ def test_json_null_or_absent_start_flag_is_kept_unflagged(flag):
             json_post("p1", "2012-01-01T01:00:00Z", **flag),
             json_post("p2", "2012-01-01T00:00:00Z", is_thread_start=False),
         ),
-        format="json",
     )
     assert data.rejected == []
     starts = {p.post_id: p.is_thread_start for p in data.posts}
@@ -204,7 +203,7 @@ def test_json_null_or_absent_start_flag_is_kept_unflagged(flag):
 
 def test_json_string_start_flag_rejected():
     post = json_post("p1", "2012-01-01T00:00:00Z", is_thread_start="true")
-    data = parse_posts(json_posts(post), format="json")
+    data = parse_posts(json_posts(post))
     assert data.posts == []
     assert [(r.raw, r.reason) for r in data.rejected] == [
         (json.dumps(post, sort_keys=True), "bad is_thread_start")
@@ -243,7 +242,6 @@ def test_json_roster_first_entry_wins():
             users=[{"user_id": "u1", "profession": "nursing"},
                    {"user_id": "u1", "profession": "cardiology"}],
         ),
-        format="json",
     )
     assert [(u.user_id, u.profession) for u in data.users] == [("u1", "nursing")]
 
@@ -255,7 +253,6 @@ def test_json_roster_ids_are_stripped():
             json_post("p1", "2012-01-01T00:00:00Z"),
             users=[{"user_id": " u1 ", "profession": " nursing "}],
         ),
-        format="json",
     )
     assert [(u.user_id, u.profession) for u in data.users] == [("u1", "nursing")]
     assert activity_overview(data).registered_user_count == 1
@@ -279,7 +276,7 @@ def test_json_users_and_rejected_must_be_arrays_of_the_right_entries(tmp_path, c
     """A roster or rejection log of the wrong shape is refused, never read
     as empty: a dropped rejection would break lossless-or-logged."""
     with pytest.raises(SchemaError):
-        parse_posts(io.StringIO(json.dumps(doc)), format="json")
+        parse_posts(io.StringIO(json.dumps(doc)))
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["ingest", "--posts", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -364,7 +361,7 @@ def test_json_round_trip():
             "p3,t2,u2,f1,bad-stamp",
         )
     )
-    again = parse_posts(io.StringIO(dataset_to_json(data)), format="json")
+    again = parse_posts(io.StringIO(dataset_to_json(data)))
     assert again.posts == data.posts
     assert again.users == data.users
     assert again.rejected == data.rejected
@@ -383,26 +380,48 @@ def test_users_csv_bad_header():
         parse_users(io.StringIO("name,job\nu1,gp\n"))
 
 
-def test_load_dataset_suffix_detection(tmp_path):
+@pytest.mark.parametrize(
+    "name, writer",
+    [("data.json", dataset_to_json), ("data.dat", dataset_to_json), ("data", dataset_to_json),
+     ("data.csv", posts_csv), ("posts.json", posts_csv), ("posts", posts_csv)],
+    ids=["json", "json-as-dat", "json-bare", "csv", "csv-as-json", "csv-bare"],
+)
+def test_load_dataset_ignores_the_suffix(tmp_path, name, writer):
+    """The content tells a dataset JSON from a posts CSV, whatever the
+    file is called, and the dataset carries the sha256 of the file."""
     data = dataset_from_posts([("u1", "t1"), ("u2", "t1")])
-    json_path = tmp_path / "data.json"
-    json_path.write_text(dataset_to_json(data), encoding="utf-8")
-    csv_path = tmp_path / "data.csv"
-    csv_path.write_text(posts_csv(data), encoding="utf-8")
-    assert load_dataset(json_path).posts == data.posts
-    assert load_dataset(csv_path).posts == data.posts
+    path = tmp_path / name
+    path.write_text(writer(data), encoding="utf-8")
+    loaded = load_dataset(path)
+    assert loaded.posts == data.posts
+    assert loaded.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert data.source_sha256 is None
+    assert "source_sha256" not in dataset_to_json(loaded)
 
 
-def test_parse_posts_unknown_format():
-    with pytest.raises(ValueError):
-        parse_posts(io.StringIO("x"), format="xml")
+@pytest.mark.parametrize("lead", ["\ufeff", " \n\t", "\ufeff\r\n "], ids=["bom", "space", "both"])
+def test_json_after_bom_or_whitespace_is_json(tmp_path, lead):
+    data = dataset_from_posts([("u1", "t1"), ("u2", "t1")])
+    text = lead + dataset_to_json(data)
+    assert parse_posts(io.StringIO(text)).posts == data.posts
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_dataset(path).posts == data.posts
+    listed = lead + json.dumps([json_post("p1", "2012-01-01T00:00:00Z")])
+    assert [p.post_id for p in parse_posts(io.BytesIO(listed.encode("utf-8"))).posts] == ["p1"]
+
+
+def test_load_dataset_unreadable_path_names_it(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(InputError, match=f"cannot read {missing}"):
+        load_dataset(missing)
 
 
 def test_json_posts_must_be_object_array():
     with pytest.raises(SchemaError):
-        parse_posts(io.StringIO('{"no_posts": []}'), format="json")
+        parse_posts(io.StringIO('{"no_posts": []}'))
     with pytest.raises(InputError):
-        parse_posts(io.StringIO("{nope"), format="json")
+        parse_posts(io.StringIO("{nope"))
 
 
 def test_json_null_user_id_is_rejected(tmp_path):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from forumnet import cli
 from forumnet.centrality import MEASURES
 from forumnet.errors import ConfigError
-from forumnet.ingest import POSTS_COLUMNS, START_COLUMN, dataset_to_json
+from forumnet.ingest import POSTS_COLUMNS, START_COLUMN, dataset_to_json, load_dataset, posts_csv
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 from forumnet.text import json_text
@@ -342,8 +342,7 @@ def test_cli_synth_ingest_analyze_metrics_viz(tmp_path):
     assert data_file.is_file()
 
     ingest_dir = tmp_path / "ingested"
-    result = run_cli("ingest", "--posts", str(data_file), "--format", "json",
-                     "--out", str(ingest_dir))
+    result = run_cli("ingest", "--posts", str(data_file), "--out", str(ingest_dir))
     assert result.returncode == 0, result.stderr
     assert (ingest_dir / "dataset.json").is_file()
     assert "40 posts" in result.stdout
@@ -436,6 +435,34 @@ def test_analyze_parses_the_bytes_it_hashes(tmp_path, monkeypatch):
     overview = json.loads((tmp_path / "out" / "overview.json").read_text(encoding="utf-8"))
     checksum = hashlib.sha256(SMALL_CSV.encode()).hexdigest()
     assert overview["provenance"]["input_sha256"] == checksum
+
+
+def test_library_and_cli_write_the_same_bytes(tmp_path):
+    """run_pipeline(load_dataset(p)) and analyze --data p stamp the posts
+    file's sha256 as input_sha256, so every artifact matches."""
+    data = tmp_path / "posts.csv"
+    data.write_text(posts_csv(generate(SynthConfig(user_count=12, thread_count=9,
+                                                   post_count=60, seed=5))), encoding="utf-8")
+    bundle = run_pipeline(load_dataset(data), PipelineConfig(out_dir=tmp_path / "lib"))
+    assert bundle.provenance["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert cli.main(["analyze", "--data", str(data), "--out", str(tmp_path / "cli")]) == 0
+    assert tree(tmp_path / "lib") == tree(tmp_path / "cli")
+
+
+@pytest.mark.parametrize("name", ["data.dat", "data"])
+def test_dataset_json_of_any_name_is_read_as_json(tmp_path, capsys, name):
+    """A dataset JSON that forumnet wrote goes through analyze, metrics
+    and viz under any file name: the content gives the format."""
+    data = tmp_path / name
+    data.write_text(dataset_to_json(dataset_from_posts(TOY_ROWS)), encoding="utf-8")
+    for argv in (["analyze", "--data", str(data), "--out", str(tmp_path / "out")],
+                 ["metrics", "--data", str(data), "--mode", "user"],
+                 ["viz", "--data", str(data), "--mode", "user", "--format", "dot",
+                  "--out", str(tmp_path / "g.dot")]):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    overview = json.loads((tmp_path / "out" / "overview.json").read_text(encoding="utf-8"))
+    assert overview["post_count"] == len(TOY_ROWS)
+    assert overview["provenance"]["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
 def test_cli_synth_refuses_an_overflowing_alpha(tmp_path, capsys):
@@ -595,7 +622,8 @@ def test_cli_viz_svg_and_graphml(tmp_path):
         ("viz", ["--mode", "user", "--format", "svg", "--out", "{tmp}/g.svg",
                  "--layout-seed", "-1"], {}, "who,what\n1,2\n", 2),
     ],
-    ids=["period", "weighting", "posts-format", "layout-iterations", "negative-thin-sd",
+    ids=["period", "metrics-weighting-unknown-key", "ingest-format-unknown-key",
+         "layout-iterations", "negative-thin-sd",
          "string-thin-sd", "config-not-utf8", "no-post-to-draw",
          "layout-iterations-before-data", "negative-thin-sd-before-data",
          "negative-layout-seed", "negative-layout-seed-before-data"],
@@ -703,23 +731,23 @@ def test_cli_figures_must_not_repeat(tmp_path, capsys):
 
 # each subcommand's flags and config-file keys; the option tables add and drop none
 CLI_FLAGS = {
-    "ingest": ["--config", "--format", "--out", "--posts", "--users"],
+    "ingest": ["--config", "--out", "--posts", "--users"],
     "synth": ["--alpha", "--config", "--forums", "--moderators", "--out", "--posts", "--seed",
               "--silent-initiators", "--threads", "--users"],
     "analyze": ["--bipartite-norm", "--config", "--core-threshold", "--data", "--layout-seed",
                 "--out", "--thin-sd", "--weighting"],
-    "metrics": ["--config", "--data", "--mode", "--weighting"],
+    "metrics": ["--config", "--data", "--mode"],
     "viz": ["--config", "--data", "--format", "--layout-iterations", "--layout-seed", "--mode",
             "--out", "--thin-sd"],
 }
 CLI_CONFIG_KEYS = {
-    "ingest": ["format", "out", "posts", "users"],
+    "ingest": ["out", "posts", "users"],
     "synth": ["alpha", "forums", "moderators", "out", "posts", "seed", "silent_initiators",
               "threads", "users"],
     "analyze": ["bipartite_norm", "core_threshold", "data", "figure_format", "figures",
                 "layout_iterations", "layout_seed", "out", "period", "roles",
                 "silent_min_threads", "thin_sd", "thin_strict", "weighting"],
-    "metrics": ["data", "mode", "weighting"],
+    "metrics": ["data", "mode"],
     "viz": ["data", "format", "layout_iterations", "layout_seed", "mode", "out", "thin_sd"],
 }
 
