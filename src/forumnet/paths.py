@@ -10,9 +10,10 @@ components, isolates included.
 
 The search is level-synchronous over ``SOURCE_BLOCK`` sources at a time,
 and the blocks run on a pool of threads, one per core this process may
-run on (its CPU affinity, else the machine's core count). scipy's CSR
-product and numpy's array loops release the GIL, so the blocks overlap.
-Each block in flight has one of ``workers`` workspaces, each under five
+run on (its CPU affinity, else the machine's core count), but no more
+than ``WORKSPACE_BUDGET`` bytes of workspaces hold. scipy's CSR product
+and numpy's array loops release the GIL, so the blocks overlap. Each
+block in flight has one of ``workers`` workspaces, each under five
 (n x block) float64 arrays' bytes, and a block hands back only its O(n)
 reductions, so the pass holds O(m + workers·SOURCE_BLOCK·n) memory and
 no n x n array. The calling thread allocates the workspaces, so once the
@@ -41,6 +42,8 @@ import numpy as np
 from .graph import OneModeNetwork
 
 SOURCE_BLOCK = 64  # sources searched together; memory grows with it, not with n
+# bytes that the workspaces of one pass may hold together: 8 workers at n = 50k
+WORKSPACE_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -60,14 +63,21 @@ class PathStats:
 class Adjacency(NamedTuple):
     """A 0/1 CSR operand in node order; see ``adjacency_matrix``."""
 
-    indptr: np.ndarray  # int32; row v is indices[indptr[v]:indptr[v + 1]], ascending
-    indices: np.ndarray  # int32
+    indptr: np.ndarray  # int32 (see _index_dtype); row v is indices[indptr[v]:indptr[v + 1]]
+    indices: np.ndarray  # of indptr's dtype, ascending within each row
     data: np.ndarray  # float64 ones
     absent: bool  # the rows are those of Ā, the absent ties, not of A
 
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
+
+
+def _index_dtype(largest: int) -> type:
+    """int32 while ``largest``, the node count or the stored entries, fits
+    it, else int64: ``csr_matvecs`` takes either, and a cast past 2**31 - 1
+    would wrap without a word."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
 
 
 def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
@@ -84,8 +94,9 @@ def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
         keys, counts = np.flatnonzero(square), n - 1 - g.degrees()  # keys ascend
     else:
         keys, counts = np.sort(np.concatenate([i * n + j, j * n + i])), g.degrees()
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    indices = np.remainder(keys, max(n, 1), out=keys).astype(np.int32)
+    index = _index_dtype(max(n, len(keys)))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index)
+    indices = np.remainder(keys, max(n, 1), out=keys).astype(index)
     del keys  # before the ones are allocated
     return Adjacency(indptr, indices, np.ones(len(indices)), absent)
 
@@ -103,7 +114,8 @@ def _product(adj: Adjacency):
 
     n = adj.n
     if adj.absent:  # the operand of 1ᵀx
-        every = (np.array([0, n], dtype=np.int32), np.arange(n, dtype=np.int32), np.ones(n))
+        index = adj.indptr.dtype
+        every = (np.array([0, n], dtype=index), np.arange(n, dtype=index), np.ones(n))
 
     def product(x, out):
         out.fill(0.0)  # csr_matvecs adds to what out holds
@@ -173,16 +185,23 @@ def _dependencies(product, dist, sigma, top, delta, work, pushed, at) -> None:
 
 
 def _workers() -> int:
-    """Threads for the search: one per core this process may run on."""
+    """One thread per core this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+def _pass_workers(cores: int, blocks: int, workspace: int) -> int:
+    """Threads for a pass of ``blocks`` source blocks, each thread holding a
+    ``workspace`` of that many bytes: one per core, but no more than there
+    are blocks, nor than ``WORKSPACE_BUDGET`` holds; never fewer than one."""
+    return max(1, min(cores, blocks, WORKSPACE_BUDGET // max(workspace, 1)))
+
+
 def _source_blocks(adj, reduce, betweenness=True):
     """Search from each block of sources; yield ``reduce(sources, dist,
     delta)`` per block (see ``_search``), in source order. Blocks and their
-    ``reduce`` run on ``_workers()`` threads. Block k runs in workspace
+    ``reduce`` run on ``_pass_workers`` threads. Block k runs in workspace
     k % workers, and block k + workers is submitted only after block k's
     result is taken, so no two running blocks share one. ``reduce`` must
     copy what it keeps of ``dist`` and ``delta``: a later block reuses
@@ -190,14 +209,12 @@ def _source_blocks(adj, reduce, betweenness=True):
     n, size = adj.n, SOURCE_BLOCK
     product = _product(adj)
     starts = range(0, n, size)
-    workers = _workers()
     # a workspace: hops, two masks, path counts, two product operands and,
     # for betweenness, the dependencies
     dtypes = [np.int32, bool, bool] + [np.float64] * (4 if betweenness else 3)
-    workspaces = [
-        [np.empty(n * size, dtype=dtype) for dtype in dtypes]
-        for _ in range(min(workers, len(starts)))
-    ]
+    workspace = n * size * sum(np.dtype(dtype).itemsize for dtype in dtypes)
+    workers = _pass_workers(_workers(), len(starts), workspace)
+    workspaces = [[np.empty(n * size, dtype=dtype) for dtype in dtypes] for _ in range(workers)]
 
     def block(k, start):
         sources = np.arange(start, min(start + size, n))

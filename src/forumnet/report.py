@@ -17,12 +17,13 @@ import math
 import os
 import shutil
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
+from . import __version__, paths
 from .centrality import (
     CentralityTable,
     CoreSet,
@@ -51,7 +52,7 @@ from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, 
 from .metrics import StructuralReport, bipartite_density, structural_report
 from .paths import path_stats
 from .text import json_text
-from .viz import EXPORT_FORMATS, ThinningSpec, export_graph, layout, positions_csv, thin
+from .viz import EXPORT_FORMATS, Layout, ThinningSpec, export_graph, positions_csv, thin
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
 
@@ -165,21 +166,30 @@ def _figure_artifacts(
     b: BipartiteNetwork,
     networks: dict[str, OneModeNetwork],
 ) -> None:
+    """Lay the figures out on up to one thread per core, then write each on
+    this thread, in ``config.figures`` order. This thread also thins each
+    network and builds its ``Layout``, so every workspace is allocated here
+    and serves this thread's later allocations once freed; ``Layout.run``
+    frees it before handing back the positions. No pool is started when
+    there is no figure to draw."""
     spec = ThinningSpec(k_sd=config.thin_sd, strict=config.thin_strict)
-    for name in config.figures:
-        if name == "bipartite":
-            target = b
-            if not target.user_nodes and not target.thread_nodes:
-                continue
-        else:
-            full = networks[name]
-            if not full.nodes:
-                continue
-            target = thin(full, spec)
-        placed = layout(target, seed=config.layout_seed, iterations=config.layout_iterations)
-        write(f"figures/{name}_positions.csv", positions_csv(target, placed))
-        rendered = export_graph(target, placed, format=config.figure_format)
-        write(f"figures/{name}.{config.figure_format}", rendered)
+    drawn = [
+        name for name in config.figures
+        if ((b.user_nodes or b.thread_nodes) if name == "bipartite" else networks[name].nodes)
+    ]
+    if not drawn:
+        return
+    with ThreadPoolExecutor(min(paths._workers(), len(drawn))) as pool:
+        figures = []
+        for name in drawn:
+            target = b if name == "bipartite" else thin(networks[name], spec)
+            work = Layout(target, config.layout_seed, config.layout_iterations)
+            figures.append((name, target, pool.submit(work.run)))
+        for name, target, placed in figures:
+            positions = placed.result()
+            write(f"figures/{name}_positions.csv", positions_csv(target, positions))
+            rendered = export_graph(target, positions, format=config.figure_format)
+            write(f"figures/{name}.{config.figure_format}", rendered)
 
 
 def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> AnalysisBundle:

@@ -3,9 +3,12 @@
 Thinning hides ties below a statistical cutoff (mean + k * sd of the tie
 weights) so dense networks stay readable; nodes are never dropped. The
 layout is a seeded spring embedder: connected hubs migrate toward the
-middle of the drawing. Exports cover DOT, GraphML, and a dependency-free
-SVG rendering; ``positions_csv`` writes a layout through
-``text.csv_text``.
+middle of the drawing. A ``Layout`` is built in two parts: its
+constructor allocates the whole workspace, O(LAYOUT_BLOCK * n + m)
+floats, on the calling thread, and ``run`` steps in it, on any thread,
+without allocating an m-sized array; ``layout`` does both in turn.
+Exports cover DOT, GraphML, and a dependency-free SVG rendering;
+``positions_csv`` writes a layout through ``text.csv_text``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ EXPORT_FORMATS = ("dot", "graphml", "svg")
 
 SVG_SIZE = 1000
 SVG_MARGIN = 40
-# rows of the pairwise repulsion that layout() holds at once
+# rows of the pairwise repulsion that a Layout holds at once
 LAYOUT_BLOCK = 32
 
 
@@ -93,6 +96,110 @@ def _drawing(network):
     return network.nodes, network.edges, network.weights, None, network.node_attr
 
 
+class Layout:
+    """One seeded spring embedding, set up to run once, on any thread.
+
+    Building it checks the inputs and allocates the whole workspace on the
+    building thread: the positions, ``LAYOUT_BLOCK`` rows of each pairwise
+    repulsion array, the scatter targets and forces, and the edge lengths,
+    O(LAYOUT_BLOCK * n + m) floats in all. ``run`` steps in that workspace
+    without allocating any m-sized array, drops it, and returns the (n, 2)
+    positions, so once ``run`` returns nothing keeps the workspace alive.
+    A caller that runs several layouts on a thread pool builds each one
+    itself: memory a pool thread frees stays in that thread's allocator
+    arena, and memory the caller frees serves its next allocations.
+    """
+
+    def __init__(self, network, seed: int = 42, iterations: int = 100):
+        if iterations < 1:
+            raise ConfigError("iterations must be >= 1")
+        nodes, edges, _, _, _ = _drawing(network)
+        n, m = len(nodes), len(edges)
+        if n == 0:
+            raise ValueError("layout requires at least one node")
+        self.iterations = iterations
+        xy = np.random.default_rng(seed).random((n, 2)).T.copy()
+        block = min(LAYOUT_BLOCK, n)
+        # one bincount per axis adds, per node, 0 + its repulsion, then the
+        # pulls where it is ei, then those where it is ej, in edge order; any
+        # other order (bincount(ej) - bincount(ei)) rounds differently and
+        # moves the drawing
+        targets = np.concatenate((np.arange(n), edges[:, 0], edges[:, 1]))
+        self._space = (
+            xy, targets, np.empty((2, block, n)), np.empty((2, block, n)),
+            np.empty((2, n + 2 * m)), np.empty(m), np.empty(n),
+        )
+
+    def run(self) -> np.ndarray:
+        """Anneal the placement, then scale it to the unit square: one row
+        per node in the order ``export_graph`` writes. Runs once."""
+        space, self._space = self._space, None
+        xy, targets, delta, square, forces, length, norm = space
+        n, m, iterations = len(norm), len(length), self.iterations
+        if n == 1:
+            return np.array([[0.5, 0.5]])
+        ei, ej = targets[n : n + m], targets[n + m :]
+        pushed, pulled = forces[:, n : n + m], forces[:, n + m :]
+        k = (1.0 / n) ** 0.5
+        start_temp = 0.1
+        x, y = xy
+        block = delta.shape[1]
+        for step in range(iterations):
+            temp = start_temp * (1.0 - step / iterations)
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                rows = hi - lo
+                d, sq = delta[:, :rows], square[:, :rows]
+                # fill from the column, then subtract rows contiguously: a
+                # stride-0 first operand makes the subtraction loop slow
+                d[...] = xy[:, lo:hi, None]
+                d -= xy[:, None, :]
+                np.multiply(d, d, out=sq)
+                factor = sq[0]
+                factor += sq[1]
+                np.maximum(factor, 1e-12, out=factor)
+                # repulsion k^2/d along each pair direction: delta * k^2/d^2,
+                # each row summed as einsum("ij,ij->i") sums it
+                np.divide(k * k, factor, out=factor)
+                np.einsum("aij,ij->ai", d, factor, out=forces[:, lo:hi])
+            # the span pos[ei] - pos[ej], per axis, in the slots of the pulls;
+            # the ends are in range, and any mode but "raise" takes them
+            # straight into ``out``, with no m-sized buffer
+            for axis, coords in enumerate((x, y)):
+                np.take(coords, ei, out=pulled[axis], mode="wrap")
+                np.take(coords, ej, out=pushed[axis], mode="wrap")
+                pulled[axis] -= pushed[axis]
+            np.multiply(pulled[0], pulled[0], out=length)
+            np.multiply(pulled[1], pulled[1], out=pushed[0])
+            length += pushed[0]
+            np.sqrt(length, out=length)
+            np.maximum(length, 1e-9, out=length)
+            # attraction d^2/k along the edge
+            length /= k
+            pulled *= length
+            np.negative(pulled, out=pushed)
+            disp_x = np.bincount(targets, forces[0])
+            disp_y = np.bincount(targets, forces[1])
+            np.multiply(disp_x, disp_x, out=norm)
+            norm += disp_y * disp_y
+            np.sqrt(norm, out=norm)
+            np.maximum(norm, 1e-12, out=norm)
+            # the step, capped at temp: norm turns into its scale factor
+            np.divide(np.minimum(norm, temp), norm, out=norm)
+            disp_x *= norm
+            disp_y *= norm
+            x += disp_x
+            y += disp_y
+
+        # rescale each axis into [0, 1]; degenerate axes collapse to center
+        pos = np.empty((n, 2))
+        for axis, coords in enumerate((x, y)):
+            lo = coords.min()
+            span = coords.max() - lo
+            pos[:, axis] = (coords - lo) / span if span > 0 else 0.5
+        return pos
+
+
 def layout(network, seed: int = 42, iterations: int = 100) -> np.ndarray:
     """Seeded spring embedding scaled to the unit square: an (n, 2) array
     of positions, one row per node in the order ``export_graph`` writes.
@@ -101,79 +208,14 @@ def layout(network, seed: int = 42, iterations: int = 100) -> np.ndarray:
     linearly cooling step cap anneals the placement. Identical
     (network, seed, iterations) inputs give identical positions.
 
-    Repulsion is summed ``LAYOUT_BLOCK`` rows at a time, so the step loop
-    holds O(LAYOUT_BLOCK * n + m) floats rather than n x n matrices. Each
-    row's sum is taken whole, so the positions do not depend on the block
-    size. No call is BLAS-backed, so they do not depend on its thread
-    count either.
+    The workspace is allocated once, before the first step (see
+    ``Layout``), and repulsion is summed ``LAYOUT_BLOCK`` rows at a time,
+    so the call holds O(LAYOUT_BLOCK * n + m) floats rather than n x n
+    matrices. Each row's sum is taken whole, so the positions do not
+    depend on the block size. No call is BLAS-backed, so they do not
+    depend on its thread count either.
     """
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
-    nodes, edges, _, _, _ = _drawing(network)
-    n = len(nodes)
-    if n == 0:
-        raise ValueError("layout requires at least one node")
-    rng = np.random.default_rng(seed)
-    pos = rng.random((n, 2))
-    if n == 1:
-        return np.array([[0.5, 0.5]])
-
-    ei, ej = edges.T
-    m = len(ei)
-    k = (1.0 / n) ** 0.5
-    start_temp = 0.1
-    block = min(LAYOUT_BLOCK, n)
-    dx, dy, factor, dy2 = (np.empty((block, n)) for _ in range(4))
-    # one bincount per axis adds, per node, 0 + its repulsion, then the
-    # pulls where it is ei, then those where it is ej, in edge order; any
-    # other order (bincount(ej) - bincount(ei)) rounds differently and
-    # moves the drawing
-    targets = np.concatenate((np.arange(n), ei, ej))
-    forces = np.empty((2, n + 2 * m))
-    disp = np.empty((n, 2))
-    for step in range(iterations):
-        temp = start_temp * (1.0 - step / iterations)
-        x, y = pos.T.copy()
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            rows = hi - lo
-            bx, by, bf, by2 = dx[:rows], dy[:rows], factor[:rows], dy2[:rows]
-            # fill from the column, then subtract rows contiguously: a
-            # stride-0 first operand makes the subtraction loop slow
-            bx[...] = x[lo:hi, None]
-            bx -= x
-            by[...] = y[lo:hi, None]
-            by -= y
-            np.multiply(bx, bx, out=bf)
-            np.multiply(by, by, out=by2)
-            bf += by2
-            np.maximum(bf, 1e-12, out=bf)
-            # repulsion k^2/d along each pair direction: delta * k^2/d^2
-            np.divide(k * k, bf, out=bf)
-            forces[0, lo:hi] = np.einsum("ij,ij->i", bx, bf)
-            forces[1, lo:hi] = np.einsum("ij,ij->i", by, bf)
-        span = pos[ei] - pos[ej]
-        length = np.sqrt(np.einsum("ij,ij->i", span, span))
-        np.maximum(length, 1e-9, out=length)
-        # attraction d^2/k along the edge
-        pull = span * (length / k)[:, None]
-        np.negative(pull.T, out=forces[:, n : n + m])
-        forces[:, n + m :] = pull.T
-        for axis in range(2):
-            disp[:, axis] = np.bincount(targets, forces[axis])
-        norm = np.sqrt(np.einsum("ij,ij->i", disp, disp))
-        np.maximum(norm, 1e-12, out=norm)
-        pos += disp * (np.minimum(norm, temp) / norm)[:, None]
-
-    # rescale each axis into [0, 1]; degenerate axes collapse to center
-    lo = pos.min(axis=0)
-    span = pos.max(axis=0) - lo
-    for axis in range(2):
-        if span[axis] > 0:
-            pos[:, axis] = (pos[:, axis] - lo[axis]) / span[axis]
-        else:
-            pos[:, axis] = 0.5
-    return pos
+    return Layout(network, seed, iterations).run()
 
 
 def _placed(nodes, positions: np.ndarray) -> np.ndarray:

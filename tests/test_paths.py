@@ -177,6 +177,30 @@ def test_operand_is_the_canonical_csr_of_a_or_of_its_absent_ties(n, p, seed):
     assert adj.data.dtype == np.float64 and np.array_equal(adj.data, want.data)
 
 
+def test_operand_index_dtype_widens_past_int32():
+    """indptr and indices stay int32 up to 2**31 - 1 stored entries or
+    nodes, and are int64 beyond, where an int32 cast would wrap."""
+    assert paths._index_dtype(0) is np.int32
+    assert paths._index_dtype(2**31 - 1) is np.int32
+    assert paths._index_dtype(2**31) is np.int64
+    assert paths._index_dtype(2**40) is np.int64
+
+
+@pytest.mark.parametrize("p", [0.1, 0.95], ids=["plain", "absent-ties"])
+def test_int64_operand_gives_the_same_figures(monkeypatch, p):
+    g = _random_graph(150, p, seed=2)
+    want = path_stats(g)
+    monkeypatch.setattr(paths, "_index_dtype", lambda largest: np.int64)
+    adj = paths.adjacency_matrix(g)
+    assert adj.indptr.dtype == adj.indices.dtype == np.int64
+    assert adj.absent == (p > 0.5)
+    got = path_stats(g)
+    assert (got.components, got.diameter, got.avg_path_length) == (
+        want.components, want.diameter, want.avg_path_length)
+    for name in ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_near_complete_operand_never_holds_the_adjacency():
     """Ā is read from an n² byte mask set from the edge list, with a few
     bytes per tie on top, where building A first took about 80."""
@@ -197,6 +221,37 @@ def test_pass_memory_is_adjacency_plus_one_workspace_per_worker(monkeypatch):
     block = len(g.nodes) * paths.SOURCE_BLOCK * 8
     adjacency = _peak(lambda: paths.adjacency_matrix(g))
     assert _peak(lambda: path_stats(g)) <= adjacency + workers * 5 * block
+
+
+def test_pass_workers_fit_the_workspace_budget():
+    """One worker per core, but no more than there are blocks, nor more
+    workspaces than WORKSPACE_BUDGET holds, and never none."""
+    per_node = 38 * paths.SOURCE_BLOCK  # bytes of one betweenness workspace per node
+    workers = paths._pass_workers(64, 782, 50_000 * per_node)  # n = 50k on 64 cores
+    assert workers == 8
+    assert workers * 50_000 * per_node <= paths.WORKSPACE_BUDGET
+    assert paths._pass_workers(2, 782, 50_000 * per_node) == 2
+    assert paths._pass_workers(64, 3, 150 * per_node) == 3
+    assert paths._pass_workers(64, 0, 0) == 1
+    assert paths._pass_workers(64, 10**6, 2 * paths.WORKSPACE_BUDGET) == 1
+
+
+def test_pass_starts_no_more_workers_than_the_budget_holds(monkeypatch):
+    g = _sparse_graph(300, 1_500, seed=4)
+    want = path_stats(g)
+    sizes, pool = [], paths.ThreadPoolExecutor
+
+    def sized(workers):
+        sizes.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", sized)
+    monkeypatch.setattr(paths, "_workers", lambda: 4)
+    monkeypatch.setattr(paths, "WORKSPACE_BUDGET", 2 * 300 * paths.SOURCE_BLOCK * 38)
+    got = path_stats(g)
+    assert sizes == [2]
+    for name in ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_pass_leaves_no_thread_running():

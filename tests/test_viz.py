@@ -6,6 +6,10 @@ import re
 import statistics
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forumnet import viz
+from forumnet import paths, report, viz
 from forumnet.viz import (
     LAYOUT_BLOCK,
     ThinningSpec,
@@ -232,6 +236,94 @@ def test_written_figures_are_byte_pinned(tmp_path):
     figures = tmp_path / "out" / "figures"
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in figures.iterdir()}
     assert digests == PINNED_FIGURES
+
+
+def late_layout():
+    """A ``Layout`` whose loop starts late, the later the earlier it was
+    built, so that the three figures run side by side finish in reverse
+    order. Its ``spaces`` keeps a weak reference to every array of each
+    workspace built, and ``finished`` the build index of each loop that
+    returned."""
+
+    class LateLayout(viz.Layout):
+        spaces, finished = [], []
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.index = len(self.spaces)
+            self.spaces.append([weakref.ref(array) for array in self._space])
+
+        def run(self):
+            time.sleep(0.1 * (2 - self.index))
+            positions = super().run()
+            self.finished.append(self.index)
+            return positions
+
+    return LateLayout
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_figures_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers):
+    """The figure pool writes the pinned bytes, and lists them in
+    manifest.json in the same order, whatever its size and whichever
+    figure finishes first; it leaves no thread running."""
+    run_pipeline(pin_data(), PipelineConfig(out_dir=tmp_path / "want"))
+    late = late_layout()
+    monkeypatch.setattr(paths, "_workers", lambda: workers)
+    monkeypatch.setattr(report, "Layout", late)
+    threads = threading.active_count()
+    run_pipeline(pin_data(), PipelineConfig(out_dir=tmp_path / "got"))
+    assert threading.active_count() == threads
+    assert late.finished == ([0, 1, 2] if workers == 1 else [2, 1, 0])
+    for name in ("manifest.json", *(f"figures/{figure}" for figure in PINNED_FIGURES)):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+def test_no_figure_workspace_outlives_its_loop(tmp_path, monkeypatch):
+    """Every array of a figure's workspace is freed once its loop returns,
+    before the figure is written: none waits for the last export."""
+    late = late_layout()
+    written = []
+    write_positions = report.positions_csv
+
+    def positions_csv(target, positions):
+        written.append(len(written))
+        for space in late.spaces[: len(written)]:
+            assert all(ref() is None for ref in space)
+        return write_positions(target, positions)
+
+    monkeypatch.setattr(report, "Layout", late)
+    monkeypatch.setattr(report, "positions_csv", positions_csv)
+    run_pipeline(pin_data(), PipelineConfig(out_dir=tmp_path / "out"))
+    assert len(late.spaces) == len(written) == 3
+
+
+@pytest.mark.parametrize("empty", ["no-figures", "no-posts"])
+def test_no_figure_pool_without_a_figure(tmp_path, monkeypatch, empty):
+    started = []
+    monkeypatch.setattr(report, "ThreadPoolExecutor", lambda *args: started.append(args))
+    if empty == "no-figures":
+        run_pipeline(pin_data(), PipelineConfig(out_dir=tmp_path / "out", figures=()))
+    else:
+        run_pipeline(dataset_from_posts([]), PipelineConfig(out_dir=tmp_path / "out"))
+    assert started == []
+
+
+def test_layout_steps_allocate_no_edge_sized_array():
+    """Built, a layout's loop allocates only node-sized arrays and numpy's
+    fixed-size loop buffers: the edge spans and pulls are written into the
+    workspace. A complete graph has m = n(n - 1)/2 ties."""
+    n = 300
+    g = make_network([(f"n{i}", f"n{j}") for i in range(n) for j in range(i + 1, n)])
+    m = len(g.edges)
+    work = viz.Layout(g, seed=3, iterations=2)
+    tracemalloc.start()
+    try:
+        work.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m
 
 
 @pytest.mark.parametrize("mode", ["bipartite", "thread"])
