@@ -20,21 +20,34 @@ no n x n array. The calling thread allocates the workspaces, so once the
 pass frees them they serve its later allocations.
 
 Every neighbour sum is a CSR product with an (n x block) array, a plain
-loop over each row's ties in index order with no BLAS. The operand is
-built straight from the sorted edge list; it holds the absent ties Ā
-instead of A when more than half of all pairs are tied. Each block is
-computed whole by one thread, and the consumer adds the blocks in source
-order, so results are bit-identical whatever the BLAS thread count or the
-number of cores, as long as the path counts stay exact, which float64
-guarantees below 2**53 shortest paths per pair.
+loop over each row's ties in index order with no BLAS: ``csr_matvecs``
+from scipy's ``_sparsetools`` extension, loaded from its file on the first
+search without importing ``scipy.sparse``. A product runs only over the
+rows its level needs, as a CSR whose other rows are empty: the forward
+step over the rows still unseen from some source of the block, the
+backward step over the rows one level up from some source. Each selected
+row still sums all its ties in index order, so it gets the bits a product
+over every row gives it, and no other row is read unmasked. The backward
+sweep runs over whole arrays with no ``where=`` mask; its masks enter as
+factors of 0.0 and 1.0. The operand is built straight from the sorted
+edge list; it holds the absent ties Ā instead of A when more than half of
+all pairs are tied. Each block is computed whole by one thread, and the
+consumer adds the blocks in source order, so results are bit-identical
+whatever the BLAS thread count or the number of cores, as long as the
+path counts stay exact, which float64 guarantees below 2**53 shortest
+paths per pair.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from importlib import machinery
 from typing import NamedTuple
 
 import numpy as np
@@ -101,25 +114,58 @@ def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
     return Adjacency(indptr, indices, np.ones(len(indices)), absent)
 
 
-def _product(adj: Adjacency):
-    """The product (x, out) -> out = adj @ x for (n, k) C-ordered arrays;
-    ``x`` may be overwritten. It runs ``csr_matvecs`` from scipy's private
-    ``_sparsetools``, the loop behind ``adj @ x``: no BLAS, each row sums
-    its ties in index order. scipy loads here, on the first search. For Ā
-    it takes adj @ x = 1ᵀx - x - Ā @ x, 1ᵀx from the same loop over a
-    one-row operand. Both sums run in index order, so where x is 0 at a node
-    and at all its neighbours they add the same terms alike: an exact 0.0.
-    """
-    from scipy.sparse._sparsetools import csr_matvecs
+@functools.cache
+def _sparsetools():
+    """scipy's private ``_sparsetools`` extension, the loop behind a CSR
+    product, loaded from its file in scipy's ``sparse`` directory without
+    importing ``scipy`` or ``scipy.sparse``: the pass needs the loop alone,
+    not the package's start-up. It is loaded once, on the first search."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse is imported already
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the path pass needs scipy, which is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    spec = machinery.FileFinder(directory, loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no extension file {os.path.join(directory, '_sparsetools')}.*")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension enters itself in sys.modules; taken out, it is loaded
+    # again as scipy.sparse's own submodule if scipy.sparse is imported later
+    sys.modules.pop(name, None)
+    return module
 
-    n = adj.n
+
+def _product(adj: Adjacency):
+    """The product (x, out, rows) -> out = adj @ x in the rows where the
+    bool n-vector ``rows`` is set, for non-negative (n, k) C-ordered
+    arrays; ``x`` may be overwritten, and the other rows of ``out`` hold
+    finite non-negative values that mean nothing. It runs ``csr_matvecs``,
+    the loop behind ``adj @ x`` (see ``_sparsetools``), over a CSR whose
+    unselected rows are empty ranges: no BLAS, and each selected row sums
+    all its ties in index order, as the full product does, so it gets the
+    same bits. For Ā it takes adj @ x = 1ᵀx - x - Ā @ x, with Ā under the
+    same mask and 1ᵀx from the same loop over a one-row operand. Both sums
+    run in index order, so where x is 0 at a node and at all its
+    neighbours they add the same terms alike: an exact 0.0. A call
+    allocates O(n + m) indices and nothing of size n x k.
+    """
+    csr_matvecs = _sparsetools().csr_matvecs
+    n, index = adj.n, adj.indptr.dtype
+    degrees = np.diff(adj.indptr)
     if adj.absent:  # the operand of 1ᵀx
-        index = adj.indptr.dtype
         every = (np.array([0, n], dtype=index), np.arange(n, dtype=index), np.ones(n))
 
-    def product(x, out):
+    def product(x, out, rows):
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(degrees * rows, out=indptr[1:])
+        indices = adj.indices[np.repeat(rows, degrees)]
         out.fill(0.0)  # csr_matvecs adds to what out holds
-        csr_matvecs(n, n, x.shape[1], *adj[:3], x.ravel(), out.ravel())
+        csr_matvecs(n, n, x.shape[1], indptr, indices, adj.data[: len(indices)],
+                    x.ravel(), out.ravel())
         if adj.absent:
             total = np.zeros(x.shape[1])
             csr_matvecs(1, n, x.shape[1], *every, x.ravel(), total)
@@ -134,6 +180,8 @@ def _search(product, n: int, sources: np.ndarray, workspace: list[np.ndarray]):
     views of it. Column c of ``dist`` holds the hops from ``sources[c]`` (-1
     when unreachable) and of ``delta`` the Brandes dependency of every node
     on that source; ``delta`` is None when the workspace has no room for it.
+    Each level's product pulls only over the rows still unseen in some
+    column: the others cannot change.
     """
     cols = np.arange(len(sources))
     dist, unseen, newly, sigma, frontier, reached, *delta = (
@@ -147,9 +195,9 @@ def _search(product, n: int, sources: np.ndarray, workspace: list[np.ndarray]):
     np.copyto(frontier, sigma)
     level = 0
     while True:
-        product(frontier, reached)
+        product(frontier, reached, unseen.any(axis=1))
         np.greater(reached, 0.0, out=newly)
-        newly &= unseen
+        newly &= unseen  # so rows left out of the product are never read
         if not newly.any():
             break
         level += 1
@@ -161,27 +209,33 @@ def _search(product, n: int, sources: np.ndarray, workspace: list[np.ndarray]):
         frontier, reached = reached, frontier
     if not delta:
         return dist, None
-    _dependencies(product, dist, sigma, level, delta[0], frontier, reached, newly)
+    _dependencies(product, dist, sigma, level, delta[0], frontier, reached, newly, unseen)
     return dist, delta[0]
 
 
-def _dependencies(product, dist, sigma, top, delta, work, pushed, at) -> None:
+def _dependencies(product, dist, sigma, top, delta, work, pushed, at, below) -> None:
     """Brandes accumulation into ``delta``, from the deepest level up.
-    ``work``, ``pushed`` and ``at`` are scratch. ``sigma`` is spent: the
-    counts of each level turn into their reciprocals once last read."""
+    ``work``, ``pushed``, ``at`` and ``below`` are scratch. Each level's
+    product pulls only over the rows one level up in some column, and every
+    step runs over whole arrays, with no ``where=`` mask: ``sigma`` is
+    raised to at least 1 (unreached nodes hold 1), so every factor is
+    finite, and the masks enter as factors. x·1.0 = x, and a finite value
+    times 0.0 is a zero, which leaves ``delta`` (never -0.0) as it was, so
+    every entry gets the bits a masked step gives it."""
     delta.fill(0.0)
+    np.maximum(sigma, 1.0, out=sigma)
+    np.equal(dist, top, out=at)
     # nodes at `level` push (1 + delta)/sigma back to predecessors;
     # level 1 would push only onto the source, which is not counted
     for level in range(top, 1, -1):
-        np.equal(dist, level, out=at)
-        np.divide(1.0, sigma, out=sigma, where=at)
-        work.fill(0.0)
-        np.add(1.0, delta, out=work, where=at)
-        np.multiply(work, sigma, out=work, where=at)
-        product(work, pushed)
-        np.equal(dist, level - 1, out=at)
-        np.multiply(pushed, sigma, out=pushed, where=at)
-        np.add(delta, pushed, out=delta, where=at)
+        np.equal(dist, level - 1, out=below)
+        np.divide(at, sigma, out=work)
+        work *= np.add(1.0, delta, out=pushed)
+        product(work, pushed, below.any(axis=1))
+        pushed *= sigma
+        pushed *= below
+        delta += pushed
+        at, below = below, at
 
 
 def _workers() -> int:

@@ -1,8 +1,11 @@
-"""The path pass: its CSR operand, built from the sorted edge list, and
-its thread pool: the same bits whatever the worker count, a bounded
-working set, no thread left behind, a structural-only pass that skips
-the Brandes sweep, and scipy loaded on the first search only."""
+"""The path pass: its CSR operand, built from the sorted edge list, its
+products over only the rows a level needs, and its thread pool: the same
+bits whatever the worker count, a bounded working set, no thread left
+behind, a structural-only pass that skips the Brandes sweep, and scipy's
+CSR loop loaded on the first search only, without scipy.sparse."""
 
+import importlib.machinery
+import importlib.util
 import os
 import random
 import subprocess
@@ -10,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,7 +209,7 @@ def test_near_complete_operand_never_holds_the_adjacency():
     """Ā is read from an n² byte mask set from the edge list, with a few
     bytes per tie on top, where building A first took about 80."""
     g = _random_graph(800, 0.95, seed=8)
-    path_stats(_random_graph(3, 1.0, seed=1))  # scipy's import is not the operand's memory
+    path_stats(_random_graph(3, 1.0, seed=1))  # loading the CSR loop is not the operand's memory
     n, m = len(g.nodes), len(g.edges)
     peak = _peak(lambda: paths.adjacency_matrix(g))
     assert peak <= n * n + 8 * m
@@ -217,7 +221,7 @@ def test_pass_memory_is_adjacency_plus_one_workspace_per_worker(monkeypatch):
     g = _sparse_graph(1500, 12_000, seed=3)
     workers = 2
     monkeypatch.setattr(paths, "_workers", lambda: workers)
-    path_stats(g)  # scipy's import is not the pass's memory
+    path_stats(g)  # loading the CSR loop is not the pass's memory
     block = len(g.nodes) * paths.SOURCE_BLOCK * 8
     adjacency = _peak(lambda: paths.adjacency_matrix(g))
     assert _peak(lambda: path_stats(g)) <= adjacency + workers * 5 * block
@@ -308,7 +312,8 @@ def test_metrics_prints_the_same_table_without_the_brandes_sweep(tmp_path, monke
 
 SCIPY_LOADS = """
 import sys
-from forumnet import cli
+import numpy as np
+from forumnet import cli, paths
 data, out = sys.argv[1:]
 loaded = []
 for argv in (["synth", "--users", "30", "--threads", "20", "--posts", "150", "--out", data],
@@ -316,17 +321,85 @@ for argv in (["synth", "--users", "30", "--threads", "20", "--posts", "150", "--
              ["metrics", "--data", data, "--mode", "user"]):
     if cli.main(argv) != 0:
         sys.exit(argv[0] + " failed")
-    loaded.append("scipy" in sys.modules)
+    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    loaded.append((paths._sparsetools.cache_info().currsize, scipy))
+from scipy import sparse
+loaded.append((sparse.csr_array(np.eye(2)) @ np.ones((2, 3))).tolist())
 sys.stderr.write(repr(loaded))
 """
 
 
 def test_scipy_loads_on_the_first_search_only(tmp_path):
-    """synth and ingest run no search and start without scipy."""
+    """synth and ingest run no search and load nothing of scipy; the first
+    search loads the CSR loop alone, and no scipy module stays in
+    sys.modules, so a later import of scipy.sparse is whole."""
     result = subprocess.run(
         [sys.executable, "-c", SCIPY_LOADS, str(tmp_path / "data.json"), str(tmp_path / "out")],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "dataset.json").is_file()
-    assert result.stderr == "[False, False, True]"
+    assert result.stderr == repr([(0, []), (0, []), (1, []), [[1.0] * 3, [1.0] * 3]])
+
+
+def test_a_missing_csr_loop_is_an_import_error_naming_its_file(tmp_path, monkeypatch):
+    (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path / "scipy")]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+    with pytest.raises(ImportError, match=str(tmp_path / "scipy" / "sparse" / "_sparsetools")):
+        paths._sparsetools.__wrapped__()
+
+
+def _operand(g, absent):
+    """The CSR operand of ``g`` from its dense 0/1 matrix, holding the
+    absent ties Ā when ``absent``, whatever the 4m > n(n - 1) rule picks."""
+    n = len(g.nodes)
+    dense = np.zeros((n, n))
+    dense[tuple(g.edges.T)] = dense[tuple(g.edges.T[::-1])] = 1.0
+    held = 1.0 - dense - np.eye(n) if absent else dense
+    indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))]).astype(np.int32)
+    indices = np.nonzero(held)[1].astype(np.int32)
+    return dense, paths.Adjacency(indptr, indices, np.ones(len(indices)), absent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.booleans(), st.sampled_from(["empty", "full", "random"]),
+       st.integers(1, 5), st.randoms(use_true_random=False))
+def test_masked_product_rows_are_the_full_products_rows(g, absent, mask, k, rng):
+    """Where the row mask is set, the product has the full product's bits,
+    for A and for Ā; elsewhere it holds finite non-negative values, which
+    the Brandes sweep multiplies by 0.0."""
+    dense, adj = _operand(g, absent)
+    n = adj.n
+    rows = {"empty": np.zeros(n, dtype=bool), "full": np.ones(n, dtype=bool),
+            "random": np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)}[mask]
+    # path counts, their reciprocals and zeros, as the sweeps hand the product
+    x = np.array([[rng.choice([0.0, 0.0, 1.0, 3.0, rng.random(), 1.0 / rng.randint(1, 9)])
+                   for _ in range(k)] for _ in range(n)])
+    product = paths._product(adj)
+    full, masked = np.empty((n, k)), np.full((n, k), np.nan)
+    product(x.copy(), full, np.ones(n, dtype=bool))
+    product(x.copy(), masked, rows)
+    assert masked[rows].tobytes() == full[rows].tobytes()
+    assert np.isfinite(masked).all() and (masked[~rows] >= 0.0).all()
+    np.testing.assert_allclose(full, dense @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_level_products_visit_under_half_the_ties_of_full_ones(monkeypatch):
+    """On a 300-node path, one pass's products read fewer than half of the
+    stored ties that products over every row would read."""
+    names = [f"n{i:03d}" for i in range(300)]
+    g = one_mode(names, {(a, b): 1 for a, b in zip(names, names[1:])})
+    stored = paths.adjacency_matrix(g).indptr[-1]
+    loop, visited = paths._sparsetools().csr_matvecs, []
+
+    def counting(rows, cols, k, indptr, *rest):
+        visited.append(int(indptr[rows]))
+        loop(rows, cols, k, indptr, *rest)
+
+    monkeypatch.setattr(paths, "_sparsetools", lambda: SimpleNamespace(csr_matvecs=counting))
+    stats = path_stats(g)
+    assert stats.diameter == 299
+    assert visited and sum(visited) < 0.5 * len(visited) * stored
