@@ -10,7 +10,8 @@ names, and ties are rows of index arrays. Names are used only when a
 network is written out. ``build_bipartite`` sorts them, so index order
 is name order in every network built from data. Networks compare by
 identity, since arrays have no single truth value. ``edge_list_csv`` and
-``node_list_csv`` write a projection through ``text.csv_text``.
+``node_list_csv`` write a projection through ``text``: the edge list's
+ties through ``text.tie_lines``, from one CSV cell per node name.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import ForumDataset
-from .text import csv_text
+from .text import csv_cells, csv_text, tie_lines
 
 USER_MODE = "user"
 THREAD_MODE = "thread"
@@ -120,9 +121,9 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneMod
 
 
 def edge_list_csv(g: OneModeNetwork) -> str:
-    names = np.array(g.nodes, dtype=object)[g.edges]
-    rows = zip(names[:, 0].tolist(), names[:, 1].tolist(), g.weights.tolist())
-    return csv_text(("source", "target", "weight"), rows)
+    ends = csv_cells(g.nodes)
+    ties = tie_lines(ends, ends, g.edges, g.weights, lambda weight: f"{weight}\n")
+    return csv_text(("source", "target", "weight"), ()) + ties
 
 
 def node_list_csv(g: OneModeNetwork) -> str:

@@ -10,9 +10,10 @@ contract are never fatal: they are kept in ``ForumDataset.rejected`` with
 a machine-readable reason, so retained + rejected always accounts for
 every input row.
 
-Each row validates to a plain tuple or to a ``RejectedRow``; one pass
-then drops duplicate post IDs, picks each thread's starter and builds a
-single ``PostRecord`` per kept row.
+Each row validates to a plain tuple or to the reason it is rejected; one
+pass then drops duplicate post IDs, picks each thread's starter and builds
+a single ``PostRecord`` per kept row. A row's raw text is written only
+once the row is rejected.
 
 ``dataset_to_json``, ``posts_csv`` and ``users_csv`` write a dataset
 back out through ``text``, which fixes the bytes of both formats.
@@ -28,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputError, SchemaError
 from .text import csv_text, json_text
@@ -148,9 +149,9 @@ def _read_text(source) -> str:
     return data.lstrip("﻿")
 
 
-def _validate_fields(raw: str, fields: list[str], start: bool | str):
-    """The row as (post_id, thread_id, user_id, forum_id, timestamp, start,
-    raw), or the RejectedRow that says why it cannot be kept.
+def _validate_fields(fields: list[str], start: bool | str) -> tuple | str:
+    """The row as (post_id, thread_id, user_id, forum_id, timestamp, start),
+    or the reason it cannot be kept.
 
     ``fields`` holds the POSTS_COLUMNS values as text; ``start`` is a bool
     or the text of a CSV start column ("", "true" or "false", any case).
@@ -158,18 +159,18 @@ def _validate_fields(raw: str, fields: list[str], start: bool | str):
     ids = [value.strip() for value in fields[:4]]
     for name, value in zip(POSTS_COLUMNS, ids):
         if not value:
-            return RejectedRow(raw, f"missing {name}")
+            return f"missing {name}"
     timestamp = parse_timestamp(fields[4])
     if timestamp is None:
-        return RejectedRow(raw, "bad timestamp")
+        return "bad timestamp"
     if timestamp < VALID_FROM:
-        return RejectedRow(raw, "timestamp out of range")
+        return "timestamp out of range"
     if isinstance(start, str):
         start = start.strip().lower()
         if start not in ("", "true", "false"):
-            return RejectedRow(raw, "bad is_thread_start")
+            return "bad is_thread_start"
         start = start == "true"
-    return (*ids, timestamp, start, raw)
+    return (*ids, timestamp, start)
 
 
 def _merge_users(*rosters: Iterable[UserProfile]) -> list[UserProfile]:
@@ -183,10 +184,14 @@ def _merge_users(*rosters: Iterable[UserProfile]) -> list[UserProfile]:
 
 def _finalize(
     rows: list,
+    sources: list,
+    raw: Callable[[object], str],
     roster: Iterable[UserProfile] = (),
     carried: Iterable[RejectedRow] = (),
 ) -> ForumDataset:
-    """The dataset from validated rows, given in input order.
+    """The dataset from validated rows (tuples, or reasons for rejection),
+    given in input order; ``sources[i]`` is the input row that gave
+    ``rows[i]``, and ``raw`` writes it as the text of its ``RejectedRow``.
 
     The earliest row per post_id is kept (ties by input order) and the
     others are rejected as duplicates. Each thread gets one starter: its
@@ -195,7 +200,7 @@ def _finalize(
     """
     kept: dict[str, int] = {}  # post_id -> index of the row kept for it
     for i, row in enumerate(rows):
-        if isinstance(row, RejectedRow):
+        if isinstance(row, str):
             continue
         j = kept.setdefault(row[0], i)
         if j == i:
@@ -204,7 +209,7 @@ def _finalize(
             kept[row[0]], drop = i, j
         else:
             drop = i
-        rows[drop] = RejectedRow(rows[drop][6], "duplicate post_id")
+        rows[drop] = "duplicate post_id"
 
     retained = sorted((rows[i] for i in kept.values()), key=lambda row: (row[4], row[0]))
     # thread_id -> post_id of its starter; walking the rows backwards lets
@@ -213,11 +218,13 @@ def _finalize(
     starters.update({row[1]: row[0] for row in reversed(retained) if row[5]})
     posts = [
         PostRecord(post_id, thread_id, user_id, forum_id, ts, starters[thread_id] == post_id)
-        for post_id, thread_id, user_id, forum_id, ts, _, _ in retained
+        for post_id, thread_id, user_id, forum_id, ts, _ in retained
     ]
     users = _merge_users(roster, map(UserProfile, {post.user_id for post in posts}))
-    rejected = [*carried, *(row for row in rows if isinstance(row, RejectedRow))]
-    return ForumDataset(posts=posts, users=users, rejected=rejected)
+    rejected = [
+        RejectedRow(raw(source), row) for row, source in zip(rows, sources) if isinstance(row, str)
+    ]
+    return ForumDataset(posts=posts, users=users, rejected=[*carried, *rejected])
 
 
 def _parse_posts_csv(text: str) -> ForumDataset:
@@ -234,16 +241,14 @@ def _parse_posts_csv(text: str) -> ForumDataset:
         )
     has_start = len(header) == 6
 
-    rows: list = []
-    for row in reader:
-        if not row:
-            continue
-        raw = csv_text(row, ())[:-1]  # the row as one CSV line, without its "\n"
-        if len(row) != len(header):
-            rows.append(RejectedRow(raw, "wrong column count"))
-        else:
-            rows.append(_validate_fields(raw, row, row[5] if has_start else ""))
-    return _finalize(rows)
+    sources = [row for row in reader if row]
+    rows = [
+        "wrong column count" if len(row) != len(header)
+        else _validate_fields(row, row[5] if has_start else "")
+        for row in sources
+    ]
+    # a rejected row as one CSV line, without its "\n"
+    return _finalize(rows, sources, lambda row: csv_text(row, ())[:-1])
 
 
 def _json_text(entry: dict, name: str) -> str:
@@ -281,17 +286,18 @@ def _parse_posts_json(text: str) -> ForumDataset:
 
     rows: list = []
     for entry in doc["posts"]:
-        raw = json.dumps(entry, sort_keys=True)
         if not isinstance(entry, dict):
-            rows.append(RejectedRow(raw, "post entry is not an object"))
+            rows.append("post entry is not an object")
             continue
         start = entry.get(START_COLUMN)
         if start is not None and not isinstance(start, bool):
-            rows.append(RejectedRow(raw, "bad is_thread_start"))
+            rows.append("bad is_thread_start")
         else:
             fields = [_json_text(entry, name) for name in POSTS_COLUMNS]
-            rows.append(_validate_fields(raw, fields, bool(start)))
-    return _finalize(rows, roster, carried)
+            rows.append(_validate_fields(fields, bool(start)))
+    return _finalize(
+        rows, doc["posts"], lambda entry: json.dumps(entry, sort_keys=True), roster, carried
+    )
 
 
 def parse_posts(source) -> ForumDataset:

@@ -1,10 +1,17 @@
-"""The bytes of every written artifact: one CSV dialect, one JSON layout.
+"""The bytes of every written artifact: one CSV dialect, one JSON layout,
+and the tie sections of the edge lists and graph files.
 
 CSV has a header row and ``\\n``-terminated rows. The ``csv`` module
 writes a float as ``repr`` does, in its shortest round-trip form, so a
 float column reads back to the same bits. JSON has sorted keys, a
 two-space indent and a trailing newline, and never holds NaN or Infinity,
 which are not JSON.
+
+A network's tie lines come from ``tie_lines``: the caller formats one
+left and one right piece per node and one tail per distinct weight, and
+each line is the three pieces of its tie joined. So no name, coordinate
+or weight is formatted once per tie, and ties are joined ``TIE_CHUNK``
+at a time, so the pieces in flight stay bounded whatever the tie count.
 """
 
 from __future__ import annotations
@@ -12,7 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+# ties whose pieces are gathered and joined at once
+TIE_CHUNK = 8192
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -24,5 +36,38 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+def csv_cells(values: Iterable[str]) -> list[str]:
+    """Each value as ``csv_text`` writes it before a later field of its
+    row: the cell, quoted if it must be, then the delimiter."""
+    # a row's only field is quoted when it is empty, so each value leads a
+    # two-field row, written without its "\n"
+    return [csv_text((value, ""), ())[:-1] for value in values]
+
+
 def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def tie_lines(
+    left: Sequence[str],
+    right: Sequence[str],
+    edges: np.ndarray,
+    weights: np.ndarray,
+    tail: Callable[[int], str],
+) -> str:
+    """One line per row (i, j) of ``edges``, in row order: ``left[i] +
+    right[j] + tail(w)`` for the row's weight ``w``.
+
+    ``tail`` is called once per distinct weight, in increasing order, and
+    its text must end the line. The pieces are gathered and joined
+    ``TIE_CHUNK`` ties at a time.
+    """
+    values, which = np.unique(weights, return_inverse=True)
+    tails = np.array([tail(w) for w in values.tolist()], dtype=object)
+    left, right = np.array(left, dtype=object), np.array(right, dtype=object)
+    chunks = []
+    for lo in range(0, len(edges), TIE_CHUNK):
+        ties = slice(lo, lo + TIE_CHUNK)
+        pieces = np.column_stack((left[edges[ties, 0]], right[edges[ties, 1]], tails[which[ties]]))
+        chunks.append("".join(pieces.ravel().tolist()))
+    return "".join(chunks)

@@ -7,21 +7,25 @@ middle of the drawing. A ``Layout`` is built in two parts: its
 constructor allocates the whole workspace, O(LAYOUT_BLOCK * n + m)
 floats, on the calling thread, and ``run`` steps in it, on any thread,
 without allocating an m-sized array; ``layout`` does both in turn.
-Exports cover DOT, GraphML, and a dependency-free SVG rendering;
-``positions_csv`` writes a layout through ``text.csv_text``.
+Exports cover DOT, GraphML, and a dependency-free SVG rendering. Each
+writes its nodes line by line and its ties through ``text.tie_lines``:
+one quoted name (or, in SVG, one pair of coordinates) per node for each
+end of a tie, and one tail per distinct weight. XML text is escaped here,
+as ``xml.sax.saxutils`` escapes it, without importing that module's
+``urllib`` dependencies. ``positions_csv`` writes a layout through
+``text.csv_text``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
 from .errors import ConfigError
 from .graph import BipartiteNetwork, OneModeNetwork
-from .text import csv_text
+from .text import csv_text, tie_lines
 
 EXPORT_FORMATS = ("dot", "graphml", "svg")
 
@@ -230,11 +234,28 @@ def positions_csv(network, positions: np.ndarray) -> str:
     return csv_text(("node_id", "x", "y"), zip(nodes, *_placed(nodes, positions).T.tolist()))
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` written as XML entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` as a quoted XML attribute value: escaped, with tab, LF and
+    CR as character references, in double quotes unless it holds a double
+    quote and no single one."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(nodes, ties, modes, sizes) -> str:
+def _to_dot(nodes, edges, weights, modes, sizes) -> str:
     quoted = [_dot_quote(node) for node in nodes]
     lines = ["graph G {"]
     for k, node in enumerate(quoted):
@@ -245,13 +266,13 @@ def _to_dot(nodes, ties, modes, sizes) -> str:
             attrs.append(f"size={sizes[k]}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {node}{suffix};")
-    lines.extend(f"  {quoted[i]} -- {quoted[j]} [weight={weight}];" for i, j, weight in ties)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    froms = [f"  {node} -- " for node in quoted]
+    ties = tie_lines(froms, quoted, edges, weights, lambda weight: f" [weight={weight}];\n")
+    return "".join(("\n".join(lines), "\n", ties, "}\n"))
 
 
-def _to_graphml(nodes, ties, modes, sizes) -> str:
-    quoted = [quoteattr(node) for node in nodes]
+def _to_graphml(nodes, edges, weights, modes, sizes) -> str:
+    quoted = [_quoteattr(node) for node in nodes]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -263,52 +284,50 @@ def _to_graphml(nodes, ties, modes, sizes) -> str:
     for k, node in enumerate(quoted):
         data = []
         if modes is not None:
-            data.append(f'<data key="mode">{escape(modes[k])}</data>')
+            data.append(f'<data key="mode">{_escape(modes[k])}</data>')
         if sizes is not None:
             data.append(f'<data key="size">{sizes[k]}</data>')
         if data:
             out.append(f"    <node id={node}>{''.join(data)}</node>")
         else:
             out.append(f"    <node id={node}/>")
-    out.extend(
-        f"    <edge source={quoted[i]} target={quoted[j]}>"
-        f'<data key="weight">{weight}</data></edge>'
-        for i, j, weight in ties
+    ties = tie_lines(
+        [f"    <edge source={node}" for node in quoted],
+        [f" target={node}>" for node in quoted],
+        edges,
+        weights,
+        lambda weight: f'<data key="weight">{weight}</data></edge>\n',
     )
-    out.append("  </graph>")
-    out.append("</graphml>")
-    return "\n".join(out) + "\n"
+    return "".join(("\n".join(out), "\n", ties, "  </graph>\n</graphml>\n"))
 
 
-def _to_svg(nodes, ties, modes, sizes, positions: np.ndarray) -> str:
+def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> str:
     usable = SVG_SIZE - 2 * SVG_MARGIN
     points = (SVG_MARGIN + _placed(nodes, positions) * usable).tolist()
-    max_weight = max((w for _, _, w in ties), default=1)
+    max_weight = weights.max().item() if len(weights) else 1
     sizes = sizes or [0] * len(nodes)
     max_size = max(sizes, default=0)
-    out = [
+    head = "\n".join((
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'  <rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
         '  <g stroke="#8899aa" stroke-opacity="0.55">',
-    ]
-    for i, j, weight in ties:
-        x1, y1 = points[i]
-        x2, y2 = points[j]
-        width = 0.6 + 2.4 * weight / max_weight
-        out.append(
-            f'    <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"'
-            f' stroke-width="{width:.2f}"/>'
-        )
-    out.append("  </g>")
-    out.append('  <g fill="#3465a4" stroke="#1f3d66" stroke-width="0.8">')
+    ))
+    ties = tie_lines(
+        [f'    <line x1="{x:.2f}" y1="{y:.2f}"' for x, y in points],
+        [f' x2="{x:.2f}" y2="{y:.2f}"' for x, y in points],
+        edges,
+        weights,
+        lambda weight: f' stroke-width="{0.6 + 2.4 * weight / max_weight:.2f}"/>\n',
+    )
+    out = ["  </g>", '  <g fill="#3465a4" stroke="#1f3d66" stroke-width="0.8">']
     for k, node in enumerate(nodes):
         x, y = points[k]
         if max_size > 0:
             radius = 3.0 + 11.0 * sizes[k] / max_size
         else:
             radius = 6.0
-        label = f"<title>{escape(node)}</title>"
+        label = f"<title>{_escape(node)}</title>"
         if modes is not None and modes[k] == "thread":
             side = 2 * radius
             out.append(
@@ -319,7 +338,7 @@ def _to_svg(nodes, ties, modes, sizes, positions: np.ndarray) -> str:
             out.append(f'    <circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}">{label}</circle>')
     out.append("  </g>")
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "".join((head, "\n", ties, "\n".join(out), "\n"))
 
 
 def export_graph(network, positions: np.ndarray | None = None, format: str = "dot") -> str:
@@ -331,12 +350,11 @@ def export_graph(network, positions: np.ndarray | None = None, format: str = "do
     if format not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format: {format!r}")
     nodes, edges, weights, modes, sizes = _drawing(network)
-    ties = [(i, j, w) for (i, j), w in zip(edges.tolist(), weights.tolist())]
     sizes = None if sizes is None else sizes.tolist()
     if format == "dot":
-        return _to_dot(nodes, ties, modes, sizes)
+        return _to_dot(nodes, edges, weights, modes, sizes)
     if format == "graphml":
-        return _to_graphml(nodes, ties, modes, sizes)
+        return _to_graphml(nodes, edges, weights, modes, sizes)
     if positions is None:
         raise ValueError("svg export requires a layout")
-    return _to_svg(nodes, ties, modes, sizes, positions)
+    return _to_svg(nodes, edges, weights, modes, sizes, positions)

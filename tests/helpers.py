@@ -2,14 +2,18 @@
 
 Oracles here deliberately avoid the library's own algorithms: distances
 come from Floyd-Warshall over dicts, betweenness from explicit
-shortest-path enumeration, and projections from incidence-matrix
-products, so agreement is meaningful.
+shortest-path enumeration, projections from incidence-matrix products,
+and edge lists and graph files from one formatted line per tie, so
+agreement is meaningful.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from datetime import datetime, timedelta, timezone
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -345,3 +349,116 @@ def scan_pick(weights, target: float) -> int:
         if target < acc:
             return i
     return len(weights) - 1
+
+
+def oracle_edge_list_csv(g: OneModeNetwork) -> str:
+    """``graph.edge_list_csv`` written one ``csv`` row per tie."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("source", "target", "weight"))
+    for (i, j), weight in zip(g.edges.tolist(), g.weights.tolist()):
+        writer.writerow((g.nodes[i], g.nodes[j], weight))
+    return buf.getvalue()
+
+
+def _oracle_dot_quote(value: str) -> str:
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _oracle_dot(nodes, ties, modes, sizes) -> str:
+    quoted = [_oracle_dot_quote(node) for node in nodes]
+    lines = ["graph G {"]
+    for k, node in enumerate(quoted):
+        attrs = []
+        if modes is not None:
+            attrs.append(f"mode={_oracle_dot_quote(modes[k])}")
+        if sizes is not None:
+            attrs.append(f"size={sizes[k]}")
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        lines.append(f"  {node}{suffix};")
+    lines.extend(f"  {quoted[i]} -- {quoted[j]} [weight={weight}];" for i, j, weight in ties)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_graphml(nodes, ties, modes, sizes) -> str:
+    quoted = [quoteattr(node) for node in nodes]
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="long"/>',
+        '  <key id="size" for="node" attr.name="size" attr.type="long"/>',
+        '  <key id="mode" for="node" attr.name="mode" attr.type="string"/>',
+        '  <graph edgedefault="undirected">',
+    ]
+    for k, node in enumerate(quoted):
+        data = []
+        if modes is not None:
+            data.append(f'<data key="mode">{escape(modes[k])}</data>')
+        if sizes is not None:
+            data.append(f'<data key="size">{sizes[k]}</data>')
+        if data:
+            out.append(f"    <node id={node}>{''.join(data)}</node>")
+        else:
+            out.append(f"    <node id={node}/>")
+    out.extend(
+        f"    <edge source={quoted[i]} target={quoted[j]}>"
+        f'<data key="weight">{weight}</data></edge>'
+        for i, j, weight in ties
+    )
+    out.append("  </graph>")
+    out.append("</graphml>")
+    return "\n".join(out) + "\n"
+
+
+def _oracle_svg(nodes, ties, modes, sizes, positions) -> str:
+    size, margin = 1000, 40
+    usable = size - 2 * margin
+    points = (margin + positions * usable).tolist()
+    max_weight = max((w for _, _, w in ties), default=1)
+    sizes = sizes or [0] * len(nodes)
+    max_size = max(sizes, default=0)
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
+        f'  <rect width="{size}" height="{size}" fill="white"/>',
+        '  <g stroke="#8899aa" stroke-opacity="0.55">',
+    ]
+    for i, j, weight in ties:
+        x1, y1 = points[i]
+        x2, y2 = points[j]
+        width = 0.6 + 2.4 * weight / max_weight
+        out.append(
+            f'    <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"'
+            f' stroke-width="{width:.2f}"/>'
+        )
+    out.append("  </g>")
+    out.append('  <g fill="#3465a4" stroke="#1f3d66" stroke-width="0.8">')
+    for k, node in enumerate(nodes):
+        x, y = points[k]
+        radius = 3.0 + 11.0 * sizes[k] / max_size if max_size > 0 else 6.0
+        label = f"<title>{escape(node)}</title>"
+        if modes is not None and modes[k] == "thread":
+            side = 2 * radius
+            out.append(
+                f'    <rect x="{x - radius:.2f}" y="{y - radius:.2f}"'
+                f' width="{side:.2f}" height="{side:.2f}" fill="#cc6644">{label}</rect>'
+            )
+        else:
+            out.append(f'    <circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}">{label}</circle>')
+    out.append("  </g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def oracle_export(network, positions, format: str) -> str:
+    """``viz.export_graph`` written one line per tie, each from its own
+    f-string, with ``xml.sax.saxutils`` escaping."""
+    nodes, edges, weights, modes, sizes = _drawing(network)
+    ties = [(i, j, w) for (i, j), w in zip(edges.tolist(), weights.tolist())]
+    sizes = None if sizes is None else sizes.tolist()
+    if format == "dot":
+        return _oracle_dot(nodes, ties, modes, sizes)
+    if format == "graphml":
+        return _oracle_graphml(nodes, ties, modes, sizes)
+    return _oracle_svg(nodes, ties, modes, sizes, positions)

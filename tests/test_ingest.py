@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet import cli
+from forumnet import cli, ingest
 from forumnet.errors import InputError, SchemaError
 from forumnet.ingest import (
     activity_overview,
@@ -215,6 +215,36 @@ def test_duplicate_dated_earlier_displaces_the_kept_row():
     data = parse_posts(csv_stream(first, "p1,t1,u2,f1,2012-01-01T00:00:00Z"))
     assert [p.user_id for p in data.posts] == ["u2"]
     assert [(r.raw, r.reason) for r in data.rejected] == [(first, "duplicate post_id")]
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_raw_text_is_written_for_rejected_rows_only(monkeypatch, form):
+    """A duplicate and a bad row keep the raw text they always had, and it
+    is written for them alone, not for the rows that are kept."""
+    rows = [
+        ("p1", "t1", "u,1", "f1", "2012-01-01T00:00:00Z"),
+        ("p1", "t1", 'u"2', "f1", "2012-01-02T00:00:00Z"),
+        ("p2", "t1", "u3", "f1", "notadate"),
+        ("p3", "t1", "u4", "f1", "2012-01-03T00:00:00Z"),
+    ]
+    if form == "csv":
+        source = csv_stream(*(ingest.csv_text(row, ())[:-1] for row in rows))
+        expected = ['p1,t1,"u""2",f1,2012-01-02T00:00:00Z', "p2,t1,u3,f1,notadate"]
+        owner, name = ingest, "csv_text"
+    else:
+        entries = [dict(zip(ingest.POSTS_COLUMNS, row)) for row in rows]
+        source = json_posts(*entries)
+        expected = [json.dumps(entry, sort_keys=True) for entry in entries[1:3]]
+        owner, name = json, "dumps"
+    written = []
+    writer = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: written.append(a) or writer(*a, **k))
+    data = parse_posts(source)
+    assert [p.post_id for p in data.posts] == ["p1", "p3"]
+    assert [(r.raw, r.reason) for r in data.rejected] == [
+        (expected[0], "duplicate post_id"), (expected[1], "bad timestamp")
+    ]
+    assert len(written) == 2
 
 
 def test_rejections_keep_input_order():

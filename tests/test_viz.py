@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 from unittest import mock
 
 import numpy as np
@@ -528,3 +529,23 @@ def test_shared_user_thread_ids_are_mode_qualified():
     # without a shared ID the names are written as they are
     plain = build_bipartite(dataset_from_posts([("u1", "1"), ("u2", "1")]))
     assert '"u1" -- "1" [weight=1];' in export_graph(plain, format="dot")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_xml_escapes_match_saxutils(value):
+    assert viz._escape(value) == saxutils.escape(value)
+    assert viz._quoteattr(value) == saxutils.quoteattr(value)
+
+
+def test_cli_import_leaves_urllib_request_out():
+    """The XML escapes are local, so no command's start-up loads
+    urllib.request (and http.client and email with it)."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, forumnet.cli; print(*sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "forumnet.viz" in loaded
+    assert "urllib.request" not in loaded
