@@ -119,18 +119,19 @@ def core_set(
 def silent_initiators(
     b: BipartiteNetwork,
     g_user: OneModeNetwork,
-    min_threads: int = 21,
+    min_threads: int,
 ) -> list[tuple[str, int]]:
     """Users active in >= min_threads threads yet tied to nobody.
 
     These are thread starters whose threads got no other participants.
-    Returns (user_id, thread_count) pairs, most prolific first.
+    Returns (user_id, thread_count) pairs, most prolific first; a
+    user's thread count is its ``node_attr`` in ``g_user``.
     """
     if g_user.mode != USER_MODE:
         raise ValueError(f"expected a user-mode network, got {g_user.mode!r}")
     if g_user.nodes != b.user_nodes:
         raise ValueError("user network does not match the bipartite network")
-    thread_counts = np.bincount(b.incidence[:, 0], minlength=len(b.user_nodes)).tolist()
+    thread_counts = g_user.node_attr.tolist()
     hits = [
         (user, count)
         for user, count, degree in zip(b.user_nodes, thread_counts, g_user.degrees().tolist())

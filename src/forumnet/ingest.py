@@ -4,11 +4,13 @@ Input is a posts table (CSV or a previously serialized dataset in JSON)
 plus an optional user roster. The content tells the two apart, never the
 file name: a document whose first character after any BOM and whitespace
 is ``{`` or ``[`` is JSON, and anything else is a posts CSV (no valid
-header starts with either). ``load_dataset`` reads a posts file once and
-keeps the sha256 of its bytes on the dataset. Rows that violate the record
-contract are never fatal: they are kept in ``ForumDataset.rejected`` with
-a machine-readable reason, so retained + rejected always accounts for
-every input row.
+header starts with either). ``parse_posts`` and ``parse_users`` take a
+file's bytes. ``load_dataset`` alone opens data files: it reads the posts
+file once, parses those bytes and keeps their sha256 on the dataset, then
+merges in the roster parsed from the users file. Rows that violate the
+record contract are never fatal: they are kept in
+``ForumDataset.rejected`` with a machine-readable reason, so retained +
+rejected always accounts for every input row.
 
 Each row validates to a plain tuple or to the reason it is rejected; one
 pass then drops duplicate post IDs, picks each thread's starter and builds
@@ -134,19 +136,12 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).isoformat()
 
 
-def _read_text(source) -> str:
-    """Accept a path, bytes, or file object; decode as UTF-8."""
+def _decode(raw: bytes) -> str:
+    """A file's bytes as UTF-8 text, without its byte-order mark."""
     try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8-sig")
-        data = source if isinstance(source, bytes) else source.read()
-        if isinstance(data, bytes):
-            return data.decode("utf-8-sig")
-    except OSError as exc:
-        raise InputError(f"cannot read input: {exc}") from exc
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not valid UTF-8: {exc}") from exc
-    return data.lstrip("﻿")
 
 
 def _validate_fields(fields: list[str], start: bool | str) -> tuple | str:
@@ -300,23 +295,23 @@ def _parse_posts_json(text: str) -> ForumDataset:
     )
 
 
-def parse_posts(source) -> ForumDataset:
-    """Parse a posts log into a validated dataset.
+def parse_posts(raw: bytes) -> ForumDataset:
+    """Parse the bytes of a posts file into a validated dataset.
 
-    ``source`` is a path, bytes, or file object holding a serialized
-    dataset document (JSON: ``{`` or ``[`` first) or else the raw posts
-    table (CSV). Per-row faults land in ``rejected``; only an unreadable
-    stream or a bad header/shape raises.
+    ``raw`` holds a serialized dataset document (JSON: ``{`` or ``[``
+    first) or else the raw posts table (CSV). Per-row faults land in
+    ``rejected``; only undecodable bytes or a bad header/shape raise. The
+    dataset carries no ``source_sha256``: ``load_dataset`` reads a file
+    and stamps it.
     """
-    text = _read_text(source)
+    text = _decode(raw)
     json_doc = text.lstrip()[:1] in ("{", "[")
     return _parse_posts_json(text) if json_doc else _parse_posts_csv(text)
 
 
-def parse_users(source) -> list[UserProfile]:
-    """Parse the optional user roster CSV (user_id,profession)."""
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text))
+def parse_users(raw: bytes) -> list[UserProfile]:
+    """Parse the bytes of the optional user roster CSV (user_id,profession)."""
+    reader = csv.reader(io.StringIO(_decode(raw)))
     try:
         header = next(reader)
     except StopIteration:
@@ -331,23 +326,23 @@ def parse_users(source) -> list[UserProfile]:
     return _merge_users(roster)
 
 
-def with_users(data: ForumDataset, roster: list[UserProfile]) -> ForumDataset:
-    """Attach a roster; posting users missing from it keep auto profiles."""
-    return replace(data, users=_merge_users(roster, data.users))
+def _read(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def load_dataset(posts_path, users_path=None) -> ForumDataset:
     """The dataset in the posts file at ``posts_path``, with the optional
-    users roster at ``users_path``. The posts file is read once: the bytes
-    parsed are the bytes whose sha256 the dataset carries."""
-    try:
-        raw = Path(posts_path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {posts_path}: {exc}") from exc
+    users roster at ``users_path``; posting users missing from the roster
+    keep auto profiles. The posts file is read once: the bytes parsed are
+    the bytes whose sha256 the dataset carries."""
+    raw = _read(posts_path)
     data = replace(parse_posts(raw), source_sha256=hashlib.sha256(raw).hexdigest())
-    if users_path is not None:
-        data = with_users(data, parse_users(users_path))
-    return data
+    if users_path is None:
+        return data
+    return replace(data, users=_merge_users(parse_users(_read(users_path)), data.users))
 
 
 def period_label(timestamp: datetime, period: str) -> str:

@@ -84,11 +84,11 @@ def thin(g: OneModeNetwork, spec: ThinningSpec | None = None) -> OneModeNetwork:
 
 
 def _drawing(network):
-    """(node names, (m, 2) index edges, weights, per-node modes or None,
-    per-node sizes or None) of either network kind. Bipartite threads
-    follow the users, and only one-mode nodes carry a size. When a user
-    and a thread share an ID, every bipartite node is written as
-    ``user:<id>`` or ``thread:<id>``."""
+    """(node names, (m, 2) index edges, weights, per-node modes, per-node
+    sizes) of either network kind. Exactly one of modes and sizes is None:
+    bipartite nodes carry a mode, with the threads after the users, and
+    one-mode nodes a size. When a user and a thread share an ID, every
+    bipartite node is written as ``user:<id>`` or ``thread:<id>``."""
     if isinstance(network, BipartiteNetwork):
         users, threads = network.user_nodes, network.thread_nodes
         if not set(users).isdisjoint(threads):
@@ -114,7 +114,7 @@ class Layout:
     arena, and memory the caller frees serves its next allocations.
     """
 
-    def __init__(self, network, seed: int = 42, iterations: int = 100):
+    def __init__(self, network, seed: int, iterations: int):
         if iterations < 1:
             raise ConfigError("iterations must be >= 1")
         nodes, edges, _, _, _ = _drawing(network)
@@ -140,8 +140,6 @@ class Layout:
         space, self._space = self._space, None
         xy, targets, delta, square, forces, length, norm = space
         n, m, iterations = len(norm), len(length), self.iterations
-        if n == 1:
-            return np.array([[0.5, 0.5]])
         ei, ej = targets[n : n + m], targets[n + m :]
         pushed, pulled = forces[:, n : n + m], forces[:, n + m :]
         k = (1.0 / n) ** 0.5
@@ -257,18 +255,13 @@ def _dot_quote(value: str) -> str:
 
 def _to_dot(nodes, edges, weights, modes, sizes) -> str:
     quoted = [_dot_quote(node) for node in nodes]
-    lines = ["graph G {"]
-    for k, node in enumerate(quoted):
-        attrs = []
-        if modes is not None:
-            attrs.append(f"mode={_dot_quote(modes[k])}")
-        if sizes is not None:
-            attrs.append(f"size={sizes[k]}")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {node}{suffix};")
+    if modes is not None:
+        lines = [f"  {node} [mode={_dot_quote(mode)}];\n" for node, mode in zip(quoted, modes)]
+    else:
+        lines = [f"  {node} [size={size}];\n" for node, size in zip(quoted, sizes)]
     froms = [f"  {node} -- " for node in quoted]
     ties = tie_lines(froms, quoted, edges, weights, lambda weight: f" [weight={weight}];\n")
-    return "".join(("\n".join(lines), "\n", ties, "}\n"))
+    return "".join(("graph G {\n", *lines, ties, "}\n"))
 
 
 def _to_graphml(nodes, edges, weights, modes, sizes) -> str:
@@ -281,16 +274,16 @@ def _to_graphml(nodes, edges, weights, modes, sizes) -> str:
         '  <key id="mode" for="node" attr.name="mode" attr.type="string"/>',
         '  <graph edgedefault="undirected">',
     ]
-    for k, node in enumerate(quoted):
-        data = []
-        if modes is not None:
-            data.append(f'<data key="mode">{_escape(modes[k])}</data>')
-        if sizes is not None:
-            data.append(f'<data key="size">{sizes[k]}</data>')
-        if data:
-            out.append(f"    <node id={node}>{''.join(data)}</node>")
-        else:
-            out.append(f"    <node id={node}/>")
+    if modes is not None:
+        out += [
+            f'    <node id={node}><data key="mode">{_escape(mode)}</data></node>'
+            for node, mode in zip(quoted, modes)
+        ]
+    else:
+        out += [
+            f'    <node id={node}><data key="size">{size}</data></node>'
+            for node, size in zip(quoted, sizes)
+        ]
     ties = tie_lines(
         [f"    <edge source={node}" for node in quoted],
         [f" target={node}>" for node in quoted],

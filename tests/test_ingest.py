@@ -1,8 +1,8 @@
 """Parsing, validation, aggregation, and round-trip serialization."""
 
 import hashlib
-import io
 import json
+from dataclasses import replace
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from forumnet import cli, ingest
 from forumnet.errors import InputError, SchemaError
 from forumnet.ingest import (
+    _merge_users,
     activity_overview,
     dataset_to_json,
     load_dataset,
@@ -22,7 +23,6 @@ from forumnet.ingest import (
     period_label,
     posts_csv,
     users_csv,
-    with_users,
 )
 from forumnet.synth import SynthConfig, generate
 
@@ -32,7 +32,7 @@ HEADER = "post_id,thread_id,user_id,forum_id,timestamp"
 
 
 def csv_stream(*rows, header=HEADER):
-    return io.StringIO("\n".join([header, *rows]) + "\n")
+    return ("\n".join([header, *rows]) + "\n").encode("utf-8")
 
 
 def test_four_valid_rows_kept():
@@ -103,24 +103,31 @@ def test_timestamp_beyond_utc_range_is_bad():
 
 def test_bad_header_is_fatal():
     with pytest.raises(SchemaError):
-        parse_posts(io.StringIO("who,what,when\n1,2,3\n"))
+        parse_posts("who,what,when\n1,2,3\n".encode("utf-8"))
 
 
 def test_empty_stream_is_fatal():
     with pytest.raises(SchemaError):
-        parse_posts(io.StringIO(""))
+        parse_posts("".encode("utf-8"))
 
 
 def test_unreadable_path_is_input_error():
     with pytest.raises(InputError):
-        parse_posts("/nonexistent/posts.csv")
+        load_dataset("/nonexistent/posts.csv")
+
+
+def test_text_is_not_a_posts_file():
+    """The parsers take a file's bytes: text, such as a path, fails
+    loudly and is never parsed as CSV."""
+    with pytest.raises(AttributeError):
+        parse_posts(HEADER + "\n")
 
 
 def test_non_utf8_path_is_input_error(tmp_path):
     bad = tmp_path / "posts.csv"
     bad.write_bytes(f"{HEADER}\np1,t1,J\xf6rg,f1,2012-01-01T00:00:00Z\n".encode("latin-1"))
     with pytest.raises(InputError, match="UTF-8"):
-        parse_posts(bad)
+        load_dataset(bad)
 
 
 def test_rows_sorted_by_timestamp_then_post_id():
@@ -180,7 +187,7 @@ def test_bad_thread_start_value_rejected():
 
 
 def json_posts(*posts, users=()):
-    return io.StringIO(json.dumps({"posts": list(posts), "users": list(users)}))
+    return json.dumps({"posts": list(posts), "users": list(users)}).encode("utf-8")
 
 
 def json_post(post_id, timestamp, **extra):
@@ -306,7 +313,7 @@ def test_json_users_and_rejected_must_be_arrays_of_the_right_entries(tmp_path, c
     """A roster or rejection log of the wrong shape is refused, never read
     as empty: a dropped rejection would break lossless-or-logged."""
     with pytest.raises(SchemaError):
-        parse_posts(io.StringIO(json.dumps(doc)))
+        parse_posts(json.dumps(doc).encode("utf-8"))
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["ingest", "--posts", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -375,8 +382,8 @@ def test_overview_invariant_under_row_permutation():
 
 def test_registered_count_uses_roster():
     data = dataset_from_posts([("u1", "t1")])
-    roster = parse_users(io.StringIO("user_id,profession\nu1,nursing\nu2,\nu3,gp\n"))
-    merged = with_users(data, roster)
+    roster = parse_users("user_id,profession\nu1,nursing\nu2,\nu3,gp\n".encode("utf-8"))
+    merged = replace(data, users=_merge_users(roster, data.users))
     overview = activity_overview(merged)
     assert overview.registered_user_count == 3
     assert overview.posting_user_count == 1
@@ -391,7 +398,7 @@ def test_json_round_trip():
             "p3,t2,u2,f1,bad-stamp",
         )
     )
-    again = parse_posts(io.StringIO(dataset_to_json(data)))
+    again = parse_posts(dataset_to_json(data).encode("utf-8"))
     assert again.posts == data.posts
     assert again.users == data.users
     assert again.rejected == data.rejected
@@ -399,15 +406,16 @@ def test_json_round_trip():
 
 def test_csv_round_trip():
     original = generate(SynthConfig(user_count=8, thread_count=5, post_count=30, seed=2))
-    parsed = parse_posts(io.StringIO(posts_csv(original)))
-    parsed = with_users(parsed, parse_users(io.StringIO(users_csv(original))))
+    parsed = parse_posts(posts_csv(original).encode("utf-8"))
+    roster = parse_users(users_csv(original).encode("utf-8"))
+    parsed = replace(parsed, users=_merge_users(roster, parsed.users))
     assert parsed.posts == original.posts
     assert parsed.users == original.users
 
 
 def test_users_csv_bad_header():
     with pytest.raises(SchemaError):
-        parse_users(io.StringIO("name,job\nu1,gp\n"))
+        parse_users("name,job\nu1,gp\n".encode("utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -433,12 +441,12 @@ def test_load_dataset_ignores_the_suffix(tmp_path, name, writer):
 def test_json_after_bom_or_whitespace_is_json(tmp_path, lead):
     data = dataset_from_posts([("u1", "t1"), ("u2", "t1")])
     text = lead + dataset_to_json(data)
-    assert parse_posts(io.StringIO(text)).posts == data.posts
+    assert parse_posts(text.encode("utf-8")).posts == data.posts
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert load_dataset(path).posts == data.posts
     listed = lead + json.dumps([json_post("p1", "2012-01-01T00:00:00Z")])
-    assert [p.post_id for p in parse_posts(io.BytesIO(listed.encode("utf-8"))).posts] == ["p1"]
+    assert [p.post_id for p in parse_posts(listed.encode("utf-8")).posts] == ["p1"]
 
 
 def test_load_dataset_unreadable_path_names_it(tmp_path):
@@ -447,11 +455,21 @@ def test_load_dataset_unreadable_path_names_it(tmp_path):
         load_dataset(missing)
 
 
+def test_unreadable_roster_names_it(tmp_path, capsys):
+    posts, missing = tmp_path / "ok.csv", tmp_path / "missing.csv"
+    posts.write_bytes(csv_stream("p1,t1,u1,f1,2012-01-01T10:00:00Z"))
+    with pytest.raises(InputError, match=f"cannot read {missing}"):
+        load_dataset(posts, missing)
+    args = ["ingest", "--posts", str(posts), "--users", str(missing), "--out", str(tmp_path / "d")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
 def test_json_posts_must_be_object_array():
     with pytest.raises(SchemaError):
-        parse_posts(io.StringIO('{"no_posts": []}'))
+        parse_posts('{"no_posts": []}'.encode("utf-8"))
     with pytest.raises(InputError):
-        parse_posts(io.StringIO("{nope"))
+        parse_posts("{nope".encode("utf-8"))
 
 
 def test_json_null_user_id_is_rejected(tmp_path):

@@ -1,7 +1,6 @@
 """Generator contracts: feasibility, determinism, planted structure, skew."""
 
 import hashlib
-import io
 import itertools
 from collections import Counter, defaultdict
 
@@ -78,7 +77,7 @@ def test_generated_data_passes_ingest_cleanly():
         data = generate(
             SynthConfig(user_count=15, thread_count=10, post_count=80, seed=seed)
         )
-        parsed = parse_posts(io.StringIO(posts_csv(data)))
+        parsed = parse_posts(posts_csv(data).encode("utf-8"))
         assert parsed.rejected == []
         assert len(parsed.posts) == 80
 
@@ -99,7 +98,7 @@ def test_ingest_round_trip_property(users, threads, extra, seed):
         seed=seed,
     )
     data = generate(cfg)
-    parsed = parse_posts(io.StringIO(posts_csv(data)))
+    parsed = parse_posts(posts_csv(data).encode("utf-8"))
     assert parsed.rejected == []
     assert parsed.posts == data.posts
 
