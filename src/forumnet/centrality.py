@@ -116,25 +116,19 @@ def core_set(
     )
 
 
-def silent_initiators(
-    b: BipartiteNetwork,
-    g_user: OneModeNetwork,
-    min_threads: int,
-) -> list[tuple[str, int]]:
+def silent_initiators(g_user: OneModeNetwork, min_threads: int) -> list[tuple[str, int]]:
     """Users active in >= min_threads threads yet tied to nobody.
 
     These are thread starters whose threads got no other participants.
-    Returns (user_id, thread_count) pairs, most prolific first; a
-    user's thread count is its ``node_attr`` in ``g_user``.
+    Returns (user_id, thread_count) pairs, most prolific first. The user
+    projection holds every posting user, with its thread count as
+    ``node_attr``.
     """
     if g_user.mode != USER_MODE:
         raise ValueError(f"expected a user-mode network, got {g_user.mode!r}")
-    if g_user.nodes != b.user_nodes:
-        raise ValueError("user network does not match the bipartite network")
-    thread_counts = g_user.node_attr.tolist()
+    counts, degrees = g_user.node_attr.tolist(), g_user.degrees().tolist()
     hits = [
-        (user, count)
-        for user, count, degree in zip(b.user_nodes, thread_counts, g_user.degrees().tolist())
+        (user, count) for user, count, degree in zip(g_user.nodes, counts, degrees)
         if degree == 0 and count >= min_threads
     ]
     hits.sort(key=lambda item: (-item[1], item[0]))

@@ -39,7 +39,7 @@ from .ingest import PERIODS, dataset_to_json, load_dataset, posts_csv, users_csv
 from .metrics import format_structural_table, structural_report
 from .report import PipelineConfig, run_pipeline
 from .synth import SynthConfig, generate
-from .viz import EXPORT_FORMATS, ThinningSpec, export_graph, layout, thin
+from .viz import EXPORT_FORMATS, ThinningSpec, check_layout_settings, export_graph, layout, thin
 
 REQUIRED = MISSING  # the default of an option a command cannot run without
 
@@ -250,10 +250,7 @@ def _cmd_metrics(options: dict) -> int:
 def _cmd_viz(options: dict) -> int:
     # range checks come before --data is read, as in analyze
     spec = None if options["thin_sd"] is None else ThinningSpec(k_sd=options["thin_sd"])
-    if options["layout_seed"] < 0:
-        raise ConfigError("layout_seed must be >= 0")
-    if options["layout_iterations"] < 1:
-        raise ConfigError("layout_iterations must be >= 1")
+    check_layout_settings(options["layout_seed"], options["layout_iterations"])
     with _loaded(options["data"]) as data:
         b = build_bipartite(data)
         if options["mode"] == "bipartite":
@@ -266,9 +263,7 @@ def _cmd_viz(options: dict) -> int:
         if options["format"] == "svg":
             if not data.posts:
                 raise InputError("layout requires at least one node, and no post was retained")
-            placed = layout(
-                network, seed=options["layout_seed"], iterations=options["layout_iterations"]
-            )
+            placed = layout(network, options["layout_seed"], options["layout_iterations"])
         rendered = export_graph(network, placed, format=options["format"])
         out_path = Path(options["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)

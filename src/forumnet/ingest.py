@@ -4,18 +4,23 @@ Input is a posts table (CSV or a previously serialized dataset in JSON)
 plus an optional user roster. The content tells the two apart, never the
 file name: a document whose first character after any BOM and whitespace
 is ``{`` or ``[`` is JSON, and anything else is a posts CSV (no valid
-header starts with either). ``parse_posts`` and ``parse_users`` take a
+header starts with either). Both CSV kinds go through one table reader,
+which checks the stripped header, and both rosters (a users CSV, a
+dataset JSON's ``users``) through one row rule: ID and profession are
+stripped, a blank profession is None, a row with no ID is skipped, and
+the first row per ID wins. ``parse_posts`` and ``parse_users`` take a
 file's bytes. ``load_dataset`` alone opens data files: it reads the posts
 file once, parses those bytes and keeps their sha256 on the dataset, then
-merges in the roster parsed from the users file. Rows that violate the
-record contract are never fatal: they are kept in
-``ForumDataset.rejected`` with a machine-readable reason, so retained +
-rejected always accounts for every input row.
+merges in the roster parsed from the users file; a fault in a file's
+bytes is raised with its path in front. Rows that violate the record
+contract are never fatal: they are kept in ``ForumDataset.rejected`` with
+a machine-readable reason, so retained + rejected always accounts for
+every input row.
 
-Each row validates to a plain tuple or to the reason it is rejected; one
-pass then drops duplicate post IDs, picks each thread's starter and builds
-a single ``PostRecord`` per kept row. A row's raw text is written only
-once the row is rejected.
+Each posts row validates to a plain tuple or to the reason it is
+rejected; one pass then drops duplicate post IDs, picks each thread's
+starter and builds a single ``PostRecord`` per kept row. A row's raw text
+is written only once the row is rejected.
 
 ``dataset_to_json``, ``posts_csv`` and ``users_csv`` write a dataset
 back out through ``text``, which fixes the bytes of both formats.
@@ -177,6 +182,13 @@ def _merge_users(*rosters: Iterable[UserProfile]) -> list[UserProfile]:
     return [profiles[uid] for uid in sorted(profiles)]
 
 
+def _roster(rows: Iterable[tuple[str, str]]) -> list[UserProfile]:
+    """The profiles of roster rows (user_id, profession): both stripped, a
+    blank profession None, a row with no ID skipped, the first per ID kept."""
+    stripped = ((user_id.strip(), profession.strip()) for user_id, profession in rows)
+    return _merge_users(UserProfile(uid, profession or None) for uid, profession in stripped if uid)
+
+
 def _finalize(
     rows: list,
     sources: list,
@@ -222,24 +234,25 @@ def _finalize(
     return ForumDataset(posts=posts, users=users, rejected=[*carried, *rejected])
 
 
-def _parse_posts_csv(text: str) -> ForumDataset:
+def _table(text: str, kind: str, columns: tuple, optional: tuple = ()) -> tuple[list, list]:
+    """The stripped header of a ``kind`` CSV, ``columns`` with or without
+    the ``optional`` ones after them, and its non-empty rows."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = [name.strip() for name in next(reader)]
     except StopIteration:
-        raise SchemaError("posts CSV is empty, expected a header row") from None
-    header = [h.strip() for h in header]
-    if header != list(POSTS_COLUMNS) and header != list(POSTS_COLUMNS) + [START_COLUMN]:
-        raise SchemaError(
-            "bad posts CSV header: expected "
-            f"{','.join(POSTS_COLUMNS)}[,{START_COLUMN}], got {','.join(header)}"
-        )
-    has_start = len(header) == 6
+        raise SchemaError(f"{kind} CSV is empty, expected a header row") from None
+    if header not in (list(columns), [*columns, *optional]):
+        expected = ",".join(columns) + "".join(f"[,{name}]" for name in optional)
+        raise SchemaError(f"bad {kind} CSV header: expected {expected}, got {','.join(header)}")
+    return header, [row for row in reader if row]
 
-    sources = [row for row in reader if row]
+
+def _parse_posts_csv(text: str) -> ForumDataset:
+    header, sources = _table(text, "posts", POSTS_COLUMNS, (START_COLUMN,))
     rows = [
         "wrong column count" if len(row) != len(header)
-        else _validate_fields(row, row[5] if has_start else "")
+        else _validate_fields(row, row[5] if len(header) == 6 else "")
         for row in sources
     ]
     # a rejected row as one CSV line, without its "\n"
@@ -268,12 +281,10 @@ def _parse_posts_json(text: str) -> ForumDataset:
         if not all(isinstance(entry, dict) for entry in doc.get(name, [])):
             raise SchemaError(f"JSON dataset field {name!r} must hold only objects")
 
-    roster: list[UserProfile] = []
-    for entry in doc.get("users", []):
-        # IDs and professions are stripped, as in a users CSV
-        user_id = _json_text(entry, "user_id").strip()
-        if user_id:
-            roster.append(UserProfile(user_id, _json_text(entry, "profession").strip() or None))
+    roster = _roster(
+        (_json_text(entry, "user_id"), _json_text(entry, "profession"))
+        for entry in doc.get("users", [])
+    )
     carried = [
         RejectedRow(str(entry.get("raw", "")), str(entry.get("reason", "")))
         for entry in doc.get("rejected", [])
@@ -311,26 +322,21 @@ def parse_posts(raw: bytes) -> ForumDataset:
 
 def parse_users(raw: bytes) -> list[UserProfile]:
     """Parse the bytes of the optional user roster CSV (user_id,profession)."""
-    reader = csv.reader(io.StringIO(_decode(raw)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("users CSV is empty, expected a header row") from None
-    if [h.strip() for h in header] != list(USERS_COLUMNS):
-        raise SchemaError(f"bad users CSV header: expected {','.join(USERS_COLUMNS)}")
-    roster = []
-    for row in reader:
-        if row and row[0].strip():
-            profession = row[1].strip() if len(row) > 1 else ""
-            roster.append(UserProfile(row[0].strip(), profession or None))
-    return _merge_users(roster)
+    _, rows = _table(_decode(raw), "users", USERS_COLUMNS)
+    return _roster((row[0], row[1] if len(row) > 1 else "") for row in rows)
 
 
-def _read(path) -> bytes:
+def _load(path, parse: Callable[[bytes], object]) -> tuple:
+    """The bytes of the file at ``path`` and what ``parse`` makes of them;
+    a fault in those bytes is raised with ``path`` in front of it."""
     try:
-        return Path(path).read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return raw, parse(raw)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_dataset(posts_path, users_path=None) -> ForumDataset:
@@ -338,11 +344,11 @@ def load_dataset(posts_path, users_path=None) -> ForumDataset:
     users roster at ``users_path``; posting users missing from the roster
     keep auto profiles. The posts file is read once: the bytes parsed are
     the bytes whose sha256 the dataset carries."""
-    raw = _read(posts_path)
-    data = replace(parse_posts(raw), source_sha256=hashlib.sha256(raw).hexdigest())
+    raw, data = _load(posts_path, parse_posts)
+    data = replace(data, source_sha256=hashlib.sha256(raw).hexdigest())
     if users_path is None:
         return data
-    return replace(data, users=_merge_users(parse_users(_read(users_path)), data.users))
+    return replace(data, users=_merge_users(_load(users_path, parse_users)[1], data.users))
 
 
 def period_label(timestamp: datetime, period: str) -> str:

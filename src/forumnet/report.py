@@ -52,7 +52,9 @@ from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, 
 from .metrics import StructuralReport, bipartite_density, structural_report
 from .paths import path_stats
 from .text import json_text
-from .viz import EXPORT_FORMATS, Layout, ThinningSpec, export_graph, positions_csv, thin
+from .viz import (
+    EXPORT_FORMATS, Layout, ThinningSpec, check_layout_settings, export_graph, positions_csv, thin,
+)
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
 
@@ -80,10 +82,7 @@ class PipelineConfig:
             raise ConfigError("core_threshold must be in [0, 1]")
         if not 0 <= self.thin_sd < math.inf:  # NaN fails too
             raise ConfigError("thin_sd must be a finite number >= 0")
-        if self.layout_seed < 0:
-            raise ConfigError("layout_seed must be >= 0")
-        if self.layout_iterations < 1:
-            raise ConfigError("layout_iterations must be >= 1")
+        check_layout_settings(self.layout_seed, self.layout_iterations)
         if self.period not in PERIODS:
             raise ConfigError(f"unknown period: {self.period!r}")
         if self.weighting not in WEIGHTINGS:
@@ -170,18 +169,14 @@ def _figure_artifacts(
     this thread, in ``config.figures`` order. This thread also thins each
     network and builds its ``Layout``, so every workspace is allocated here
     and serves this thread's later allocations once freed; ``Layout.run``
-    frees it before handing back the positions. No pool is started when
-    there is no figure to draw."""
-    spec = ThinningSpec(k_sd=config.thin_sd, strict=config.thin_strict)
-    drawn = [
-        name for name in config.figures
-        if ((b.user_nodes or b.thread_nodes) if name == "bipartite" else networks[name].nodes)
-    ]
-    if not drawn:
+    frees it before handing back the positions. No pool is started when no
+    figure is configured or no post was kept (no network has a node)."""
+    if not config.figures or not b.user_nodes:
         return
-    with ThreadPoolExecutor(min(paths._workers(), len(drawn))) as pool:
+    spec = ThinningSpec(k_sd=config.thin_sd, strict=config.thin_strict)
+    with ThreadPoolExecutor(min(paths._workers(), len(config.figures))) as pool:
         figures = []
-        for name in drawn:
+        for name in config.figures:
             target = b if name == "bipartite" else thin(networks[name], spec)
             work = Layout(target, config.layout_seed, config.layout_iterations)
             figures.append((name, target, pool.submit(work.run)))
@@ -244,7 +239,7 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         core = core_set(tables[USER_MODE], config.core_threshold, config.roles)
         write_json("core.json", core.to_dict())
 
-        silent = silent_initiators(b, networks[USER_MODE], config.silent_min_threads)
+        silent = silent_initiators(networks[USER_MODE], config.silent_min_threads)
         write_json(
             "silent.json",
             {

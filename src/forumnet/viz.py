@@ -75,12 +75,21 @@ def thin(g: OneModeNetwork, spec: ThinningSpec | None = None) -> OneModeNetwork:
     m = len(g.weights)
     if m < 2:
         return g
-    total = int(g.weights.sum())
-    squares = sum(w * w for w in g.weights.tolist())
+    values, counts = (a.tolist() for a in np.unique(g.weights, return_counts=True))
+    total = sum(v * c for v, c in zip(values, counts))
+    squares = sum(v * v * c for v, c in zip(values, counts))
     sd = _sqrt_of_ratio(m * squares - total * total, m * (m - 1))
     cutoff = total / m + spec.k_sd * sd
     kept = g.weights > cutoff if spec.strict else g.weights >= cutoff
     return OneModeNetwork(g.mode, g.nodes, g.edges[kept], g.weights[kept], g.node_attr)
+
+
+def check_layout_settings(seed: int, iterations: int) -> None:
+    """Refuse a layout seed below 0 or fewer than one iteration."""
+    if seed < 0:
+        raise ConfigError("layout_seed must be >= 0")
+    if iterations < 1:
+        raise ConfigError("layout_iterations must be >= 1")
 
 
 def _drawing(network):
@@ -115,8 +124,7 @@ class Layout:
     """
 
     def __init__(self, network, seed: int, iterations: int):
-        if iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        check_layout_settings(seed, iterations)
         nodes, edges, _, _, _ = _drawing(network)
         n, m = len(nodes), len(edges)
         if n == 0:

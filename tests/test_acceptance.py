@@ -268,7 +268,7 @@ def test_criterion_8_silent_initiator_recovery():
     )
     data = generate(cfg)
     b = build_bipartite(data)
-    found = silent_initiators(b, project(b, "user"), 21)
+    found = silent_initiators(project(b, "user"), 21)
     planted = planted_structure(cfg).silent_initiators
     ok = [uid for uid, _ in found] == list(planted)
     ok = ok and all(count > 20 for _, count in found)

@@ -280,7 +280,7 @@ def test_silent_initiators_listed_with_count():
     incidence[("b", "t99")] = 1
     b = make_bipartite(incidence)
     g = project(b, "user")
-    assert silent_initiators(b, g, 21) == [("quiet", 21)]
+    assert silent_initiators(g, 21) == [("quiet", 21)]
 
 
 def test_silent_initiators_exclude_connected_users():
@@ -290,14 +290,14 @@ def test_silent_initiators_exclude_connected_users():
         incidence[("other", f"t{i}")] = 1
     b = make_bipartite(incidence)
     g = project(b, "user")
-    assert silent_initiators(b, g, 1) == []
+    assert silent_initiators(g, 1) == []
 
 
 def test_silent_initiators_mode_mismatch_raises():
     b = make_bipartite({("u1", "t1"): 1})
     g_thread = project(b, "thread")
     with pytest.raises(ValueError):
-        silent_initiators(b, g_thread, 1)
+        silent_initiators(g_thread, 1)
 
 
 def test_degree_ranking_invariant_under_weighting_flag():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 from collections import Counter
 from datetime import datetime, timezone
@@ -29,6 +30,7 @@ from forumnet.synth import SynthConfig, generate
 from helpers import dataset_from_posts
 
 HEADER = "post_id,thread_id,user_id,forum_id,timestamp"
+USERS_HEADER = ("user_id", "profession")
 
 
 def csv_stream(*rows, header=HEADER):
@@ -414,8 +416,68 @@ def test_csv_round_trip():
 
 
 def test_users_csv_bad_header():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="expected user_id,profession, got name,job$"):
         parse_users("name,job\nu1,gp\n".encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_posts, f"\n{HEADER}\np1,t1,u1,f1,2012-01-01T00:00:00Z\n"),
+     (parse_users, "\nuser_id,profession\nu1,gp\n")],
+    ids=["posts", "users"],
+)
+def test_blank_first_line_is_a_bad_header(parse, text):
+    """A blank first line is a header with no column, not an empty file."""
+    with pytest.raises(SchemaError, match="^bad (posts|users) CSV header: expected .*, got $"):
+        parse(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([(" u1 ", " gp "), ("u2\t", "nursing")], [("u1", "gp"), ("u2", "nursing")]),
+        ([("u1", " "), ("u2", "")], [("u1", None), ("u2", None)]),
+        ([("", "gp"), ("  ", "nursing"), ("u1", "gp")], [("u1", "gp")]),
+        ([("u2", "gp"), (" u2", "nursing"), ("u1", "")], [("u1", None), ("u2", "gp")]),
+    ],
+    ids=["padded-ids", "blank-profession", "empty-id", "repeated-id"],
+)
+def test_users_csv_and_json_roster_give_the_same_profiles(rows, want):
+    """One roster-row rule for both forms: IDs and professions stripped, a
+    blank profession None, a row with no ID skipped, the first per ID kept."""
+    from_csv = parse_users(
+        "".join(f"{uid},{job}\n" for uid, job in [USERS_HEADER, *rows]).encode("utf-8")
+    )
+    from_json = parse_posts(
+        json_posts(users=[{"user_id": uid, "profession": job} for uid, job in rows])
+    ).users
+    assert from_csv == from_json
+    assert [(u.user_id, u.profession) for u in from_csv] == want
+
+
+@pytest.mark.parametrize(
+    "faulty, content, error",
+    [
+        ("posts", f"{HEADER}\np1,t1,J\xf6rg,f1,2012-01-01T00:00:00Z\n".encode("latin-1"),
+         "not valid UTF-8"),
+        ("users", "user_id,profession\nJ\xf6rg,gp\n".encode("latin-1"), "not valid UTF-8"),
+        ("posts", b"who,what,when\n1,2,3\n", "bad posts CSV header"),
+        ("users", b"name,job\nu1,gp\n", "bad users CSV header"),
+    ],
+    ids=["latin-posts", "latin-users", "header-posts", "header-users"],
+)
+def test_a_fault_in_a_data_file_names_the_file(tmp_path, capsys, faulty, content, error):
+    paths = {"posts": tmp_path / "posts.csv", "users": tmp_path / "users.csv"}
+    paths["posts"].write_bytes(csv_stream("p1,t1,u1,f1,2012-01-01T10:00:00Z"))
+    paths["users"].write_bytes(b"user_id,profession\nu1,gp\n")
+    paths[faulty].write_bytes(content)
+    with pytest.raises(InputError, match=f"^{re.escape(str(paths[faulty]))}: .*{error}") as raised:
+        load_dataset(paths["posts"], paths["users"])
+    assert isinstance(raised.value, SchemaError) == ("header" in error)
+    args = ["ingest", "--posts", str(paths["posts"]), "--users", str(paths["users"]),
+            "--out", str(tmp_path / "d")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {paths[faulty]}: ")
 
 
 @pytest.mark.parametrize(

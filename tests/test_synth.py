@@ -161,7 +161,7 @@ def test_planted_silent_initiators_recovered_exactly():
     )
     data = generate(cfg)
     b = build_bipartite(data)
-    found = silent_initiators(b, project(b, "user"), 21)
+    found = silent_initiators(project(b, "user"), 21)
     assert [uid for uid, _ in found] == list(planted_structure(cfg).silent_initiators)
     assert all(count == 25 for _, count in found)
 

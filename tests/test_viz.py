@@ -29,6 +29,7 @@ from forumnet.viz import (
     thin,
 )
 
+from forumnet.errors import ConfigError
 from forumnet.graph import BipartiteNetwork, OneModeNetwork, build_bipartite
 from forumnet.ingest import dataset_to_json
 from forumnet.report import PipelineConfig, run_pipeline
@@ -116,8 +117,10 @@ def statistics_cutoff(weights, k_sd):
 @st.composite
 def thinning_cases(draw):
     """Weights, and a k_sd that is either arbitrary or aimed so the cutoff
-    lands on one of the weights, where one ulp decides what is kept."""
-    weights = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=30))
+    lands on one of the weights, where one ulp decides what is kept.
+    Weights up to 2**40 square past int64, so the sums must be exact."""
+    top = draw(st.sampled_from([10**6, 2**40]))
+    weights = draw(st.lists(st.integers(1, top), min_size=2, max_size=30))
     mean, sd = statistics.mean(weights), statistics.stdev(weights)
     aimed = [(w - mean) / sd for w in weights if sd > 0 and w > mean]
     k_sd = draw(st.sampled_from(aimed) if aimed and draw(st.booleans()) else st.floats(0, 5))
@@ -129,6 +132,7 @@ def thinning_cases(draw):
 @example(([1, 2, 3], 1.0), True)  # exact cutoff 3.0: strict drops the 3
 @example(([1, 2, 3], 1.0), False)  # and lenient keeps it
 @example(([5, 5, 5, 5], 0.0), False)  # zero spread keeps every tie
+@example(([2**40, 2**40 - 1, 2**40 - 1, 3], 0.5), True)  # squares past int64
 def test_thinning_matches_statistics_reference(case, strict):
     weights, k_sd = case
     cutoff = statistics_cutoff(weights, k_sd)
@@ -375,6 +379,17 @@ def test_layout_rejects_bad_inputs():
         layout(g, seed=1, iterations=0)
     with pytest.raises(ValueError):
         layout(make_network([]), seed=1, iterations=5)
+
+
+def test_layout_settings_out_of_range_name_the_setting():
+    """The layout settings are checked by name, as analyze and viz check
+    them, before numpy sees the seed."""
+    g = star_graph(4)
+    for bad in (lambda: layout(g, seed=-1), lambda: viz.Layout(g, -1, 10)):
+        with pytest.raises(ConfigError, match="^layout_seed must be >= 0$"):
+            bad()
+    with pytest.raises(ConfigError, match="^layout_iterations must be >= 1$"):
+        viz.Layout(g, 1, 0)
 
 
 def test_positions_csv_shape():
