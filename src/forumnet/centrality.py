@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import BipartiteNetwork, OneModeNetwork, USER_MODE
 from .paths import PathStats, path_stats
 from .text import csv_text
@@ -94,6 +95,12 @@ def centrality_table(g: OneModeNetwork, stats: PathStats | None = None) -> Centr
     )
 
 
+def check_core_threshold(threshold: float) -> None:
+    """Refuse a core threshold outside [0, 1] (NaN included)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError("core_threshold must be in [0, 1]")
+
+
 def core_set(
     table: CentralityTable,
     threshold: float,
@@ -104,8 +111,7 @@ def core_set(
     Role labels (moderator / core_member) are out-of-band metadata; any
     member missing from the supplied mapping is labeled "unknown".
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
+    check_core_threshold(threshold)
     members = {table.nodes[i] for i in np.flatnonzero(table.columns["degree"] >= threshold)}
     supplied = roles or {}
     return CoreSet(

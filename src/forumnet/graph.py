@@ -26,7 +26,7 @@ from .text import csv_cells, csv_text, tie_lines
 
 USER_MODE = "user"
 THREAD_MODE = "thread"
-WEIGHTINGS = ("events", "posts")
+WEIGHTINGS = ("events", "posts")  # the first is the default
 
 
 @dataclass(eq=False)
@@ -80,7 +80,7 @@ def build_bipartite(data: ForumDataset) -> BipartiteNetwork:
     return BipartiteNetwork(users, threads, np.column_stack(np.divmod(pairs, width)), counts)
 
 
-def project(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneModeNetwork:
+def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> OneModeNetwork:
     """Project the two-mode network onto users or threads.
 
     Tie weight is the number of distinct shared events (default), or with

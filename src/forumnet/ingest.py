@@ -5,7 +5,8 @@ plus an optional user roster. The content tells the two apart, never the
 file name: a document whose first character after any BOM and whitespace
 is ``{`` or ``[`` is JSON, and anything else is a posts CSV (no valid
 header starts with either). Both CSV kinds go through one table reader,
-which checks the stripped header, and both rosters (a users CSV, a
+which checks the stripped header and reads each line as one row (a stray
+quote spoils only its own line), and both rosters (a users CSV, a
 dataset JSON's ``users``) through one row rule: ID and profession are
 stripped, a blank profession is None, a row with no ID is skipped, and
 the first row per ID wins. ``parse_posts`` and ``parse_users`` take a
@@ -44,7 +45,7 @@ from .text import csv_text, json_text
 POSTS_COLUMNS = ("post_id", "thread_id", "user_id", "forum_id", "timestamp")
 START_COLUMN = "is_thread_start"
 USERS_COLUMNS = ("user_id", "profession")
-PERIODS = ("year", "quarter", "month")
+PERIODS = ("year", "quarter", "month")  # the first is the default
 
 # rows dated before this are rejected as "timestamp out of range"; there
 # is no upper bound, so a file ingests the same on every day
@@ -189,21 +190,15 @@ def _roster(rows: Iterable[tuple[str, str]]) -> list[UserProfile]:
     return _merge_users(UserProfile(uid, profession or None) for uid, profession in stripped if uid)
 
 
-def _finalize(
-    rows: list,
-    sources: list,
-    raw: Callable[[object], str],
-    roster: Iterable[UserProfile] = (),
-    carried: Iterable[RejectedRow] = (),
-) -> ForumDataset:
+def _finalize(rows: list, sources: list, raw: Callable[[object], str]) -> ForumDataset:
     """The dataset from validated rows (tuples, or reasons for rejection),
     given in input order; ``sources[i]`` is the input row that gave
     ``rows[i]``, and ``raw`` writes it as the text of its ``RejectedRow``.
 
     The earliest row per post_id is kept (ties by input order) and the
     others are rejected as duplicates. Each thread gets one starter: its
-    earliest flagged row, else its earliest row. Rejections keep input
-    order, after those ``carried`` over from a serialized dataset.
+    earliest flagged row, else its earliest row. Every posting user gets
+    an auto profile, and rejections keep input order.
     """
     kept: dict[str, int] = {}  # post_id -> index of the row kept for it
     for i, row in enumerate(rows):
@@ -227,16 +222,19 @@ def _finalize(
         PostRecord(post_id, thread_id, user_id, forum_id, ts, starters[thread_id] == post_id)
         for post_id, thread_id, user_id, forum_id, ts, _ in retained
     ]
-    users = _merge_users(roster, map(UserProfile, {post.user_id for post in posts}))
+    users = _merge_users(map(UserProfile, {post.user_id for post in posts}))
     rejected = [
         RejectedRow(raw(source), row) for row, source in zip(rows, sources) if isinstance(row, str)
     ]
-    return ForumDataset(posts=posts, users=users, rejected=[*carried, *rejected])
+    return ForumDataset(posts=posts, users=users, rejected=rejected)
 
 
 def _table(text: str, kind: str, columns: tuple, optional: tuple = ()) -> tuple[list, list]:
     """The stripped header of a ``kind`` CSV, ``columns`` with or without
-    the ``optional`` ones after them, and its non-empty rows."""
+    the ``optional`` ones after them, and its non-empty rows, one per line:
+    when a quote left open folds lines into one record (or into a field too
+    large to read), each line is read again on its own, so only the quote's
+    line is spoilt. A line that fails to parse alone is an input fault."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = [name.strip() for name in next(reader)]
@@ -245,7 +243,20 @@ def _table(text: str, kind: str, columns: tuple, optional: tuple = ()) -> tuple[
     if header not in (list(columns), [*columns, *optional]):
         expected = ",".join(columns) + "".join(f"[,{name}]" for name in optional)
         raise SchemaError(f"bad {kind} CSV header: expected {expected}, got {','.join(header)}")
-    return header, [row for row in reader if row]
+    first = reader.line_num
+    try:
+        records = list(reader)
+        folded = reader.line_num - first > len(records)
+    except csv.Error:
+        folded = True
+    if folded:
+        records = []
+        for number, line in enumerate(io.StringIO(text).readlines()[first:], first + 1):
+            try:
+                records.extend(csv.reader([line.rstrip("\r\n")]))
+            except csv.Error as exc:
+                raise InputError(f"{kind} CSV line {number}: {exc}") from None
+    return header, [row for row in records if row]
 
 
 def _parse_posts_csv(text: str) -> ForumDataset:
@@ -295,15 +306,21 @@ def _parse_posts_json(text: str) -> ForumDataset:
         if not isinstance(entry, dict):
             rows.append("post entry is not an object")
             continue
-        start = entry.get(START_COLUMN)
-        if start is not None and not isinstance(start, bool):
-            rows.append("bad is_thread_start")
+        for name in POSTS_COLUMNS[:4]:
+            # an ID is a string or a number; an object, array or boolean is none
+            if isinstance(entry.get(name), (dict, list, bool)):
+                rows.append(f"bad {name}")
+                break
         else:
-            fields = [_json_text(entry, name) for name in POSTS_COLUMNS]
-            rows.append(_validate_fields(fields, bool(start)))
-    return _finalize(
-        rows, doc["posts"], lambda entry: json.dumps(entry, sort_keys=True), roster, carried
-    )
+            start = entry.get(START_COLUMN)
+            if start is not None and not isinstance(start, bool):
+                rows.append("bad is_thread_start")
+            else:
+                fields = [_json_text(entry, name) for name in POSTS_COLUMNS]
+                rows.append(_validate_fields(fields, bool(start)))
+    data = _finalize(rows, doc["posts"], lambda entry: json.dumps(entry, sort_keys=True))
+    users = _merge_users(roster, data.users)
+    return replace(data, users=users, rejected=[*carried, *data.rejected])
 
 
 def parse_posts(raw: bytes) -> ForumDataset:
@@ -363,7 +380,7 @@ def period_label(timestamp: datetime, period: str) -> str:
     raise ValueError(f"unknown period: {period!r}")
 
 
-def activity_overview(data: ForumDataset, period: str = "year") -> ActivityOverview:
+def activity_overview(data: ForumDataset, period: str = PERIODS[0]) -> ActivityOverview:
     """Activity counts for the dataset; an empty dataset yields zeros."""
     if period not in PERIODS:
         raise ValueError(f"unknown period: {period!r}")

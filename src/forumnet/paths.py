@@ -357,6 +357,6 @@ def path_stats(g: OneModeNetwork, betweenness: bool = True) -> PathStats:
 
 
 def connected_components(g: OneModeNetwork) -> list[list[str]]:
-    """Components as sorted node lists, largest first, from a pass of their
-    own; ``path_stats`` reads them from its pass instead."""
-    return path_stats(g).components
+    """Components as sorted node lists, largest first, from a path pass of
+    their own without betweenness; ``path_stats`` reads them from its pass."""
+    return path_stats(g, betweenness=False).components

@@ -13,9 +13,7 @@ identical inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
-import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -23,13 +21,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, paths
+from . import __version__, paths, viz
 from .centrality import (
     CentralityTable,
     CoreSet,
     MEASURES,
     bipartite_degree_centrality,
     centrality_table,
+    check_core_threshold,
     core_set,
     histogram_csv,
     silent_initiators,
@@ -64,24 +63,22 @@ class PipelineConfig:
     """Knobs for one pipeline run; serialized into every JSON output."""
 
     out_dir: str | Path = "out"
-    period: str = "year"
-    weighting: str = "events"
+    period: str = PERIODS[0]
+    weighting: str = WEIGHTINGS[0]
     core_threshold: float = 0.20
     silent_min_threads: int = 21
-    thin_sd: float = 1.0
-    thin_strict: bool = True
-    layout_seed: int = 42
-    layout_iterations: int = 100
+    thin_sd: float = ThinningSpec.k_sd
+    thin_strict: bool = ThinningSpec.strict
+    layout_seed: int = viz.LAYOUT_SEED
+    layout_iterations: int = viz.LAYOUT_ITERATIONS
     figures: tuple[str, ...] = FIGURE_NETWORKS
     figure_format: str = "svg"
     bipartite_norm: bool = False
     roles: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if not 0.0 <= self.core_threshold <= 1.0:
-            raise ConfigError("core_threshold must be in [0, 1]")
-        if not 0 <= self.thin_sd < math.inf:  # NaN fails too
-            raise ConfigError("thin_sd must be a finite number >= 0")
+        check_core_threshold(self.core_threshold)
+        ThinningSpec(self.thin_sd, self.thin_strict)  # refuses a bad thin_sd
         check_layout_settings(self.layout_seed, self.layout_iterations)
         if self.period not in PERIODS:
             raise ConfigError(f"unknown period: {self.period!r}")
@@ -142,10 +139,11 @@ def _published(out_dir: Path):
     it was. ``PipelineConfig.validate`` has checked ``out_dir``."""
     out_dir = Path(os.path.abspath(out_dir))
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    box = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
-    try:
-        stage, old = box / "new", box / "old"
-        stage.mkdir()  # the mode a plain mkdir gives; mkdtemp's is 0700
+    with tempfile.TemporaryDirectory(
+        prefix=f".{out_dir.name}.", dir=out_dir.parent, ignore_cleanup_errors=True
+    ) as box:
+        stage, old = Path(box) / "new", Path(box) / "old"
+        stage.mkdir()  # the mode a plain mkdir gives; the box's is 0700
         yield stage
         if out_dir.exists():
             out_dir.rename(old)
@@ -155,8 +153,6 @@ def _published(out_dir: Path):
             if old.exists():
                 old.rename(out_dir)
             raise
-    finally:
-        shutil.rmtree(box, ignore_errors=True)
 
 
 def _figure_artifacts(

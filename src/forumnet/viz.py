@@ -33,6 +33,8 @@ SVG_SIZE = 1000
 SVG_MARGIN = 40
 # rows of the pairwise repulsion that a Layout holds at once
 LAYOUT_BLOCK = 32
+LAYOUT_SEED = 42
+LAYOUT_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class ThinningSpec:
     """Cutoff = mean + k_sd * sample standard deviation of edge weights.
 
     strict=True keeps only weights strictly greater than the cutoff.
+    Its range check names ``thin_sd``, the setting that gives ``k_sd``.
     """
 
     k_sd: float = 1.0
@@ -47,7 +50,7 @@ class ThinningSpec:
 
     def __post_init__(self):
         if not 0 <= self.k_sd < math.inf:  # NaN fails too
-            raise ConfigError("k_sd must be a finite number >= 0")
+            raise ConfigError("thin_sd must be a finite number >= 0")
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -210,7 +213,7 @@ class Layout:
         return pos
 
 
-def layout(network, seed: int = 42, iterations: int = 100) -> np.ndarray:
+def layout(network, seed: int = LAYOUT_SEED, iterations: int = LAYOUT_ITERATIONS) -> np.ndarray:
     """Seeded spring embedding scaled to the unit square: an (n, 2) array
     of positions, one row per node in the order ``export_graph`` writes.
 

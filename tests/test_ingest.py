@@ -1,5 +1,6 @@
 """Parsing, validation, aggregation, and round-trip serialization."""
 
+import csv
 import hashlib
 import json
 import re
@@ -77,6 +78,42 @@ def test_missing_field_rejected():
 def test_wrong_column_count_rejected():
     data = parse_posts(csv_stream("p1,t1,u1,f1,2012-01-01T10:00:00Z,true,extra"))
     assert [r.reason for r in data.rejected] == ["wrong column count"]
+
+
+def quoted_rows(count):
+    """``count`` valid posts rows, the tenth with a quote before its second
+    field: left open, it would fold every line after it into that row."""
+    rows = [f"p{i:05d},t{i % 50},u{i % 70},f1,2012-01-{1 + i % 28:02d}T00:00:00Z"
+            for i in range(count)]
+    rows[9] = rows[9].replace(",", ',"', 1)
+    return rows
+
+
+@pytest.mark.parametrize("count", [2_000, 4_000], ids=["folded", "over-field-limit"])
+def test_a_stray_quote_spoils_only_its_own_row(count):
+    """Read whole, the 2,000 rows fold into one rejection and the 4,000
+    (over 128 KiB after the quote) overflow the reader's field limit."""
+    rows = quoted_rows(count)
+    source = csv_stream(*rows)
+    assert (len(source) > csv.field_size_limit()) == (count == 4_000)
+    data = parse_posts(source)
+    assert sorted(p.post_id for p in data.posts) == [f"p{i:05d}" for i in range(count) if i != 9]
+    assert [(r.raw, r.reason) for r in data.rejected] == [(rows[9] + '"', "wrong column count")]
+
+
+def test_a_stray_quote_in_a_roster_spoils_only_its_own_profile():
+    users = parse_users(b'user_id,profession\nu1,gp\n"u2,nursing\nu3,cardiology\nu4,\n')
+    assert [(u.user_id, u.profession) for u in users] == [
+        ("u1", "gp"), ("u2,nursing", None), ("u3", "cardiology"), ("u4", None)
+    ]
+
+
+def test_a_line_that_fails_alone_is_an_input_fault():
+    """A bare carriage return inside a line fails the reader even on that
+    line alone: the file is refused, naming the line, not a traceback."""
+    source = csv_stream("p1,t1,u1,f1,2012-01-01T00:00:00Z", "p2,t1,u2\rf1,2012-01-02T00:00:00Z")
+    with pytest.raises(InputError, match="^posts CSV line 3: new-line character"):
+        parse_posts(source)
 
 
 def test_timestamp_out_of_range_rejected():
@@ -217,6 +254,28 @@ def test_json_string_start_flag_rejected():
     assert [(r.raw, r.reason) for r in data.rejected] == [
         (json.dumps(post, sort_keys=True), "bad is_thread_start")
     ]
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("thread_id", {"a": 1}), ("user_id", ["x"]), ("user_id", True), ("post_id", False),
+     ("forum_id", [])],
+    ids=["object", "array", "true", "false", "empty-array"],
+)
+def test_json_id_that_is_no_string_or_number_is_rejected(column, value):
+    post = {**json_post("p1", "2012-01-01T00:00:00Z"), column: value}
+    data = parse_posts(json_posts(post, json_post("p2", "2012-01-02T00:00:00Z")))
+    assert [p.post_id for p in data.posts] == ["p2"]
+    assert [(r.raw, r.reason) for r in data.rejected] == [
+        (json.dumps(post, sort_keys=True), f"bad {column}")
+    ]
+
+
+def test_json_numeric_ids_are_kept_as_their_text():
+    post = {"post_id": 7, "thread_id": 8, "user_id": 9, "forum_id": 1.5,
+            "timestamp": "2012-01-01T00:00:00Z"}
+    [kept] = parse_posts(json_posts(post)).posts
+    assert (kept.post_id, kept.thread_id, kept.user_id, kept.forum_id) == ("7", "8", "9", "1.5")
 
 
 def test_duplicate_dated_earlier_displaces_the_kept_row():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -19,12 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumnet import cli
-from forumnet.centrality import MEASURES
+from forumnet.centrality import MEASURES, centrality_table, core_set
 from forumnet.errors import ConfigError
-from forumnet.ingest import POSTS_COLUMNS, START_COLUMN, dataset_to_json, load_dataset, posts_csv
+from forumnet.graph import USER_MODE, build_bipartite, project
+from forumnet.ingest import (
+    POSTS_COLUMNS, START_COLUMN, activity_overview, dataset_to_json, load_dataset, posts_csv,
+)
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 from forumnet.text import json_text
+from forumnet.viz import ThinningSpec, export_graph, layout, thin
 
 from helpers import dataset_from_posts
 
@@ -308,6 +313,51 @@ def test_config_validation():
             PipelineConfig(thin_sd=thin_sd).validate()
     with pytest.raises(ConfigError, match="repeated figure networks"):
         PipelineConfig(figures=("user", "thread", "user")).validate()
+
+
+def toy_user_table():
+    return centrality_table(project(build_bipartite(dataset_from_posts(TOY_ROWS)), USER_MODE))
+
+
+@pytest.mark.parametrize(
+    "setting, value, library_call, command, message",
+    [
+        ("thin_sd", -1, lambda: ThinningSpec(k_sd=-1), ["viz", "--mode", "user", "--format", "dot"],
+         "thin_sd must be a finite number >= 0"),
+        ("core_threshold", 1.5, lambda: core_set(toy_user_table(), 1.5), ["analyze"],
+         "core_threshold must be in [0, 1]"),
+    ],
+    ids=["thin_sd", "core_threshold"],
+)
+def test_a_range_has_one_check_that_names_the_setting(
+    tmp_path, setting, value, library_call, command, message
+):
+    """The library call, the pipeline config and the CLI flag refuse an
+    out-of-range value with the same message, which names the setting."""
+    for refused in (library_call, PipelineConfig(**{setting: value}).validate):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            refused()
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    flag = "--" + setting.replace("_", "-")
+    result = run_cli(*command, "--data", str(data), "--out", str(tmp_path / "out"),
+                     flag, str(value))
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+
+
+def test_library_defaults_draw_what_a_default_run_draws(tmp_path):
+    """A default run takes the library calls' defaults: its overview is
+    ``activity_overview``'s, and its user figure is ``thin`` and ``layout``
+    of the default projection, byte for byte."""
+    data = generate(SynthConfig(user_count=40, thread_count=30, post_count=300, seed=7))
+    run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
+    overview = json.loads((tmp_path / "out" / "overview.json").read_text(encoding="utf-8"))
+    overview.pop("provenance")
+    assert overview == activity_overview(data).to_dict()
+    g = thin(project(build_bipartite(data), USER_MODE))
+    assert 0 < len(g.edges)
+    drawn = export_graph(g, layout(g), format="svg")
+    assert drawn == (tmp_path / "out" / "figures" / "user.svg").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
