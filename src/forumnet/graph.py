@@ -11,12 +11,31 @@ network is written out. ``build_bipartite`` sorts them, so index order
 is name order in every network built from data. Networks compare by
 identity, since arrays have no single truth value. ``edge_list_csv`` and
 ``node_list_csv`` write a projection through ``text``: the edge list's
-ties through ``text.tie_lines``, from one CSV cell per node name.
+ties through ``text.tie_lines``, from one CSV cell per node name, in
+chunks that the caller writes one at a time.
+
+A projection is a sparse product of the incidence matrix B: B·Bᵀ ties
+users and Bᵀ·B ties threads. ``project`` builds it row by row, as
+Gustavson's product does (F. G. Gustavson, "Two fast algorithms for
+sparse matrices: multiplication and permuted transposition", ACM TOMS
+4(3), 1978): row i sums the incidence rows of i's events. The loops are
+those of scipy's ``_sparsetools`` extension, which ``_sparsetools``
+loads from its file without importing ``scipy.sparse``; the path pass
+takes its product loop from here as well. A batch of rows computes at
+most ``PROJECT_BATCH`` product entries, so beyond the network it returns
+a projection holds O(k + n) for the incidence operands and one batch,
+however skewed the forum.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +46,8 @@ from .text import csv_cells, csv_text, tie_lines
 USER_MODE = "user"
 THREAD_MODE = "thread"
 WEIGHTINGS = ("events", "posts")  # the first is the default
+# product entries that one batch of projection rows may compute at once
+PROJECT_BATCH = 1 << 21
 
 
 @dataclass(eq=False)
@@ -65,6 +86,39 @@ class OneModeNetwork:
         return np.bincount(self.edges.ravel(), minlength=len(self.nodes))
 
 
+def _index_dtype(largest: int) -> type:
+    """int32 while ``largest``, the node count or the stored entries, fits
+    it, else int64: the ``_sparsetools`` loops take either, and a cast past
+    2**31 - 1 would wrap without a word."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's private ``_sparsetools`` extension, the loops behind CSR
+    products, loaded from its file in scipy's ``sparse`` directory without
+    importing ``scipy`` or ``scipy.sparse``: the projections and the path
+    pass need the loops alone, not the package's start-up. It is loaded
+    once, by whichever needs it first."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse is imported already
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("forumnet needs scipy, which is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    spec = machinery.FileFinder(directory, loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no extension file {os.path.join(directory, '_sparsetools')}.*")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension enters itself in sys.modules; taken out, it is loaded
+    # again as scipy.sparse's own submodule if scipy.sparse is imported later
+    sys.modules.pop(name, None)
+    return module
+
+
 def build_bipartite(data: ForumDataset) -> BipartiteNetwork:
     """Count posts per (user, thread); node sets come from the posts alone."""
     users = tuple(sorted({post.user_id for post in data.posts}))
@@ -80,12 +134,32 @@ def build_bipartite(data: ForumDataset) -> BipartiteNetwork:
     return BipartiteNetwork(users, threads, np.column_stack(np.divmod(pairs, width)), counts)
 
 
+def _batches(work: np.ndarray) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) whose summed event sizes, from the cumulative
+    ``work``, stay within ``PROJECT_BATCH``; a range holds at least one row."""
+    batches, lo, n = [], 0, len(work) - 1
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(work, work[lo] + PROJECT_BATCH, side="right")) - 1)
+        batches.append((lo, hi))
+        lo = hi
+    return batches
+
+
 def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> OneModeNetwork:
     """Project the two-mode network onto users or threads.
 
     Tie weight is the number of distinct shared events (default), or with
     ``weighting="posts"`` the sum over shared events of the product of
     post counts. Both weightings produce the same edge set.
+
+    The ties are the off-diagonal entries of B·Bᵀ (users) or Bᵀ·B
+    (threads), B the incidence with ones or post counts as entries, built
+    row by row (see the module notes) in batches of rows whose product
+    entries number at most ``PROJECT_BATCH``. Every node has an event, so
+    every row holds its diagonal entry, and the product's symbolic size
+    gives the tie count m before any tie is computed: the result is
+    allocated once, and a batch fills it with the entries j > i of its
+    rows, sorted, which is the edge order.
     """
     if mode not in (USER_MODE, THREAD_MODE):
         raise ConfigError(f"unknown projection mode: {mode!r}")
@@ -94,36 +168,61 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
 
     side = 0 if mode == USER_MODE else 1
     nodes = b.user_nodes if side == 0 else b.thread_nodes
-    n = len(nodes)
-    member, event = b.incidence[:, side], b.incidence[:, 1 - side]
-    # each event's members in index order, so every pair below has i < j
-    order = np.lexsort((member, event))
-    member, event = member[order], event[order]
+    users, threads, n, k = len(b.user_nodes), len(b.thread_nodes), len(nodes), len(b.incidence)
+    sizes = np.bincount(b.incidence[:, 1 - side])  # members per event
+    # sizes·sizes bounds the product's entries, so every offset into them
+    index = _index_dtype(max(k, users, threads, int(sizes @ sizes)))
     # "events" weighs every membership 1, so a tie sums one per shared event
-    counts = b.counts[order] if weighting == "posts" else np.ones_like(member)
-    starts = np.flatnonzero(np.diff(event, prepend=-1))
-    sizes = np.diff(starts, append=len(event))
-    keys, products = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    # events of one size pair up at once: one row of member positions each
-    for size in np.unique(sizes[sizes > 1]).tolist():
-        rows = starts[sizes == size][:, None] + np.arange(size)
-        i, j = np.triu_indices(size, 1)
-        ids, posts = member[rows], counts[rows]
-        keys.append((ids[:, i] * n + ids[:, j]).ravel())
-        products.append((posts[:, i] * posts[:, j]).ravel())
-    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    weights = np.bincount(inverse, weights=np.concatenate(products), minlength=len(pairs))
-    edges = np.column_stack(np.divmod(pairs, n))
+    data = b.counts.astype(np.int64) if weighting == "posts" else np.ones(k, dtype=np.int64)
+    # B's CSR, users by threads, straight from the sorted incidence, and
+    # Bᵀ's, whose rows csr_tocsc writes in ascending order
+    by_user = (np.zeros(users + 1, dtype=index), b.incidence[:, 1].astype(index), data)
+    np.cumsum(np.bincount(b.incidence[:, 0], minlength=users), out=by_user[0][1:])
+    by_thread = (np.empty(threads + 1, dtype=index), np.empty(k, dtype=index), np.empty_like(data))
+    tools = _sparsetools()
+    tools.csr_tocsc(users, threads, *by_user, *by_thread)
+    # each node's events, and each event's members
+    (ptr, events, values), members = (by_user, by_thread) if side == 0 else (by_thread, by_user)
+
+    # a row's product entries number at most the summed sizes of its events
+    work = np.concatenate(([0], np.cumsum(sizes[events])))[ptr]
+    batches = _batches(work)
+    room = max((work[hi] - work[lo] for lo, hi in batches), default=0)
+    m = (tools.csr_matmat_maxnnz(n, n, ptr, events, *members[:2]) - n) // 2
+    edges, weights = np.empty((m, 2), dtype=np.int64), np.empty(m, dtype=np.int64)
+    columns, sums = np.empty(room, dtype=index), np.empty(room, dtype=np.int64)
+    filled = 0
+    for lo, hi in batches:
+        # the batch's product rows, each row's columns in no set order
+        start, stop = ptr[lo], ptr[hi]
+        row_ptr = np.empty(hi - lo + 1, dtype=index)
+        tools.csr_matmat(hi - lo, n, ptr[lo : hi + 1] - start, events[start:stop],
+                         values[start:stop], *members, row_ptr, columns, sums)
+        # its entries j > i go to the result, where each row is sorted
+        size = row_ptr[-1]
+        upper = columns[:size] > np.repeat(np.arange(lo, hi, dtype=index), np.diff(row_ptr))
+        # every row holds its diagonal entry, so no range of reduceat is empty
+        above = np.add.reduceat(upper, row_ptr[:-1], dtype=index)
+        upper_ptr = np.zeros_like(row_ptr)
+        np.cumsum(above, out=upper_ptr[1:])
+        ties = slice(filled, filled + upper_ptr[-1])
+        kept = columns[:size][upper]
+        np.compress(upper, sums[:size], out=weights[ties])
+        tools.csr_sort_indices(hi - lo, upper_ptr, kept, weights[ties])
+        edges[ties, 0] = np.repeat(np.arange(lo, hi), above)
+        edges[ties, 1] = kept
+        filled = ties.stop
     # opposite-class group sizes decorate the nodes (threads touched /
     # distinct participants)
-    node_attr = np.bincount(b.incidence[:, side], minlength=n)
-    return OneModeNetwork(mode, nodes, edges, weights.astype(np.int64), node_attr.astype(np.int64))
+    return OneModeNetwork(mode, nodes, edges, weights, np.diff(ptr).astype(np.int64))
 
 
-def edge_list_csv(g: OneModeNetwork) -> str:
+def edge_list_csv(g: OneModeNetwork) -> Iterator[str]:
+    """The edge list's header, then its tie lines ``text.TIE_CHUNK`` at a
+    time: no string holds the whole list."""
     ends = csv_cells(g.nodes)
-    ties = tie_lines(ends, ends, g.edges, g.weights, lambda weight: f"{weight}\n")
-    return csv_text(("source", "target", "weight"), ()) + ties
+    yield csv_text(("source", "target", "weight"), ())
+    yield from tie_lines(ends, ends, g.edges, g.weights, lambda weight: f"{weight}\n")
 
 
 def node_list_csv(g: OneModeNetwork) -> str:

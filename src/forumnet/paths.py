@@ -21,8 +21,8 @@ pass frees them they serve its later allocations.
 
 Every neighbour sum is a CSR product with an (n x block) array, a plain
 loop over each row's ties in index order with no BLAS: ``csr_matvecs``
-from scipy's ``_sparsetools`` extension, loaded from its file on the first
-search without importing ``scipy.sparse``. A product runs only over the
+from scipy's ``_sparsetools`` extension, which ``graph._sparsetools``
+loads without importing ``scipy.sparse``. A product runs only over the
 rows its level needs, as a CSR whose other rows are empty: the forward
 step over the rows still unseen from some source of the block, the
 backward step over the rows one level up from some source. Each selected
@@ -40,19 +40,15 @@ paths per pair.
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import os
-import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import machinery
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import OneModeNetwork
+from .graph import OneModeNetwork, _index_dtype, _sparsetools
 
 SOURCE_BLOCK = 64  # sources searched together; memory grows with it, not with n
 # bytes that the workspaces of one pass may hold together: 8 workers at n = 50k
@@ -86,13 +82,6 @@ class Adjacency(NamedTuple):
         return len(self.indptr) - 1
 
 
-def _index_dtype(largest: int) -> type:
-    """int32 while ``largest``, the node count or the stored entries, fits
-    it, else int64: ``csr_matvecs`` takes either, and a cast past 2**31 - 1
-    would wrap without a word."""
-    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-
-
 def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
     """The operand of ``g`` (weights ignored), straight from its sorted edge
     list: A, from the keys i·n + j of both directions of every tie, sorted
@@ -112,31 +101,6 @@ def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
     indices = np.remainder(keys, max(n, 1), out=keys).astype(index)
     del keys  # before the ones are allocated
     return Adjacency(indptr, indices, np.ones(len(indices)), absent)
-
-
-@functools.cache
-def _sparsetools():
-    """scipy's private ``_sparsetools`` extension, the loop behind a CSR
-    product, loaded from its file in scipy's ``sparse`` directory without
-    importing ``scipy`` or ``scipy.sparse``: the pass needs the loop alone,
-    not the package's start-up. It is loaded once, on the first search."""
-    name = "scipy.sparse._sparsetools"
-    if name in sys.modules:  # scipy.sparse is imported already
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None:
-        raise ImportError("the path pass needs scipy, which is not installed")
-    directory = os.path.join(scipy.submodule_search_locations[0], "sparse")
-    loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
-    spec = machinery.FileFinder(directory, loaders).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no extension file {os.path.join(directory, '_sparsetools')}.*")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # the extension enters itself in sys.modules; taken out, it is loaded
-    # again as scipy.sparse's own submodule if scipy.sparse is imported later
-    sys.modules.pop(name, None)
-    return module
 
 
 def _product(adj: Adjacency):

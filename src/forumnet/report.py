@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__, paths, viz
 from .centrality import (
@@ -56,6 +56,9 @@ from .viz import (
 )
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
+# characters of a string that one file write encodes: a figure's text is
+# one string of several MB, and its UTF-8 copy would sit beside it whole
+WRITE_CHUNK = 1 << 20
 
 
 @dataclass
@@ -202,10 +205,16 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
     with _published(Path(config.out_dir)) as stage:
         provenance = _provenance(data, config)
 
-        def write(relative: str, text: str) -> None:
+        def write(relative: str, text: str | Iterable[str]) -> None:
+            """Write ``text``, one string or its chunks in turn, each string
+            ``WRITE_CHUNK`` characters at a time, so no artifact is ever
+            encoded whole."""
             path = stage / relative
             path.parent.mkdir(exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+            with path.open("w", encoding="utf-8") as file:
+                for chunk in (text,) if isinstance(text, str) else text:
+                    for lo in range(0, len(chunk), WRITE_CHUNK):
+                        file.write(chunk[lo : lo + WRITE_CHUNK])
             artifacts.append(relative)
 
         def write_json(relative: str, payload: dict) -> None:

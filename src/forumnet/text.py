@@ -10,8 +10,9 @@ which are not JSON.
 A network's tie lines come from ``tie_lines``: the caller formats one
 left and one right piece per node and one tail per distinct weight, and
 each line is the three pieces of its tie joined. So no name, coordinate
-or weight is formatted once per tie, and ties are joined ``TIE_CHUNK``
-at a time, so the pieces in flight stay bounded whatever the tie count.
+or weight is formatted once per tie. The lines come ``TIE_CHUNK`` ties
+to a string, and a writer takes one string at a time, so the pieces and
+the text in flight stay bounded whatever the tie count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,20 +55,19 @@ def tie_lines(
     edges: np.ndarray,
     weights: np.ndarray,
     tail: Callable[[int], str],
-) -> str:
+) -> Iterator[str]:
     """One line per row (i, j) of ``edges``, in row order: ``left[i] +
-    right[j] + tail(w)`` for the row's weight ``w``.
+    right[j] + tail(w)`` for the row's weight ``w``, yielded ``TIE_CHUNK``
+    lines at a time, each chunk one string.
 
     ``tail`` is called once per distinct weight, in increasing order, and
-    its text must end the line. The pieces are gathered and joined
-    ``TIE_CHUNK`` ties at a time.
+    its text must end the line.
     """
-    values, which = np.unique(weights, return_inverse=True)
+    values = np.unique(weights)
     tails = np.array([tail(w) for w in values.tolist()], dtype=object)
     left, right = np.array(left, dtype=object), np.array(right, dtype=object)
-    chunks = []
     for lo in range(0, len(edges), TIE_CHUNK):
         ties = slice(lo, lo + TIE_CHUNK)
-        pieces = np.column_stack((left[edges[ties, 0]], right[edges[ties, 1]], tails[which[ties]]))
-        chunks.append("".join(pieces.ravel().tolist()))
-    return "".join(chunks)
+        which = np.searchsorted(values, weights[ties])
+        pieces = np.column_stack((left[edges[ties, 0]], right[edges[ties, 1]], tails[which]))
+        yield "".join(pieces.ravel().tolist())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import escape, quoteattr
 
@@ -288,6 +289,45 @@ def projection_oracle(b: BipartiteNetwork, mode: str, weighting: str = "events")
             if product[i, j] > 0:
                 edges[edge_key(a, names[j])] = product[i, j]
     return edges
+
+
+def pair_key_projection(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneModeNetwork:
+    """The projection from every pair key i·n + j of every shared event at
+    once, summed by ``np.unique``: ``graph.project`` must match its edges,
+    weights and node attributes byte for byte."""
+    side = 0 if mode == "user" else 1
+    nodes = b.user_nodes if side == 0 else b.thread_nodes
+    n = len(nodes)
+    member, event = b.incidence[:, side], b.incidence[:, 1 - side]
+    # each event's members in index order, so every pair below has i < j
+    order = np.lexsort((member, event))
+    member, event = member[order], event[order]
+    counts = b.counts[order] if weighting == "posts" else np.ones_like(member)
+    starts = np.flatnonzero(np.diff(event, prepend=-1))
+    sizes = np.diff(starts, append=len(event))
+    keys, products = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    # events of one size pair up at once: one row of member positions each
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        rows = starts[sizes == size][:, None] + np.arange(size)
+        i, j = np.triu_indices(size, 1)
+        ids, posts = member[rows], counts[rows]
+        keys.append((ids[:, i] * n + ids[:, j]).ravel())
+        products.append((posts[:, i] * posts[:, j]).ravel())
+    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    weights = np.bincount(inverse, weights=np.concatenate(products), minlength=len(pairs))
+    edges = np.column_stack(np.divmod(pairs, n))
+    node_attr = np.bincount(b.incidence[:, side], minlength=n)
+    return OneModeNetwork(mode, nodes, edges, weights.astype(np.int64), node_attr.astype(np.int64))
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``, in bytes above what was held before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_layout(network, seed: int, iterations: int) -> np.ndarray:

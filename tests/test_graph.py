@@ -3,12 +3,14 @@
 import hashlib
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forumnet.graph import build_bipartite, edge_list_csv, node_list_csv, project
+from forumnet import graph
+from forumnet.graph import WEIGHTINGS, build_bipartite, edge_list_csv, node_list_csv, project
 from forumnet.synth import SynthConfig, generate
 from forumnet.viz import ThinningSpec, export_graph, thin
 
@@ -19,8 +21,10 @@ from helpers import (
     edge_key,
     incidence_dict,
     make_bipartite as bip,
+    pair_key_projection,
     projection_oracle,
     random_bipartite,
+    traced_peak,
 )
 
 
@@ -155,7 +159,7 @@ def test_projection_matches_matrix_oracle_20x15():
 def test_edge_list_csv_format():
     b = bip({("u1", "t1"): 1, ("u2", "t1"): 1, ("u1", "t2"): 1, ("u2", "t2"): 1})
     g = project(b, "user")
-    assert edge_list_csv(g) == "source,target,weight\nu1,u2,2\n"
+    assert "".join(edge_list_csv(g)) == "source,target,weight\nu1,u2,2\n"
 
 
 def test_node_list_csv_format():
@@ -209,8 +213,56 @@ def test_written_networks_are_byte_pinned():
     outputs = {"bipartite.dot": export_graph(b, format="dot")}
     for mode in ("user", "thread"):
         g = project(b, mode)
-        outputs[f"{mode}_edges.csv"] = edge_list_csv(g)
+        outputs[f"{mode}_edges.csv"] = "".join(edge_list_csv(g))
         outputs[f"{mode}_nodes.csv"] = node_list_csv(g)
         outputs[f"{mode}.dot"] = export_graph(thin(g, ThinningSpec()), format="dot")
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
     assert digests == PINNED_DIGESTS
+
+
+INCIDENCES = st.dictionaries(
+    st.tuples(st.integers(0, 7).map("u{}".format), st.integers(0, 7).map("t{}".format)),
+    st.integers(1, 2**20),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INCIDENCES, st.one_of(st.integers(1, 40), st.just(graph.PROJECT_BATCH)))
+@example({}, graph.PROJECT_BATCH)  # no posts
+@example({("u0", "t0"): 3}, graph.PROJECT_BATCH)  # one event of one member
+@example({("u0", "t0"): 1, ("u1", "t0"): 2, ("u2", "t0"): 5}, 1)  # one event, a row per batch
+@example({("u0", "t0"): 1, ("u1", "t1"): 2, ("u1", "t0"): 1, ("u2", "t2"): 4}, 2)  # isolates
+def test_rowwise_projection_is_the_pair_key_projection(cells, batch):
+    """Both modes under both weightings give the pair-key oracle's edges,
+    weights and node attributes byte for byte, whether the rows fall in
+    one batch or in many: a batch of a few product entries splits the
+    rows of any event with more than a couple of members. Post counts up
+    to 2**20 give "posts" weights past int32."""
+    b = bip(cells)
+    with mock.patch.object(graph, "PROJECT_BATCH", batch):
+        for mode in ("user", "thread"):
+            for weighting in WEIGHTINGS:
+                got, want = project(b, mode, weighting), pair_key_projection(b, mode, weighting)
+                assert got.nodes == want.nodes
+                for name in ("edges", "weights", "node_attr"):
+                    a, w = getattr(got, name), getattr(want, name)
+                    assert (a.dtype, a.shape, a.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+def test_project_memory_is_the_network_plus_one_batch(monkeypatch):
+    """At the paper's skew (α 1.5) the thread projection holds, above the
+    network it returns, O(k + n) for the incidence operands and one
+    batch's product entries, under 32 bytes each. Holding every pair key
+    of every event at once took about 80 bytes per key: 15.0 MB here."""
+    b = build_bipartite(generate(
+        SynthConfig(user_count=1500, thread_count=1500, post_count=9000, skew_alpha=1.5, seed=7)))
+    project(b, "user")  # loading the product loops is not the projection's memory
+    monkeypatch.setattr(graph, "PROJECT_BATCH", 1 << 14)
+    operands = 64 * (len(b.incidence) + len(b.user_nodes) + len(b.thread_nodes))
+    for mode in ("user", "thread"):
+        for weighting in WEIGHTINGS:
+            g = project(b, mode, weighting)
+            held = g.edges.nbytes + g.weights.nbytes + g.node_attr.nbytes
+            peak = traced_peak(lambda: project(b, mode, weighting))
+            assert peak <= held + operands + 32 * graph.PROJECT_BATCH, (mode, weighting)

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet import cli, paths
+from forumnet import cli, graph, paths
 from forumnet.graph import OneModeNetwork
 from forumnet.ingest import dataset_to_json
 from forumnet.paths import path_stats
 from forumnet.synth import SynthConfig, generate
 
-from helpers import one_mode
+from helpers import one_mode, traced_peak
 
 ARRAYS = ("reach", "distance_sum", "betweenness")
 
@@ -134,15 +133,6 @@ def _sparse_graph(n, m, seed):
     return one_mode(names, ties)
 
 
-def _peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _random_graph(n, p, seed):
     """G(n, p), its edges sorted rows (i, j), i < j, as projections hold them."""
     i, j = np.triu_indices(n, 1)
@@ -211,7 +201,7 @@ def test_near_complete_operand_never_holds_the_adjacency():
     g = _random_graph(800, 0.95, seed=8)
     path_stats(_random_graph(3, 1.0, seed=1))  # loading the CSR loop is not the operand's memory
     n, m = len(g.nodes), len(g.edges)
-    peak = _peak(lambda: paths.adjacency_matrix(g))
+    peak = traced_peak(lambda: paths.adjacency_matrix(g))
     assert peak <= n * n + 8 * m
 
 
@@ -223,8 +213,8 @@ def test_pass_memory_is_adjacency_plus_one_workspace_per_worker(monkeypatch):
     monkeypatch.setattr(paths, "_workers", lambda: workers)
     path_stats(g)  # loading the CSR loop is not the pass's memory
     block = len(g.nodes) * paths.SOURCE_BLOCK * 8
-    adjacency = _peak(lambda: paths.adjacency_matrix(g))
-    assert _peak(lambda: path_stats(g)) <= adjacency + workers * 5 * block
+    adjacency = traced_peak(lambda: paths.adjacency_matrix(g))
+    assert traced_peak(lambda: path_stats(g)) <= adjacency + workers * 5 * block
 
 
 def test_pass_workers_fit_the_workspace_budget():
@@ -312,34 +302,49 @@ def test_metrics_prints_the_same_table_without_the_brandes_sweep(tmp_path, monke
 
 SCIPY_LOADS = """
 import sys
-import numpy as np
-from forumnet import cli, paths
-data, out = sys.argv[1:]
+from forumnet import cli, graph
+from forumnet.graph import build_bipartite, project
+from forumnet.ingest import load_dataset
+data, out, mode = sys.argv[1:]
 loaded = []
+
+def record():
+    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    loaded.append((graph._sparsetools.cache_info().misses, scipy))
+
 for argv in (["synth", "--users", "30", "--threads", "20", "--posts", "150", "--out", data],
-             ["ingest", "--posts", data, "--out", out],
-             ["metrics", "--data", data, "--mode", "user"]):
+             ["ingest", "--posts", data, "--out", out]):
     if cli.main(argv) != 0:
         sys.exit(argv[0] + " failed")
-    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-    loaded.append((paths._sparsetools.cache_info().currsize, scipy))
+    record()
+project(build_bipartite(load_dataset(data)), mode)
+record()
+if cli.main(["metrics", "--data", data, "--mode", mode]) != 0:
+    sys.exit("metrics failed")
+record()
+loaded.append(graph._sparsetools.cache_info().hits > 0)
+import numpy as np
 from scipy import sparse
 loaded.append((sparse.csr_array(np.eye(2)) @ np.ones((2, 3))).tolist())
 sys.stderr.write(repr(loaded))
 """
 
 
-def test_scipy_loads_on_the_first_search_only(tmp_path):
-    """synth and ingest run no search and load nothing of scipy; the first
-    search loads the CSR loop alone, and no scipy module stays in
-    sys.modules, so a later import of scipy.sparse is whole."""
+@pytest.mark.parametrize("mode", ["user", "thread"])
+def test_scipy_loads_on_the_first_projection_only(tmp_path, mode):
+    """synth and ingest load nothing of scipy; the first projection loads
+    the CSR loops alone, once, and the search of ``metrics`` takes them
+    from there. No scipy module stays in sys.modules, so a later import
+    of scipy.sparse is whole."""
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_LOADS, str(tmp_path / "data.json"), str(tmp_path / "out")],
+        [sys.executable, "-c", SCIPY_LOADS, str(tmp_path / "data.json"), str(tmp_path / "out"),
+         mode],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "dataset.json").is_file()
-    assert result.stderr == repr([(0, []), (0, []), (1, []), [[1.0] * 3, [1.0] * 3]])
+    loads = [(0, []), (0, []), (1, []), (1, []), True, [[1.0] * 3, [1.0] * 3]]
+    assert result.stderr == repr(loads)
 
 
 def test_a_missing_csr_loop_is_an_import_error_naming_its_file(tmp_path, monkeypatch):
@@ -349,7 +354,7 @@ def test_a_missing_csr_loop_is_an_import_error_naming_its_file(tmp_path, monkeyp
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
     monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
     with pytest.raises(ImportError, match=str(tmp_path / "scipy" / "sparse" / "_sparsetools")):
-        paths._sparsetools.__wrapped__()
+        graph._sparsetools.__wrapped__()
 
 
 def _operand(g, absent):

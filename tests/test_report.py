@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet import cli
+from forumnet import cli, report, text
 from forumnet.centrality import MEASURES, centrality_table, core_set
 from forumnet.errors import ConfigError
 from forumnet.graph import USER_MODE, build_bipartite, project
@@ -179,6 +179,20 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / artifact).read_bytes() == (
             tmp_path / "b" / artifact
         ).read_bytes()
+
+
+def test_artifacts_do_not_depend_on_the_write_chunks(tmp_path, monkeypatch):
+    """Strings written a few characters at a time, and edge lists a few
+    ties to a chunk, give the same bytes, multi-byte UTF-8 names included."""
+    rows = [("ü1", "字1"), ("ü2", "字1"), ("é3", "字1"), ("ü2", "t2"), ("é3", "t2"), ("u4", "t2")]
+    data = dataset_from_posts(rows)
+    run_pipeline(data, PipelineConfig(out_dir=tmp_path / "whole"))
+    monkeypatch.setattr(report, "WRITE_CHUNK", 3)
+    monkeypatch.setattr(text, "TIE_CHUNK", 2)
+    run_pipeline(data, PipelineConfig(out_dir=tmp_path / "chunked"))
+    whole = tree(tmp_path / "whole")
+    assert "字1" in whole["thread_nodes.csv"].decode("utf-8")
+    assert whole == tree(tmp_path / "chunked")
 
 
 def test_one_shortest_path_pass_per_projection(tmp_path, monkeypatch):
