@@ -250,15 +250,14 @@ def _cmd_metrics(options: dict) -> int:
 def _cmd_viz(options: dict) -> int:
     # range checks come before --data is read, as in analyze
     spec = None if options["thin_sd"] is None else ThinningSpec(k_sd=options["thin_sd"])
+    if spec is not None and options["mode"] == "bipartite":
+        raise ConfigError("thin_sd thins a projection; the bipartite network is never thinned")
     check_layout_settings(options["layout_seed"], options["layout_iterations"])
     with _loaded(options["data"]) as data:
         b = build_bipartite(data)
-        if options["mode"] == "bipartite":
-            network = b
-        else:
-            network = project(b, options["mode"])
-            if spec is not None:
-                network = thin(network, spec)
+        network = b if options["mode"] == "bipartite" else project(b, options["mode"])
+        if spec is not None:
+            network = thin(network, spec)
         placed = None
         if options["format"] == "svg":
             if not data.posts:
@@ -267,7 +266,8 @@ def _cmd_viz(options: dict) -> int:
         rendered = export_graph(network, placed, format=options["format"])
         out_path = Path(options["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(rendered, encoding="utf-8")
+        with out_path.open("w", encoding="utf-8") as file:
+            file.writelines(rendered)
         print(f"wrote {options['format']} graph -> {out_path}")
     return 0
 

@@ -7,7 +7,8 @@ under fixed file names, as one output directory that holds one run's
 complete set. Every JSON artifact is written by one ``write_json`` that
 adds the run's provenance block, so a report always states what produced
 it; ``text`` fixes the bytes of each CSV and JSON file, and reruns with
-identical inputs and seeds are byte-identical.
+identical inputs and seeds are byte-identical. Edge lists and figures
+are written chunk by chunk as they arrive, never as one string.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ from .viz import (
 )
 
 FIGURE_NETWORKS = ("bipartite", "user", "thread")
-# characters of a string that one file write encodes: a figure's text is
-# one string of several MB, and its UTF-8 copy would sit beside it whole
-WRITE_CHUNK = 1 << 20
 
 
 @dataclass
@@ -206,15 +204,11 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         provenance = _provenance(data, config)
 
         def write(relative: str, text: str | Iterable[str]) -> None:
-            """Write ``text``, one string or its chunks in turn, each string
-            ``WRITE_CHUNK`` characters at a time, so no artifact is ever
-            encoded whole."""
+            """Write ``text``: one string, or its chunks in turn as given."""
             path = stage / relative
             path.parent.mkdir(exist_ok=True)
             with path.open("w", encoding="utf-8") as file:
-                for chunk in (text,) if isinstance(text, str) else text:
-                    for lo in range(0, len(chunk), WRITE_CHUNK):
-                        file.write(chunk[lo : lo + WRITE_CHUNK])
+                file.writelines((text,) if isinstance(text, str) else text)
             artifacts.append(relative)
 
         def write_json(relative: str, payload: dict) -> None:

@@ -10,9 +10,10 @@ which are not JSON.
 A network's tie lines come from ``tie_lines``: the caller formats one
 left and one right piece per node and one tail per distinct weight, and
 each line is the three pieces of its tie joined. So no name, coordinate
-or weight is formatted once per tie. The lines come ``TIE_CHUNK`` ties
-to a string, and a writer takes one string at a time, so the pieces and
-the text in flight stay bounded whatever the tie count.
+or weight is formatted once per tie. The distinct weights are found and
+the lines joined ``TIE_CHUNK`` ties at a time, and a writer (of an edge
+list or a figure) takes one string at a time, so what is in flight stays
+bounded by a chunk and the distinct weights, whatever the tie count.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def tie_lines(
     ``tail`` is called once per distinct weight, in increasing order, and
     its text must end the line.
     """
-    values = np.unique(weights)
+    values = weights[:0]  # the distinct weights, with no sorted copy of all m
+    for lo in range(0, len(weights), TIE_CHUNK):
+        values = np.union1d(values, weights[lo : lo + TIE_CHUNK])
     tails = np.array([tail(w) for w in values.tolist()], dtype=object)
     left, right = np.array(left, dtype=object), np.array(right, dtype=object)
     for lo in range(0, len(edges), TIE_CHUNK):

@@ -7,19 +7,21 @@ middle of the drawing. A ``Layout`` is built in two parts: its
 constructor allocates the whole workspace, O(LAYOUT_BLOCK * n + m)
 floats, on the calling thread, and ``run`` steps in it, on any thread,
 without allocating an m-sized array; ``layout`` does both in turn.
-Exports cover DOT, GraphML, and a dependency-free SVG rendering. Each
-writes its nodes line by line and its ties through ``text.tie_lines``:
-one quoted name (or, in SVG, one pair of coordinates) per node for each
-end of a tie, and one tail per distinct weight. XML text is escaped here,
-as ``xml.sax.saxutils`` escapes it, without importing that module's
-``urllib`` dependencies. ``positions_csv`` writes a layout through
-``text.csv_text``.
+Exports cover DOT, GraphML, and a dependency-free SVG rendering, each in
+string chunks, as an edge list is. Each gives its nodes line by line and
+its ties through ``text.tie_lines``: one quoted name (or, in SVG, one pair
+of coordinates) per node for each end of a tie, and one tail per distinct
+weight. XML text is escaped here, as ``xml.sax.saxutils`` escapes it,
+without importing that module's ``urllib`` dependencies.
+``positions_csv`` writes a layout through ``text.csv_text``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -277,7 +279,7 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(nodes, edges, weights, modes, sizes) -> str:
+def _to_dot(nodes, edges, weights, modes, sizes) -> Iterator[str]:
     quoted = [_dot_quote(node) for node in nodes]
     if modes is not None:
         lines = [f"  {node} [mode={_dot_quote(mode)}];\n" for node, mode in zip(quoted, modes)]
@@ -285,10 +287,10 @@ def _to_dot(nodes, edges, weights, modes, sizes) -> str:
         lines = [f"  {node} [size={size}];\n" for node, size in zip(quoted, sizes)]
     froms = [f"  {node} -- " for node in quoted]
     ties = tie_lines(froms, quoted, edges, weights, lambda weight: f" [weight={weight}];\n")
-    return "".join(("graph G {\n", *lines, *ties, "}\n"))
+    return chain(["graph G {\n"], lines, ties, ["}\n"])
 
 
-def _to_graphml(nodes, edges, weights, modes, sizes) -> str:
+def _to_graphml(nodes, edges, weights, modes, sizes) -> Iterator[str]:
     quoted = [_quoteattr(node) for node in nodes]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -315,10 +317,10 @@ def _to_graphml(nodes, edges, weights, modes, sizes) -> str:
         weights,
         lambda weight: f'<data key="weight">{weight}</data></edge>\n',
     )
-    return "".join(("\n".join(out), "\n", *ties, "  </graph>\n</graphml>\n"))
+    return chain(["\n".join(out) + "\n"], ties, ["  </graph>\n</graphml>\n"])
 
 
-def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> str:
+def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> Iterator[str]:
     usable = SVG_SIZE - 2 * SVG_MARGIN
     points = (SVG_MARGIN + _placed(nodes, positions) * usable).tolist()
     max_weight = weights.max().item() if len(weights) else 1
@@ -340,10 +342,7 @@ def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> str:
     out = ["  </g>", '  <g fill="#3465a4" stroke="#1f3d66" stroke-width="0.8">']
     for k, node in enumerate(nodes):
         x, y = points[k]
-        if max_size > 0:
-            radius = 3.0 + 11.0 * sizes[k] / max_size
-        else:
-            radius = 6.0
+        radius = 3.0 + 11.0 * sizes[k] / max_size if max_size > 0 else 6.0
         label = f"<title>{_escape(node)}</title>"
         if modes is not None and modes[k] == "thread":
             side = 2 * radius
@@ -353,16 +352,20 @@ def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> str:
             )
         else:
             out.append(f'    <circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}">{label}</circle>')
-    out.append("  </g>")
-    out.append("</svg>")
-    return "".join((head, "\n", *ties, "\n".join(out), "\n"))
+    out += ["  </g>", "</svg>"]
+    return chain([head + "\n"], ties, ["\n".join(out) + "\n"])
 
 
-def export_graph(network, positions: np.ndarray | None = None, format: str = "dot") -> str:
-    """Serialize a network (one-mode or bipartite) as DOT, GraphML, or SVG.
+def export_graph(
+    network, positions: np.ndarray | None = None, format: str = "dot"
+) -> Iterator[str]:
+    """Serialize a network (one-mode or bipartite) as DOT, GraphML, or SVG,
+    in string chunks: the header, the node lines, the ``text.tie_lines``
+    chunks and the footer, so no figure is ever one string.
 
     SVG needs the network's ``layout`` positions. One-mode nodes are
-    sized by the network's own ``node_attr``.
+    sized by the network's own ``node_attr``. The arguments are checked
+    at the call, before any chunk is taken.
     """
     if format not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format: {format!r}")

@@ -210,12 +210,12 @@ def test_written_networks_are_byte_pinned():
         SynthConfig(user_count=60, thread_count=80, post_count=400, skew_alpha=1.5, seed=3)
     )
     b = build_bipartite(data)
-    outputs = {"bipartite.dot": export_graph(b, format="dot")}
+    outputs = {"bipartite.dot": "".join(export_graph(b, format="dot"))}
     for mode in ("user", "thread"):
         g = project(b, mode)
         outputs[f"{mode}_edges.csv"] = "".join(edge_list_csv(g))
         outputs[f"{mode}_nodes.csv"] = node_list_csv(g)
-        outputs[f"{mode}.dot"] = export_graph(thin(g, ThinningSpec()), format="dot")
+        outputs[f"{mode}.dot"] = "".join(export_graph(thin(g, ThinningSpec()), format="dot"))
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
     assert digests == PINNED_DIGESTS
 

@@ -182,12 +182,11 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_artifacts_do_not_depend_on_the_write_chunks(tmp_path, monkeypatch):
-    """Strings written a few characters at a time, and edge lists a few
-    ties to a chunk, give the same bytes, multi-byte UTF-8 names included."""
+    """Edge lists and figures written a few ties to a chunk give the same
+    bytes, multi-byte UTF-8 names included."""
     rows = [("ü1", "字1"), ("ü2", "字1"), ("é3", "字1"), ("ü2", "t2"), ("é3", "t2"), ("u4", "t2")]
     data = dataset_from_posts(rows)
     run_pipeline(data, PipelineConfig(out_dir=tmp_path / "whole"))
-    monkeypatch.setattr(report, "WRITE_CHUNK", 3)
     monkeypatch.setattr(text, "TIE_CHUNK", 2)
     run_pipeline(data, PipelineConfig(out_dir=tmp_path / "chunked"))
     whole = tree(tmp_path / "whole")
@@ -265,6 +264,28 @@ def test_failed_first_run_keeps_only_created_ancestors(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=out_dir))
     assert os.listdir(tmp_path / "a" / "b") == []
+
+
+def test_figure_failing_mid_stream_leaves_previous_output_untouched(tmp_path, monkeypatch):
+    """A figure is written chunk by chunk as its exporter yields them, so
+    it can fail with its file open and half written; the stage goes, and
+    the previous output stays as it was."""
+    out_dir = tmp_path / "out"
+    run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=out_dir))
+    before = tree(out_dir)
+    taken = []
+
+    def half_written(*_, **__):
+        taken.append("head")
+        yield "<svg>\n"
+        raise RuntimeError("figure failed mid-stream")
+
+    monkeypatch.setattr(report, "export_graph", half_written)
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        run_pipeline(dataset_from_posts(TOY_ROWS[:3]), PipelineConfig(out_dir=out_dir))
+    assert taken == ["head"]
+    assert tree(out_dir) == before
+    assert os.listdir(tmp_path) == ["out"]
 
 
 def test_published_directory_has_plain_mkdir_mode(tmp_path):
@@ -370,7 +391,7 @@ def test_library_defaults_draw_what_a_default_run_draws(tmp_path):
     assert overview == activity_overview(data).to_dict()
     g = thin(project(build_bipartite(data), USER_MODE))
     assert 0 < len(g.edges)
-    drawn = export_graph(g, layout(g), format="svg")
+    drawn = "".join(export_graph(g, layout(g), format="svg"))
     assert drawn == (tmp_path / "out" / "figures" / "user.svg").read_text(encoding="utf-8")
 
 
@@ -661,6 +682,33 @@ def test_cli_viz_svg_and_graphml(tmp_path):
                      "--format", "graphml", "--out", str(gml))
     assert result.returncode == 0, result.stderr
     assert "graphml" in gml.read_text()
+
+
+def test_cli_viz_writes_the_figures_analyze_writes(tmp_path, capsys):
+    """viz with analyze's thinning (thin_sd 1, the projections only) and
+    layout defaults writes each figure's SVG with analyze's bytes."""
+    data = tmp_path / "data.json"
+    synth = SynthConfig(user_count=60, thread_count=50, post_count=400, seed=5)
+    data.write_text(dataset_to_json(generate(synth)), encoding="utf-8")
+    assert cli.main(["analyze", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    for mode in ("bipartite", "user", "thread"):
+        thinning = [] if mode == "bipartite" else ["--thin-sd", "1"]
+        out = tmp_path / f"{mode}.svg"
+        argv = ["viz", "--data", str(data), "--mode", mode, "--format", "svg", "--out", str(out)]
+        assert cli.main([*argv, *thinning]) == 0, capsys.readouterr().err
+        assert out.read_bytes() == (tmp_path / "out" / "figures" / f"{mode}.svg").read_bytes()
+
+
+def test_cli_viz_refuses_thinning_the_bipartite_network(tmp_path, capsys):
+    """--thin-sd thins a projection only: with --mode bipartite it is a
+    configuration fault, refused before --data is read."""
+    data = tmp_path / "posts.csv"
+    data.write_text("who,what\n1,2\n", encoding="utf-8")
+    argv = ["viz", "--data", str(data), "--mode", "bipartite", "--format", "dot",
+            "--out", str(tmp_path / "b.dot"), "--thin-sd", "5"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: thin_sd ")
+    assert os.listdir(tmp_path) == ["posts.csv"]
 
 
 @pytest.mark.parametrize(

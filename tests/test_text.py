@@ -31,7 +31,7 @@ def first_difference(written: str, expected: str):
 def assert_writers_agree(network, seed: int) -> None:
     positions = np.random.default_rng(seed).random((len(_drawing(network)[0]), 2))
     for format in EXPORT_FORMATS:
-        written = export_graph(network, positions, format)
+        written = "".join(export_graph(network, positions, format))
         assert first_difference(written, oracle_export(network, positions, format)) is None
     if isinstance(network, OneModeNetwork):
         written = "".join(edge_list_csv(network))

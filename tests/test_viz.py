@@ -403,7 +403,7 @@ def test_positions_csv_shape():
 
 def test_dot_minimal_graph():
     g = make_network([("a", "b", 2)])
-    text = export_graph(g, format="dot")
+    text = "".join(export_graph(g, format="dot"))
     assert text.count(" -- ") == 1
     assert '"a" -- "b" [weight=2];' in text
     assert text.startswith("graph G {")
@@ -411,13 +411,13 @@ def test_dot_minimal_graph():
 
 def test_dot_quotes_awkward_ids():
     g = make_network([('we"ird', "plain", 1)])
-    text = export_graph(g, format="dot")
+    text = "".join(export_graph(g, format="dot"))
     assert '"we\\"ird"' in text
 
 
 def test_graphml_empty_graph_is_valid_xml():
     g = make_network([])
-    text = export_graph(g, format="graphml")
+    text = "".join(export_graph(g, format="graphml"))
     root = ET.fromstring(text)
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     graph = root.find("g:graph", ns)
@@ -428,7 +428,7 @@ def test_graphml_empty_graph_is_valid_xml():
 
 def test_graphml_round_trip_topology_and_weights():
     g = make_network([("a", "b", 3), ("b", "c", 1)], nodes=["d"])
-    text = export_graph(g, format="graphml")
+    text = "".join(export_graph(g, format="graphml"))
     root = ET.fromstring(text)
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     graph = root.find("g:graph", ns)
@@ -450,7 +450,7 @@ def test_graphml_round_trip_topology_and_weights():
 
 def test_dot_round_trip_topology_and_weights():
     g = make_network([("a", "b", 3), ("b", "c", 1)])
-    text = export_graph(g, format="dot")
+    text = "".join(export_graph(g, format="dot"))
     edges = {}
     for source, target, weight in re.findall(
         r'"([^"]+)" -- "([^"]+)" \[weight=([0-9.]+)\];', text
@@ -462,7 +462,7 @@ def test_dot_round_trip_topology_and_weights():
 def test_svg_triangle_elements():
     g = make_network([("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
     placed = layout(g, seed=5, iterations=40)
-    text = export_graph(g, placed, format="svg")
+    text = "".join(export_graph(g, placed, format="svg"))
     assert text.count("<circle") == 3
     assert text.count("<line") == 3
     assert 'viewBox="0 0 1000 1000"' in text
@@ -486,26 +486,26 @@ def test_positions_must_have_one_row_per_node():
 def test_svg_node_sizes_scale_radius():
     g = make_network([("a", "b", 1)])
     placed = layout(g, seed=1, iterations=5)
-    sized = export_graph(
+    sized = "".join(export_graph(
         make_network([("a", "b", 1)], node_attr={"a": 10, "b": 1}),
         placed,
         format="svg",
-    )
+    ))
     radii = [float(r) for r in re.findall(r'r="([0-9.]+)"', sized)]
     assert len(set(radii)) == 2
-    plain = export_graph(g, placed, format="svg")
+    plain = "".join(export_graph(g, placed, format="svg"))
     radii_plain = set(re.findall(r'r="([0-9.]+)"', plain))
     assert len(radii_plain) == 1
 
 
 def test_bipartite_export_marks_modes():
     b = make_bipartite({("u1", "t1"): 2, ("u2", "t1"): 1})
-    dot = export_graph(b, format="dot")
+    dot = "".join(export_graph(b, format="dot"))
     assert 'mode="user"' in dot and 'mode="thread"' in dot
-    graphml = export_graph(b, format="graphml")
+    graphml = "".join(export_graph(b, format="graphml"))
     assert "mode" in graphml
     placed = layout(b, seed=4, iterations=30)
-    svg = export_graph(b, placed, format="svg")
+    svg = "".join(export_graph(b, placed, format="svg"))
     assert svg.count("<circle") == 2
     assert svg.count("<rect") >= 1  # thread nodes drawn as the second shape
 
@@ -533,17 +533,17 @@ def test_shared_user_thread_ids_are_mode_qualified():
     placed = layout(b, seed=1, iterations=5)
     written = [line.split(",")[0] for line in positions_csv(b, placed).splitlines()[1:]]
     assert written == ["user:1", "user:2", "thread:1", "thread:2"]
-    dot = export_graph(b, format="dot")
+    dot = "".join(export_graph(b, format="dot"))
     assert '"user:1" -- "thread:2" [weight=1];' in dot
     assert '"thread:2" [mode="thread"];' in dot
-    root = ET.fromstring(export_graph(b, format="graphml"))
+    root = ET.fromstring("".join(export_graph(b, format="graphml")))
     ids = [node.get("id") for node in root.iter("{http://graphml.graphdrawing.org/xmlns}node")]
     assert ids == ["user:1", "user:2", "thread:1", "thread:2"]
-    svg = export_graph(b, placed, format="svg")
+    svg = "".join(export_graph(b, placed, format="svg"))
     assert re.findall(r"<title>(.*?)</title>", svg) == ids
     # without a shared ID the names are written as they are
     plain = build_bipartite(dataset_from_posts([("u1", "1"), ("u2", "1")]))
-    assert '"u1" -- "1" [weight=1];' in export_graph(plain, format="dot")
+    assert '"u1" -- "1" [weight=1];' in "".join(export_graph(plain, format="dot"))
 
 
 @settings(max_examples=300, deadline=None)
