@@ -6,10 +6,11 @@ thread (and threads that share a user). Networks are plain immutable
 value objects; everything downstream treats them as read-only.
 
 Both kinds are integer-indexed: a node is its position in a tuple of
-names, and ties are rows of index arrays. Names are used only when a
-network is written out. ``build_bipartite`` sorts them, so index order
-is name order in every network built from data. Networks compare by
-identity, since arrays have no single truth value. ``edge_list_csv`` and
+names, and one-mode ties are the CSR rows of an upper triangle, the one
+tie layout that every module reads. Names are used only when a network
+is written out. ``build_bipartite`` sorts them, so index order is name
+order in every network built from data. Networks compare by identity,
+since arrays have no single truth value. ``edge_list_csv`` and
 ``node_list_csv`` write a projection through ``text``: the edge list's
 ties through ``text.tie_lines``, from one CSV cell per node name, in
 chunks that the caller writes one at a time.
@@ -68,22 +69,25 @@ class BipartiteNetwork:
 class OneModeNetwork:
     """Undirected weighted graph over users or threads.
 
-    ``edges`` is an (m, 2) array of node-index rows (i, j), i < j, sorted;
-    ``weights`` holds each tie's weight. ``node_attr`` carries, per node,
-    the distinct threads contributed to (user mode) or the distinct
-    participants (thread mode). Isolates are kept: a node with posts but
-    no co-participants still matters.
+    Ties are held as the CSR (compressed sparse row) rows of the upper
+    triangle: row i's are ``edges[indptr[i]:indptr[i + 1]]``, nodes j > i
+    ascending, with ``weights`` alongside; ``edges`` has ``project``'s
+    index dtype. ``node_attr`` carries, per node, the distinct threads
+    contributed to (user mode) or the distinct participants (thread
+    mode). Isolates are kept: a node with posts but no co-participants
+    still matters.
     """
 
     mode: str
     nodes: tuple[str, ...]
+    indptr: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
     node_attr: np.ndarray
 
     def degrees(self) -> np.ndarray:
-        """Ties per node, in node order."""
-        return np.bincount(self.edges.ravel(), minlength=len(self.nodes))
+        """Ties per node, in node order: as the row, then as an end."""
+        return np.diff(self.indptr) + np.bincount(self.edges, minlength=len(self.nodes))
 
 
 def _index_dtype(largest: int) -> type:
@@ -159,7 +163,7 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
     every row holds its diagonal entry, and the product's symbolic size
     gives the tie count m before any tie is computed: the result is
     allocated once, and a batch fills it with the entries j > i of its
-    rows, sorted, which is the edge order.
+    rows, each row sorted, and their ends in ``indptr``.
     """
     if mode not in (USER_MODE, THREAD_MODE):
         raise ConfigError(f"unknown projection mode: {mode!r}")
@@ -189,9 +193,9 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
     batches = _batches(work)
     room = max((work[hi] - work[lo] for lo, hi in batches), default=0)
     m = (tools.csr_matmat_maxnnz(n, n, ptr, events, *members[:2]) - n) // 2
-    edges, weights = np.empty((m, 2), dtype=np.int64), np.empty(m, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    edges, weights = np.empty(m, dtype=index), np.empty(m, dtype=np.int64)
     columns, sums = np.empty(room, dtype=index), np.empty(room, dtype=np.int64)
-    filled = 0
     for lo, hi in batches:
         # the batch's product rows, each row's columns in no set order
         start, stop = ptr[lo], ptr[hi]
@@ -201,20 +205,17 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
         # its entries j > i go to the result, where each row is sorted
         size = row_ptr[-1]
         upper = columns[:size] > np.repeat(np.arange(lo, hi, dtype=index), np.diff(row_ptr))
-        # every row holds its diagonal entry, so no range of reduceat is empty
-        above = np.add.reduceat(upper, row_ptr[:-1], dtype=index)
         upper_ptr = np.zeros_like(row_ptr)
-        np.cumsum(above, out=upper_ptr[1:])
-        ties = slice(filled, filled + upper_ptr[-1])
-        kept = columns[:size][upper]
+        # every row holds its diagonal entry, so no range of reduceat is empty
+        np.cumsum(np.add.reduceat(upper, row_ptr[:-1], dtype=index), out=upper_ptr[1:])
+        ties = slice(indptr[lo], indptr[lo] + upper_ptr[-1])  # after the rows before lo
+        np.compress(upper, columns[:size], out=edges[ties])
         np.compress(upper, sums[:size], out=weights[ties])
-        tools.csr_sort_indices(hi - lo, upper_ptr, kept, weights[ties])
-        edges[ties, 0] = np.repeat(np.arange(lo, hi), above)
-        edges[ties, 1] = kept
-        filled = ties.stop
+        tools.csr_sort_indices(hi - lo, upper_ptr, edges[ties], weights[ties])
+        indptr[lo + 1 : hi + 1] = ties.start + upper_ptr[1:]
     # opposite-class group sizes decorate the nodes (threads touched /
     # distinct participants)
-    return OneModeNetwork(mode, nodes, edges, weights, np.diff(ptr).astype(np.int64))
+    return OneModeNetwork(mode, nodes, indptr, edges, weights, np.diff(ptr).astype(np.int64))
 
 
 def edge_list_csv(g: OneModeNetwork) -> Iterator[str]:
@@ -222,7 +223,7 @@ def edge_list_csv(g: OneModeNetwork) -> Iterator[str]:
     time: no string holds the whole list."""
     ends = csv_cells(g.nodes)
     yield csv_text(("source", "target", "weight"), ())
-    yield from tie_lines(ends, ends, g.edges, g.weights, lambda weight: f"{weight}\n")
+    yield from tie_lines(ends, ends, g, lambda weight: f"{weight}\n")
 
 
 def node_list_csv(g: OneModeNetwork) -> str:

@@ -29,8 +29,8 @@ backward step over the rows one level up from some source. Each selected
 row still sums all its ties in index order, so it gets the bits a product
 over every row gives it, and no other row is read unmasked. The backward
 sweep runs over whole arrays with no ``where=`` mask; its masks enter as
-factors of 0.0 and 1.0. The operand is built straight from the sorted
-edge list; it holds the absent ties Ā instead of A when more than half of
+factors of 0.0 and 1.0. The operand is built from the network's CSR
+rows; it holds the absent ties Ā instead of A when more than half of
 all pairs are tied. Each block is computed whole by one thread, and the
 consumer adds the blocks in source order, so results are bit-identical
 whatever the BLAS thread count or the number of cores, as long as the
@@ -83,18 +83,19 @@ class Adjacency(NamedTuple):
 
 
 def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
-    """The operand of ``g`` (weights ignored), straight from its sorted edge
-    list: A, from the keys i·n + j of both directions of every tie, sorted
-    once; or, when more than half of all pairs are tied (4m > n(n - 1)), the
-    fewer absent ties Ā, from an n² byte mask that is O(m) then, without A."""
-    n, (i, j) = len(g.nodes), g.edges.T
-    absent = 4 * len(g.edges) > n * (n - 1)
-    if absent:
+    """The operand of ``g`` (weights ignored), from its CSR rows: A, from
+    the keys i·n + j of both directions of every tie, sorted once; or, when
+    more than half of all pairs are tied (4m > n(n - 1)), the fewer absent
+    ties Ā, from an n² byte mask that is O(m) then, cleared row by row."""
+    n, m = len(g.nodes), len(g.edges)
+    if absent := 4 * m > n * (n - 1):
         square = np.ones((n, n), dtype=bool)
-        square[i, j] = square[j, i] = False
         np.fill_diagonal(square, False)
-        keys, counts = np.flatnonzero(square), n - 1 - g.degrees()  # keys ascend
+        for i, j in enumerate(np.split(g.edges, g.indptr[1:-1])):  # row i's ends j
+            square[i, j] = square[j, i] = False
+        keys, counts = np.flatnonzero(square), square.sum(axis=1)  # keys ascend
     else:
+        i, j = np.repeat(np.arange(n), np.diff(g.indptr)), g.edges.astype(np.int64)
         keys, counts = np.sort(np.concatenate([i * n + j, j * n + i])), g.degrees()
     index = _index_dtype(max(n, len(keys)))
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index)

@@ -51,26 +51,23 @@ def json_text(payload) -> str:
 
 
 def tie_lines(
-    left: Sequence[str],
-    right: Sequence[str],
-    edges: np.ndarray,
-    weights: np.ndarray,
-    tail: Callable[[int], str],
+    left: Sequence[str], right: Sequence[str], g, tail: Callable[[int], str]
 ) -> Iterator[str]:
-    """One line per row (i, j) of ``edges``, in row order: ``left[i] +
-    right[j] + tail(w)`` for the row's weight ``w``, yielded ``TIE_CHUNK``
-    lines at a time, each chunk one string.
+    """One line per tie (i, j) of the network ``g``, in its CSR order:
+    ``left[i] + right[j] + tail(w)`` for the tie's weight ``w``, yielded
+    ``TIE_CHUNK`` lines at a time, each chunk one string.
 
     ``tail`` is called once per distinct weight, in increasing order, and
     its text must end the line.
     """
-    values = weights[:0]  # the distinct weights, with no sorted copy of all m
-    for lo in range(0, len(weights), TIE_CHUNK):
-        values = np.union1d(values, weights[lo : lo + TIE_CHUNK])
+    values = g.weights[:0]  # the distinct weights, with no sorted copy of all m
+    for lo in range(0, len(g.weights), TIE_CHUNK):
+        values = np.union1d(values, g.weights[lo : lo + TIE_CHUNK])
     tails = np.array([tail(w) for w in values.tolist()], dtype=object)
     left, right = np.array(left, dtype=object), np.array(right, dtype=object)
-    for lo in range(0, len(edges), TIE_CHUNK):
-        ties = slice(lo, lo + TIE_CHUNK)
-        which = np.searchsorted(values, weights[ties])
-        pieces = np.column_stack((left[edges[ties, 0]], right[edges[ties, 1]], tails[which]))
+    for lo in range(0, len(g.edges), TIE_CHUNK):
+        ties = np.arange(lo, min(lo + TIE_CHUNK, len(g.edges)))
+        rows = np.searchsorted(g.indptr, ties, "right") - 1  # the row holding each tie
+        which = np.searchsorted(values, g.weights[ties])
+        pieces = np.column_stack((left[rows], right[g.edges[ties]], tails[which]))
         yield "".join(pieces.ravel().tolist())

@@ -8,12 +8,14 @@ constructor allocates the whole workspace, O(LAYOUT_BLOCK * n + m)
 floats, on the calling thread, and ``run`` steps in it, on any thread,
 without allocating an m-sized array; ``layout`` does both in turn.
 Exports cover DOT, GraphML, and a dependency-free SVG rendering, each in
-string chunks, as an edge list is. Each gives its nodes line by line and
-its ties through ``text.tie_lines``: one quoted name (or, in SVG, one pair
-of coordinates) per node for each end of a tie, and one tail per distinct
-weight. XML text is escaped here, as ``xml.sax.saxutils`` escapes it,
-without importing that module's ``urllib`` dependencies.
-``positions_csv`` writes a layout through ``text.csv_text``.
+string chunks, as an edge list is. The layout and the exports draw a
+bipartite network as a one-mode one (``_drawing``). Each export gives
+its nodes line by line and its ties through ``text.tie_lines``: one
+quoted name (or, in SVG, one pair of coordinates) per node for each end
+of a tie, and one tail per distinct weight. XML text is escaped here, as
+``xml.sax.saxutils`` escapes it, without importing that module's
+``urllib`` dependencies. ``positions_csv`` writes a layout through
+``text.csv_text``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .graph import BipartiteNetwork, OneModeNetwork
+from .graph import BipartiteNetwork, OneModeNetwork, _index_dtype
 from .text import csv_text, tie_lines
 
 EXPORT_FORMATS = ("dot", "graphml", "svg")
@@ -86,7 +88,8 @@ def thin(g: OneModeNetwork, spec: ThinningSpec | None = None) -> OneModeNetwork:
     sd = _sqrt_of_ratio(m * squares - total * total, m * (m - 1))
     cutoff = total / m + spec.k_sd * sd
     kept = g.weights > cutoff if spec.strict else g.weights >= cutoff
-    return OneModeNetwork(g.mode, g.nodes, g.edges[kept], g.weights[kept], g.node_attr)
+    indptr = np.concatenate(([0], np.cumsum(kept)))[g.indptr]  # ties kept before each row
+    return OneModeNetwork(g.mode, g.nodes, indptr, g.edges[kept], g.weights[kept], g.node_attr)
 
 
 def check_layout_settings(seed: int, iterations: int) -> None:
@@ -97,21 +100,23 @@ def check_layout_settings(seed: int, iterations: int) -> None:
         raise ConfigError("layout_iterations must be >= 1")
 
 
-def _drawing(network):
-    """(node names, (m, 2) index edges, weights, per-node modes, per-node
-    sizes) of either network kind. Exactly one of modes and sizes is None:
-    bipartite nodes carry a mode, with the threads after the users, and
-    one-mode nodes a size. When a user and a thread share an ID, every
-    bipartite node is written as ``user:<id>`` or ``thread:<id>``."""
-    if isinstance(network, BipartiteNetwork):
-        users, threads = network.user_nodes, network.thread_nodes
-        if not set(users).isdisjoint(threads):
-            users = tuple(f"user:{u}" for u in users)
-            threads = tuple(f"thread:{t}" for t in threads)
-        edges = network.incidence + np.array([0, len(users)])
-        modes = ("user",) * len(users) + ("thread",) * len(threads)
-        return users + threads, edges, network.counts, modes, None
-    return network.nodes, network.edges, network.weights, None, network.node_attr
+def _drawing(network) -> tuple[OneModeNetwork, tuple[str, ...] | None]:
+    """(network, per-node modes) to draw: a one-mode network as it is, with
+    no modes; a bipartite one as a one-mode network over the users, then
+    the threads, weighted by post counts and sized 0. If a user and a thread
+    share an ID, every node is written as ``user:<id>`` or ``thread:<id>``."""
+    if not isinstance(network, BipartiteNetwork):
+        return network, None
+    users, threads = network.user_nodes, network.thread_nodes
+    if not set(users).isdisjoint(threads):
+        users = tuple(f"user:{u}" for u in users)
+        threads = tuple(f"thread:{t}" for t in threads)
+    n, (rows, ends) = len(users) + len(threads), network.incidence.T
+    # the incidence is sorted, so each user's threads form one ascending row
+    drawn = OneModeNetwork("bipartite", users + threads, np.searchsorted(rows, np.arange(n + 1)),
+                           np.add(ends, len(users), dtype=_index_dtype(n)), network.counts,
+                           np.zeros(n, dtype=np.int64))
+    return drawn, ("user",) * len(users) + ("thread",) * len(threads)
 
 
 def _aligned(shape: tuple[int, ...]) -> np.ndarray:
@@ -142,8 +147,8 @@ class Layout:
 
     def __init__(self, network, seed: int, iterations: int):
         check_layout_settings(seed, iterations)
-        nodes, edges, _, _, _ = _drawing(network)
-        n, m = len(nodes), len(edges)
+        g = _drawing(network)[0]
+        n, m = len(g.nodes), len(g.edges)
         if n == 0:
             raise ValueError("layout requires at least one node")
         self.iterations = iterations
@@ -154,7 +159,8 @@ class Layout:
         # pulls where it is ei, then those where it is ej, in edge order; any
         # other order (bincount(ej) - bincount(ei)) rounds differently and
         # moves the drawing
-        targets = np.concatenate((np.arange(n), edges[:, 0], edges[:, 1]))
+        ei = np.repeat(np.arange(n), np.diff(g.indptr))
+        targets = np.concatenate((np.arange(n), ei, g.edges))
         self._space = (
             xy, targets, _aligned((2, block, n)), _aligned((2, block, n)),
             _aligned((2, n + 2 * m)), _aligned((m,)), _aligned((n,)),
@@ -254,7 +260,7 @@ def _placed(nodes, positions: np.ndarray) -> np.ndarray:
 
 def positions_csv(network, positions: np.ndarray) -> str:
     """node_id,x,y per node of ``network``, from its ``layout``."""
-    nodes = _drawing(network)[0]
+    nodes = _drawing(network)[0].nodes
     return csv_text(("node_id", "x", "y"), zip(nodes, *_placed(nodes, positions).T.tolist()))
 
 
@@ -279,19 +285,19 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(nodes, edges, weights, modes, sizes) -> Iterator[str]:
-    quoted = [_dot_quote(node) for node in nodes]
+def _to_dot(g: OneModeNetwork, modes) -> Iterator[str]:
+    quoted = [_dot_quote(node) for node in g.nodes]
     if modes is not None:
         lines = [f"  {node} [mode={_dot_quote(mode)}];\n" for node, mode in zip(quoted, modes)]
     else:
-        lines = [f"  {node} [size={size}];\n" for node, size in zip(quoted, sizes)]
+        lines = [f"  {node} [size={size}];\n" for node, size in zip(quoted, g.node_attr.tolist())]
     froms = [f"  {node} -- " for node in quoted]
-    ties = tie_lines(froms, quoted, edges, weights, lambda weight: f" [weight={weight}];\n")
+    ties = tie_lines(froms, quoted, g, lambda weight: f" [weight={weight}];\n")
     return chain(["graph G {\n"], lines, ties, ["}\n"])
 
 
-def _to_graphml(nodes, edges, weights, modes, sizes) -> Iterator[str]:
-    quoted = [_quoteattr(node) for node in nodes]
+def _to_graphml(g: OneModeNetwork, modes) -> Iterator[str]:
+    quoted = [_quoteattr(node) for node in g.nodes]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -308,23 +314,22 @@ def _to_graphml(nodes, edges, weights, modes, sizes) -> Iterator[str]:
     else:
         out += [
             f'    <node id={node}><data key="size">{size}</data></node>'
-            for node, size in zip(quoted, sizes)
+            for node, size in zip(quoted, g.node_attr.tolist())
         ]
     ties = tie_lines(
         [f"    <edge source={node}" for node in quoted],
         [f" target={node}>" for node in quoted],
-        edges,
-        weights,
+        g,
         lambda weight: f'<data key="weight">{weight}</data></edge>\n',
     )
     return chain(["\n".join(out) + "\n"], ties, ["  </graph>\n</graphml>\n"])
 
 
-def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> Iterator[str]:
+def _to_svg(g: OneModeNetwork, modes, positions: np.ndarray) -> Iterator[str]:
     usable = SVG_SIZE - 2 * SVG_MARGIN
-    points = (SVG_MARGIN + _placed(nodes, positions) * usable).tolist()
-    max_weight = weights.max().item() if len(weights) else 1
-    sizes = sizes or [0] * len(nodes)
+    points = (SVG_MARGIN + _placed(g.nodes, positions) * usable).tolist()
+    max_weight = g.weights.max().item() if len(g.weights) else 1
+    sizes = g.node_attr.tolist()
     max_size = max(sizes, default=0)
     head = "\n".join((
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -335,12 +340,11 @@ def _to_svg(nodes, edges, weights, modes, sizes, positions: np.ndarray) -> Itera
     ties = tie_lines(
         [f'    <line x1="{x:.2f}" y1="{y:.2f}"' for x, y in points],
         [f' x2="{x:.2f}" y2="{y:.2f}"' for x, y in points],
-        edges,
-        weights,
+        g,
         lambda weight: f' stroke-width="{0.6 + 2.4 * weight / max_weight:.2f}"/>\n',
     )
     out = ["  </g>", '  <g fill="#3465a4" stroke="#1f3d66" stroke-width="0.8">']
-    for k, node in enumerate(nodes):
+    for k, node in enumerate(g.nodes):
         x, y = points[k]
         radius = 3.0 + 11.0 * sizes[k] / max_size if max_size > 0 else 6.0
         label = f"<title>{_escape(node)}</title>"
@@ -369,12 +373,9 @@ def export_graph(
     """
     if format not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format: {format!r}")
-    nodes, edges, weights, modes, sizes = _drawing(network)
-    sizes = None if sizes is None else sizes.tolist()
-    if format == "dot":
-        return _to_dot(nodes, edges, weights, modes, sizes)
-    if format == "graphml":
-        return _to_graphml(nodes, edges, weights, modes, sizes)
-    if positions is None:
+    if format == "svg" and positions is None:
         raise ValueError("svg export requires a layout")
-    return _to_svg(nodes, edges, weights, modes, sizes, positions)
+    g, modes = _drawing(network)
+    if format == "svg":
+        return _to_svg(g, modes, positions)
+    return (_to_dot if format == "dot" else _to_graphml)(g, modes)

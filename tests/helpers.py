@@ -32,11 +32,17 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def tie_rows(g: OneModeNetwork) -> list[tuple[int, int]]:
+    """A network's ties as (i, j) index rows, in its order, read row by row
+    from its CSR: ``edges[indptr[i]:indptr[i + 1]]`` are row i's ends j."""
+    indptr, ends = g.indptr.tolist(), g.edges.tolist()
+    return [(i, j) for i in range(len(g.nodes)) for j in ends[indptr[i] : indptr[i + 1]]]
+
+
 def edge_dict(g: OneModeNetwork) -> dict[tuple[str, str], int]:
     """A network's ties keyed by name pairs (a, b) with a < b."""
     return {
-        edge_key(g.nodes[i], g.nodes[j]): w
-        for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())
+        edge_key(g.nodes[i], g.nodes[j]): w for (i, j), w in zip(tie_rows(g), g.weights.tolist())
     }
 
 
@@ -53,6 +59,22 @@ def incidence_dict(b: BipartiteNetwork) -> dict[tuple[str, str], int]:
     }
 
 
+def from_rows(nodes, rows, weights, mode="user", node_attr=None) -> OneModeNetwork:
+    """A OneModeNetwork over ``nodes`` from its ties as (i, j) index rows,
+    i < j, in ascending order, with one weight each: row i's ends j become
+    ``edges[indptr[i]:indptr[i + 1]]``, in int32, the index dtype
+    ``project`` picks at test sizes. ``node_attr`` is 0 for every node
+    when not given."""
+    n, rows = len(nodes), np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    keys = rows[:, 0] * n + rows[:, 1]
+    assert (rows[:, 0] < rows[:, 1]).all() and (np.diff(keys) > 0).all(), "rows out of order"
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[:, 0], minlength=n), out=indptr[1:])
+    attr = np.zeros(n, dtype=np.int64) if node_attr is None else node_attr
+    return OneModeNetwork(mode, tuple(nodes), indptr, rows[:, 1].astype(np.int32),
+                          np.asarray(weights, dtype=np.int64), np.asarray(attr, dtype=np.int64))
+
+
 def one_mode(nodes, edge_map, mode="user", node_attr=None) -> OneModeNetwork:
     """A OneModeNetwork over ``nodes`` in the order given, from ties keyed
     by name pairs; ``node_attr`` maps names to sizes, 0 where absent."""
@@ -61,13 +83,8 @@ def one_mode(nodes, edge_map, mode="user", node_attr=None) -> OneModeNetwork:
         (min(index[a], index[b]), max(index[a], index[b]), w) for (a, b), w in edge_map.items()
     )
     attr = node_attr or {}
-    return OneModeNetwork(
-        mode=mode,
-        nodes=tuple(nodes),
-        edges=np.array([(i, j) for i, j, _ in rows], dtype=np.int64).reshape(-1, 2),
-        weights=np.array([w for _, _, w in rows], dtype=np.int64),
-        node_attr=np.array([attr.get(node, 0) for node in nodes], dtype=np.int64),
-    )
+    return from_rows(nodes, [(i, j) for i, j, _ in rows], [w for _, _, w in rows], mode,
+                     [attr.get(node, 0) for node in nodes])
 
 
 def make_network(edges, nodes=(), mode="user", node_attr=None) -> OneModeNetwork:
@@ -293,8 +310,8 @@ def projection_oracle(b: BipartiteNetwork, mode: str, weighting: str = "events")
 
 def pair_key_projection(b: BipartiteNetwork, mode: str, weighting: str = "events") -> OneModeNetwork:
     """The projection from every pair key i·n + j of every shared event at
-    once, summed by ``np.unique``: ``graph.project`` must match its edges,
-    weights and node attributes byte for byte."""
+    once, summed by ``np.unique``: ``graph.project`` must match its indptr,
+    edges, weights and node attributes byte for byte."""
     side = 0 if mode == "user" else 1
     nodes = b.user_nodes if side == 0 else b.thread_nodes
     n = len(nodes)
@@ -315,9 +332,20 @@ def pair_key_projection(b: BipartiteNetwork, mode: str, weighting: str = "events
         products.append((posts[:, i] * posts[:, j]).ravel())
     pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     weights = np.bincount(inverse, weights=np.concatenate(products), minlength=len(pairs))
-    edges = np.column_stack(np.divmod(pairs, n))
     node_attr = np.bincount(b.incidence[:, side], minlength=n)
-    return OneModeNetwork(mode, nodes, edges, weights.astype(np.int64), node_attr.astype(np.int64))
+    return from_rows(nodes, np.column_stack(np.divmod(pairs, n)), weights.astype(np.int64), mode,
+                     node_attr)
+
+
+def drawn_ties(network) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (i, j) index rows and weights of the ties a drawing of
+    ``network`` holds, in order: a bipartite network's straight from its
+    incidence, each thread numbered after every user, and a one-mode
+    network's row by row from its CSR."""
+    if isinstance(network, BipartiteNetwork):
+        users = len(network.user_nodes)
+        return [(u, users + t) for u, t in network.incidence.tolist()], network.counts.tolist()
+    return tie_rows(network), network.weights.tolist()
 
 
 def traced_peak(fn) -> int:
@@ -334,14 +362,13 @@ def dense_layout(network, seed: int, iterations: int) -> np.ndarray:
     """Reference spring embedding: the whole n x n repulsion per step and
     the edge pulls added by ``np.add.at``. ``viz.layout`` must match its
     (n, 2) positions bit for bit."""
-    nodes, edges, _, _, _ = _drawing(network)
-    n = len(nodes)
+    n = len(_drawing(network)[0].nodes)
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 2))
     if n == 1:
         return np.array([[0.5, 0.5]])
 
-    ei, ej = edges.T
+    ei, ej = np.array(drawn_ties(network)[0], dtype=np.int64).reshape(-1, 2).T
     k = (1.0 / n) ** 0.5
     start_temp = 0.1
     dx = np.empty((n, n))
@@ -396,7 +423,7 @@ def oracle_edge_list_csv(g: OneModeNetwork) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("source", "target", "weight"))
-    for (i, j), weight in zip(g.edges.tolist(), g.weights.tolist()):
+    for (i, j), weight in zip(tie_rows(g), g.weights.tolist()):
         writer.writerow((g.nodes[i], g.nodes[j], weight))
     return buf.getvalue()
 
@@ -494,9 +521,9 @@ def _oracle_svg(nodes, ties, modes, sizes, positions) -> str:
 def oracle_export(network, positions, format: str) -> str:
     """``viz.export_graph`` written one line per tie, each from its own
     f-string, with ``xml.sax.saxutils`` escaping."""
-    nodes, edges, weights, modes, sizes = _drawing(network)
-    ties = [(i, j, w) for (i, j), w in zip(edges.tolist(), weights.tolist())]
-    sizes = None if sizes is None else sizes.tolist()
+    g, modes = _drawing(network)
+    nodes, sizes = g.nodes, None if modes is not None else g.node_attr.tolist()
+    ties = [(i, j, w) for (i, j), w in zip(*drawn_ties(network))]
     if format == "dot":
         return _oracle_dot(nodes, ties, modes, sizes)
     if format == "graphml":

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from forumnet import graph
 from forumnet.graph import WEIGHTINGS, build_bipartite, edge_list_csv, node_list_csv, project
 from forumnet.synth import SynthConfig, generate
-from forumnet.viz import ThinningSpec, export_graph, thin
+from forumnet.viz import ThinningSpec, _drawing, export_graph, thin
 
 from helpers import (
     adjacency_sets,
@@ -234,8 +235,8 @@ INCIDENCES = st.dictionaries(
 @example({("u0", "t0"): 1, ("u1", "t0"): 2, ("u2", "t0"): 5}, 1)  # one event, a row per batch
 @example({("u0", "t0"): 1, ("u1", "t1"): 2, ("u1", "t0"): 1, ("u2", "t2"): 4}, 2)  # isolates
 def test_rowwise_projection_is_the_pair_key_projection(cells, batch):
-    """Both modes under both weightings give the pair-key oracle's edges,
-    weights and node attributes byte for byte, whether the rows fall in
+    """Both modes under both weightings give the pair-key oracle's indptr,
+    edges, weights and node attributes byte for byte, whether the rows fall in
     one batch or in many: a batch of a few product entries splits the
     rows of any event with more than a couple of members. Post counts up
     to 2**20 give "posts" weights past int32."""
@@ -245,9 +246,40 @@ def test_rowwise_projection_is_the_pair_key_projection(cells, batch):
             for weighting in WEIGHTINGS:
                 got, want = project(b, mode, weighting), pair_key_projection(b, mode, weighting)
                 assert got.nodes == want.nodes
-                for name in ("edges", "weights", "node_attr"):
+                for name in ("indptr", "edges", "weights", "node_attr"):
                     a, w = getattr(got, name), getattr(want, name)
                     assert (a.dtype, a.shape, a.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+def assert_upper_csr(g) -> None:
+    """``g`` holds the CSR rows of an upper triangle: ``indptr`` starts at
+    0, never decreases and ends at m, each row's ends rise strictly and lie
+    past the row, and ``edges`` is int32, the index dtype at these sizes."""
+    n, m, indptr = len(g.nodes), len(g.edges), g.indptr
+    assert indptr.dtype == np.int64 and indptr.shape == (n + 1,)
+    assert indptr[0] == 0 and (np.diff(indptr) >= 0).all() and indptr[-1] == m
+    assert g.edges.dtype == np.int32 and g.edges.shape == g.weights.shape == (m,)
+    for i in range(n):
+        row = g.edges[indptr[i] : indptr[i + 1]]
+        assert (np.diff(row) > 0).all() and (row > i).all() and (row < n).all(), i
+
+
+@settings(max_examples=100, deadline=None)
+@given(INCIDENCES, st.one_of(st.integers(1, 40), st.just(graph.PROJECT_BATCH)),
+       st.sampled_from([0.0, 0.5, 1.0]))
+@example({}, graph.PROJECT_BATCH, 1.0)  # no posts
+def test_every_network_is_an_upper_triangle_csr(cells, batch, k_sd):
+    """Projections in both modes under both weightings, in one batch or in
+    many, their thinnings, and the one-mode drawing of the bipartite
+    network all hold their ties as the CSR rows of an upper triangle."""
+    b = bip(cells)
+    assert_upper_csr(_drawing(b)[0])
+    with mock.patch.object(graph, "PROJECT_BATCH", batch):
+        for mode in ("user", "thread"):
+            for weighting in WEIGHTINGS:
+                g = project(b, mode, weighting)
+                assert_upper_csr(g)
+                assert_upper_csr(thin(g, ThinningSpec(k_sd=k_sd)))
 
 
 def test_project_memory_is_the_network_plus_one_batch(monkeypatch):

@@ -1,4 +1,4 @@
-"""The path pass: its CSR operand, built from the sorted edge list, its
+"""The path pass: its CSR operand, built from the network's CSR rows, its
 products over only the rows a level needs, and its thread pool: the same
 bits whatever the worker count, a bounded working set, no thread left
 behind, a structural-only pass that skips the Brandes sweep, and scipy's
@@ -20,12 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumnet import cli, graph, paths
-from forumnet.graph import OneModeNetwork
 from forumnet.ingest import dataset_to_json
 from forumnet.paths import path_stats
 from forumnet.synth import SynthConfig, generate
 
-from helpers import one_mode, traced_peak
+from helpers import from_rows, one_mode, tie_rows, traced_peak
 
 ARRAYS = ("reach", "distance_sum", "betweenness")
 
@@ -134,12 +133,11 @@ def _sparse_graph(n, m, seed):
 
 
 def _random_graph(n, p, seed):
-    """G(n, p), its edges sorted rows (i, j), i < j, as projections hold them."""
+    """G(n, p), from its ties' sorted rows (i, j), i < j."""
     i, j = np.triu_indices(n, 1)
     keep = np.random.default_rng(seed).random(len(i)) < p
-    edges = np.column_stack([i[keep], j[keep]])
-    return OneModeNetwork("user", tuple(f"n{k:04d}" for k in range(n)), edges,
-                          np.ones(len(edges), dtype=np.int64), np.zeros(n, dtype=np.int64))
+    return from_rows(tuple(f"n{k:04d}" for k in range(n)), np.column_stack([i[keep], j[keep]]),
+                     np.ones(keep.sum(), dtype=np.int64))
 
 
 OPERAND_GRAPHS = {
@@ -158,7 +156,8 @@ def test_operand_is_the_canonical_csr_of_a_or_of_its_absent_ties(n, p, seed):
 
     g = _random_graph(n, p, seed)
     dense = np.zeros((n, n))
-    dense[tuple(g.edges.T)] = dense[tuple(g.edges.T[::-1])] = 1.0
+    i, j = np.array(tie_rows(g), dtype=np.int64).reshape(-1, 2).T
+    dense[i, j] = dense[j, i] = 1.0
     adj = paths.adjacency_matrix(g)
     assert adj.absent == (4 * len(g.edges) > n * (n - 1))
     if adj.absent:
@@ -196,8 +195,8 @@ def test_int64_operand_gives_the_same_figures(monkeypatch, p):
 
 
 def test_near_complete_operand_never_holds_the_adjacency():
-    """Ā is read from an n² byte mask set from the edge list, with a few
-    bytes per tie on top, where building A first took about 80."""
+    """Ā is read from an n² byte mask cleared row by row from the CSR, with
+    a few bytes per tie on top, where building A first took about 80."""
     g = _random_graph(800, 0.95, seed=8)
     path_stats(_random_graph(3, 1.0, seed=1))  # loading the CSR loop is not the operand's memory
     n, m = len(g.nodes), len(g.edges)
@@ -362,7 +361,8 @@ def _operand(g, absent):
     absent ties Ā when ``absent``, whatever the 4m > n(n - 1) rule picks."""
     n = len(g.nodes)
     dense = np.zeros((n, n))
-    dense[tuple(g.edges.T)] = dense[tuple(g.edges.T[::-1])] = 1.0
+    i, j = np.array(tie_rows(g), dtype=np.int64).reshape(-1, 2).T
+    dense[i, j] = dense[j, i] = 1.0
     held = 1.0 - dense - np.eye(n) if absent else dense
     indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))]).astype(np.int32)
     indices = np.nonzero(held)[1].astype(np.int32)

@@ -13,7 +13,7 @@ from forumnet.graph import WEIGHTINGS, OneModeNetwork, edge_list_csv, project
 from forumnet.text import tie_lines
 from forumnet.viz import EXPORT_FORMATS, _drawing, export_graph
 
-from helpers import make_bipartite, oracle_edge_list_csv, oracle_export
+from helpers import from_rows, make_bipartite, oracle_edge_list_csv, oracle_export
 
 # names that CSV quotes, DOT and XML escape, and that are not ASCII
 NAMES = st.text(alphabet=list("ab1,\"'\\\r\n\t <&>é字"), max_size=4)
@@ -29,7 +29,7 @@ def first_difference(written: str, expected: str):
 
 
 def assert_writers_agree(network, seed: int) -> None:
-    positions = np.random.default_rng(seed).random((len(_drawing(network)[0]), 2))
+    positions = np.random.default_rng(seed).random((len(_drawing(network)[0].nodes), 2))
     for format in EXPORT_FORMATS:
         written = "".join(export_graph(network, positions, format))
         assert first_difference(written, oracle_export(network, positions, format)) is None
@@ -77,12 +77,11 @@ def test_tie_writers_at_the_chunk_size(offset):
     assert n * (n - 1) // 2 > text.TIE_CHUNK
     rng = np.random.default_rng(m)
     i, j = np.triu_indices(n, 1)
-    network = OneModeNetwork(
-        "user",
+    network = from_rows(
         tuple(',"<&>é\n'[k % 7] + str(k) for k in range(n)),
         np.column_stack((i, j))[:m],
         rng.permutation(m) + 1,
-        rng.integers(0, 50, n),
+        node_attr=rng.integers(0, 50, n),
     )
     assert_writers_agree(network, m)
 
@@ -94,7 +93,7 @@ def test_tie_tails_are_formatted_once_per_distinct_weight():
         formatted.append(weight)
         return f"|{weight}\n"
 
-    edges = np.array([[0, 1], [1, 2], [0, 2], [0, 1]])
-    lines = tie_lines(["a", "b", "c"], ["A", "B", "C"], edges, np.array([7, 3, 7, 7]), tail)
-    assert "".join(lines) == "aB|7\nbC|3\naC|7\naB|7\n"
+    g = from_rows("xyz", [(0, 1), (0, 2), (1, 2)], [7, 7, 3])
+    lines = tie_lines(["a", "b", "c"], ["A", "B", "C"], g, tail)
+    assert "".join(lines) == "aB|7\naC|7\nbC|3\n"
     assert formatted == [3, 7]

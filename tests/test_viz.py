@@ -30,7 +30,7 @@ from forumnet.viz import (
 )
 
 from forumnet.errors import ConfigError
-from forumnet.graph import BipartiteNetwork, OneModeNetwork, build_bipartite
+from forumnet.graph import BipartiteNetwork, build_bipartite
 from forumnet.ingest import dataset_to_json
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
@@ -40,6 +40,7 @@ from helpers import (
     dense_layout,
     edge_dict,
     edge_key,
+    from_rows,
     make_bipartite,
     make_network,
     star_graph,
@@ -193,8 +194,7 @@ def drawn_network(n: int, bipartite: bool, ties: str, draw):
     if bipartite:
         names = tuple(f"u{i}" for i in range(users)), tuple(f"t{i}" for i in range(n - users))
         return BipartiteNetwork(*names, rows, ones)
-    names = tuple(f"n{i}" for i in range(n))
-    return OneModeNetwork("user", names, rows, ones, np.zeros(n, dtype=np.int64))
+    return from_rows(tuple(f"n{i}" for i in range(n)), rows, ones)
 
 
 @pytest.mark.parametrize("ties", ["none", "hub", "random"])
