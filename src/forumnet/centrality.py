@@ -148,8 +148,8 @@ def bipartite_degree_centrality(b: BipartiteNetwork, mode: str) -> dict[str, flo
     opposite = len(b.thread_nodes if side == 0 else b.user_nodes)
     if opposite == 0:
         return dict.fromkeys(nodes, 0.0)
-    ties = np.bincount(b.incidence[:, side], minlength=len(nodes)).tolist()
-    return {node: count / opposite for node, count in zip(nodes, ties)}
+    ties = np.diff(b.indptr) if side == 0 else np.bincount(b.incidence, minlength=len(nodes))
+    return {node: count / opposite for node, count in zip(nodes, ties.tolist())}
 
 
 # --- serialization -------------------------------------------------------

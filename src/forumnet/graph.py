@@ -6,14 +6,15 @@ thread (and threads that share a user). Networks are plain immutable
 value objects; everything downstream treats them as read-only.
 
 Both kinds are integer-indexed: a node is its position in a tuple of
-names, and one-mode ties are the CSR rows of an upper triangle, the one
-tie layout that every module reads. Names are used only when a network
-is written out. ``build_bipartite`` sorts them, so index order is name
-order in every network built from data. Networks compare by identity,
-since arrays have no single truth value. ``edge_list_csv`` and
-``node_list_csv`` write a projection through ``text``: the edge list's
-ties through ``text.tie_lines``, from one CSV cell per node name, in
-chunks that the caller writes one at a time.
+names, and ties are CSR (compressed sparse row) rows, the one tie layout
+that every module reads: B's rows, users by threads, in a bipartite
+network, and an upper triangle's in a one-mode one. Names are used only
+when a network is written out. ``build_bipartite`` sorts them, so index
+order is name order in every network built from data. Networks compare
+by identity, since arrays have no single truth value. ``edge_list_csv``
+and ``node_list_csv`` write a projection through ``text``: the edge
+list's ties through ``text.tie_lines``, from one CSV cell per node name,
+in chunks that the caller writes one at a time.
 
 A projection is a sparse product of the incidence matrix B: B·Bᵀ ties
 users and Bᵀ·B ties threads. ``project`` builds it row by row, as
@@ -55,12 +56,14 @@ PROJECT_BATCH = 1 << 21
 class BipartiteNetwork:
     """Users x threads with post multiplicities; no zero entries stored.
 
-    ``incidence`` is a (k, 2) array of (user index, thread index) rows,
-    sorted, and ``counts`` the post count of each row.
+    The k entries are held as the CSR rows of B, users by threads: user
+    u's threads are ``incidence[indptr[u]:indptr[u + 1]]``, ascending,
+    and ``counts`` holds each entry's post count.
     """
 
     user_nodes: tuple[str, ...]
     thread_nodes: tuple[str, ...]
+    indptr: np.ndarray
     incidence: np.ndarray
     counts: np.ndarray
 
@@ -87,7 +90,9 @@ class OneModeNetwork:
 
     def degrees(self) -> np.ndarray:
         """Ties per node, in node order: as the row, then as an end."""
-        return np.diff(self.indptr) + np.bincount(self.edges, minlength=len(self.nodes))
+        degrees = np.diff(self.indptr)
+        np.add.at(degrees, self.edges, 1)  # a buffer at a time: bincount copies all m to int64
+        return degrees
 
 
 def _index_dtype(largest: int) -> type:
@@ -135,7 +140,8 @@ def build_bipartite(data: ForumDataset) -> BipartiteNetwork:
         dtype=np.int64,
     )
     pairs, counts = np.unique(keys, return_counts=True)
-    return BipartiteNetwork(users, threads, np.column_stack(np.divmod(pairs, width)), counts)
+    indptr = np.searchsorted(pairs, np.arange(len(users) + 1) * width)
+    return BipartiteNetwork(users, threads, indptr, pairs % width, counts)
 
 
 def _batches(work: np.ndarray) -> list[tuple[int, int]]:
@@ -173,15 +179,14 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
     side = 0 if mode == USER_MODE else 1
     nodes = b.user_nodes if side == 0 else b.thread_nodes
     users, threads, n, k = len(b.user_nodes), len(b.thread_nodes), len(nodes), len(b.incidence)
-    sizes = np.bincount(b.incidence[:, 1 - side])  # members per event
+    sizes = np.bincount(b.incidence) if side == 0 else np.diff(b.indptr)  # members per event
     # sizes·sizes bounds the product's entries, so every offset into them
     index = _index_dtype(max(k, users, threads, int(sizes @ sizes)))
     # "events" weighs every membership 1, so a tie sums one per shared event
     data = b.counts.astype(np.int64) if weighting == "posts" else np.ones(k, dtype=np.int64)
-    # B's CSR, users by threads, straight from the sorted incidence, and
-    # Bᵀ's, whose rows csr_tocsc writes in ascending order
-    by_user = (np.zeros(users + 1, dtype=index), b.incidence[:, 1].astype(index), data)
-    np.cumsum(np.bincount(b.incidence[:, 0], minlength=users), out=by_user[0][1:])
+    # B's CSR, users by threads, and Bᵀ's, whose rows csr_tocsc writes in
+    # ascending order
+    by_user = (b.indptr.astype(index), b.incidence.astype(index), data)
     by_thread = (np.empty(threads + 1, dtype=index), np.empty(k, dtype=index), np.empty_like(data))
     tools = _sparsetools()
     tools.csr_tocsc(users, threads, *by_user, *by_thread)

@@ -66,8 +66,11 @@ def tie_lines(
     tails = np.array([tail(w) for w in values.tolist()], dtype=object)
     left, right = np.array(left, dtype=object), np.array(right, dtype=object)
     for lo in range(0, len(g.edges), TIE_CHUNK):
-        ties = np.arange(lo, min(lo + TIE_CHUNK, len(g.edges)))
-        rows = np.searchsorted(g.indptr, ties, "right") - 1  # the row holding each tie
-        which = np.searchsorted(values, g.weights[ties])
-        pieces = np.column_stack((left[rows], right[g.edges[ties]], tails[which]))
+        hi = min(lo + TIE_CHUNK, len(g.edges))
+        # the rows from the first tie's to the last's, each once per tie of it in the chunk
+        first, last = np.searchsorted(g.indptr, (lo, hi - 1), "right") - 1
+        ends = np.clip(g.indptr[first : last + 2], lo, hi)
+        rows = np.repeat(np.arange(first, last + 1), np.diff(ends))
+        which = np.searchsorted(values, g.weights[lo:hi])
+        pieces = np.column_stack((left[rows], right[g.edges[lo:hi]], tails[which]))
         yield "".join(pieces.ravel().tolist())

@@ -111,11 +111,11 @@ def _drawing(network) -> tuple[OneModeNetwork, tuple[str, ...] | None]:
     if not set(users).isdisjoint(threads):
         users = tuple(f"user:{u}" for u in users)
         threads = tuple(f"thread:{t}" for t in threads)
-    n, (rows, ends) = len(users) + len(threads), network.incidence.T
-    # the incidence is sorted, so each user's threads form one ascending row
-    drawn = OneModeNetwork("bipartite", users + threads, np.searchsorted(rows, np.arange(n + 1)),
-                           np.add(ends, len(users), dtype=_index_dtype(n)), network.counts,
-                           np.zeros(n, dtype=np.int64))
+    n = len(users) + len(threads)
+    indptr = np.pad(network.indptr, (0, len(threads)), "edge")  # B's rows, then empty ones
+    drawn = OneModeNetwork("bipartite", users + threads, indptr,
+                           np.add(network.incidence, len(users), dtype=_index_dtype(n)),
+                           network.counts, np.zeros(n, dtype=np.int64))
     return drawn, ("user",) * len(users) + ("thread",) * len(threads)
 
 

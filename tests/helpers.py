@@ -32,11 +32,16 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def csr_rows(indptr, ends) -> list[tuple[int, int]]:
+    """(i, j) index rows read row by row from CSR rows, in their order:
+    ``ends[indptr[i]:indptr[i + 1]]`` are row i's ends j."""
+    indptr, ends = indptr.tolist(), ends.tolist()
+    return [(i, j) for i in range(len(indptr) - 1) for j in ends[indptr[i] : indptr[i + 1]]]
+
+
 def tie_rows(g: OneModeNetwork) -> list[tuple[int, int]]:
-    """A network's ties as (i, j) index rows, in its order, read row by row
-    from its CSR: ``edges[indptr[i]:indptr[i + 1]]`` are row i's ends j."""
-    indptr, ends = g.indptr.tolist(), g.edges.tolist()
-    return [(i, j) for i in range(len(g.nodes)) for j in ends[indptr[i] : indptr[i + 1]]]
+    """A network's ties as (i, j) index rows, in its order."""
+    return csr_rows(g.indptr, g.edges)
 
 
 def edge_dict(g: OneModeNetwork) -> dict[tuple[str, str], int]:
@@ -55,7 +60,7 @@ def incidence_dict(b: BipartiteNetwork) -> dict[tuple[str, str], int]:
     """Post counts keyed by (user, thread) names."""
     return {
         (b.user_nodes[u], b.thread_nodes[t]): count
-        for (u, t), count in zip(b.incidence.tolist(), b.counts.tolist())
+        for (u, t), count in zip(csr_rows(b.indptr, b.incidence), b.counts.tolist())
     }
 
 
@@ -99,6 +104,19 @@ def make_network(edges, nodes=(), mode="user", node_attr=None) -> OneModeNetwork
     return one_mode(sorted(node_set), edge_map, mode, node_attr)
 
 
+def bipartite_from_rows(users, threads, rows, counts) -> BipartiteNetwork:
+    """A BipartiteNetwork over ``users`` and ``threads`` from its entries
+    as (user index, thread index) rows in ascending order, with one post
+    count each: user u's threads become ``incidence[indptr[u]:indptr[u + 1]]``."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    keys = rows[:, 0] * len(threads) + rows[:, 1]
+    assert (np.diff(keys) > 0).all(), "rows out of order"
+    indptr = np.zeros(len(users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[:, 0], minlength=len(users)), out=indptr[1:])
+    return BipartiteNetwork(tuple(users), tuple(threads), indptr, rows[:, 1].copy(),
+                            np.asarray(counts, dtype=np.int64))
+
+
 def make_bipartite(incidence) -> BipartiteNetwork:
     """Build a BipartiteNetwork from post counts keyed by (user, thread)."""
     users = sorted({u for u, _ in incidence})
@@ -106,12 +124,7 @@ def make_bipartite(incidence) -> BipartiteNetwork:
     user_index = {u: i for i, u in enumerate(users)}
     thread_index = {t: i for i, t in enumerate(threads)}
     rows = sorted((user_index[u], thread_index[t], c) for (u, t), c in incidence.items())
-    return BipartiteNetwork(
-        user_nodes=tuple(users),
-        thread_nodes=tuple(threads),
-        incidence=np.array([(u, t) for u, t, _ in rows], dtype=np.int64).reshape(-1, 2),
-        counts=np.array([c for _, _, c in rows], dtype=np.int64),
-    )
+    return bipartite_from_rows(users, threads, [(u, t) for u, t, _ in rows], [c for *_, c in rows])
 
 
 def complete_graph(n: int) -> OneModeNetwork:
@@ -315,7 +328,8 @@ def pair_key_projection(b: BipartiteNetwork, mode: str, weighting: str = "events
     side = 0 if mode == "user" else 1
     nodes = b.user_nodes if side == 0 else b.thread_nodes
     n = len(nodes)
-    member, event = b.incidence[:, side], b.incidence[:, 1 - side]
+    user, thread = np.array(csr_rows(b.indptr, b.incidence), dtype=np.int64).reshape(-1, 2).T
+    member, event = (user, thread) if side == 0 else (thread, user)
     # each event's members in index order, so every pair below has i < j
     order = np.lexsort((member, event))
     member, event = member[order], event[order]
@@ -332,19 +346,19 @@ def pair_key_projection(b: BipartiteNetwork, mode: str, weighting: str = "events
         products.append((posts[:, i] * posts[:, j]).ravel())
     pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     weights = np.bincount(inverse, weights=np.concatenate(products), minlength=len(pairs))
-    node_attr = np.bincount(b.incidence[:, side], minlength=n)
+    node_attr = np.bincount(member, minlength=n)
     return from_rows(nodes, np.column_stack(np.divmod(pairs, n)), weights.astype(np.int64), mode,
                      node_attr)
 
 
 def drawn_ties(network) -> tuple[list[tuple[int, int]], list[int]]:
     """The (i, j) index rows and weights of the ties a drawing of
-    ``network`` holds, in order: a bipartite network's straight from its
-    incidence, each thread numbered after every user, and a one-mode
-    network's row by row from its CSR."""
+    ``network`` holds, in order, row by row from its CSR: a bipartite
+    network's with each thread numbered after every user."""
     if isinstance(network, BipartiteNetwork):
         users = len(network.user_nodes)
-        return [(u, users + t) for u, t in network.incidence.tolist()], network.counts.tolist()
+        rows = csr_rows(network.indptr, network.incidence)
+        return [(u, users + t) for u, t in rows], network.counts.tolist()
     return tie_rows(network), network.weights.tolist()
 
 

@@ -17,6 +17,8 @@ from forumnet.viz import ThinningSpec, _drawing, export_graph, thin
 
 from helpers import (
     adjacency_sets,
+    complete_graph,
+    csr_rows,
     dataset_from_posts,
     edge_dict,
     edge_key,
@@ -49,6 +51,24 @@ def test_build_bipartite_empty():
     assert b.user_nodes == ()
     assert b.thread_nodes == ()
     assert incidence_dict(b) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), max_size=30))
+@example([("a", "a"), ("a", "b"), ("b", "a"), ("a", "a")])  # a user and a thread named "a"
+def test_build_bipartite_holds_b_csr_rows(posts):
+    """B's CSR rows, users by threads: ``indptr`` runs from 0 to k without
+    decreasing, each row's threads strictly ascend, and the rows hold the
+    posts per (user, thread) pair, k of them. Users and threads draw their
+    IDs from one pool, so they often share one."""
+    b = build_bipartite(dataset_from_posts(posts))
+    k, indptr = len(set(posts)), b.indptr.tolist()
+    assert len(b.incidence) == len(b.counts) == k
+    assert len(indptr) == len(b.user_nodes) + 1 and indptr[0] == 0 and indptr[-1] == k
+    assert all(lo <= hi for lo, hi in zip(indptr, indptr[1:]))
+    rows = csr_rows(b.indptr, b.incidence)
+    assert rows == sorted(set(rows))  # so each row's threads strictly ascend
+    assert incidence_dict(b) == Counter(posts)
 
 
 def test_incidence_row_sums_match_posts_per_user():
@@ -145,6 +165,15 @@ def test_degree_sum_parity():
         for mode in ("user", "thread"):
             g = project(b, mode)
             assert sum(len(ns) for ns in adjacency_sets(g).values()) % 2 == 0
+
+
+def test_degrees_hold_no_copy_of_the_ends():
+    """Each tie counts at both ends, and counting the ends holds far less
+    than an int64 copy of all m of them, 8m bytes (1.44 MB here), which
+    ``np.bincount`` of the int32 ends takes."""
+    g = complete_graph(600)
+    assert (g.degrees() == 599).all()
+    assert traced_peak(g.degrees) < len(g.edges)
 
 
 def test_projection_matches_matrix_oracle_20x15():

@@ -86,6 +86,15 @@ def test_tie_writers_at_the_chunk_size(offset):
     assert_writers_agree(network, m)
 
 
+def test_tie_chunk_crosses_empty_rows():
+    """A chunk that starts inside row 0 and ends inside row 3, with rows 1
+    and 2 empty between them, holds each tie under its own row."""
+    g = from_rows("abcdefgh", [(0, 1), (0, 2), (0, 6), (0, 7), (3, 5), (3, 6), (3, 7)], [1] * 7)
+    with mock.patch.object(text, "TIE_CHUNK", 3):
+        chunks = list(tie_lines(list("abcdefgh"), list("ABCDEFGH"), g, lambda weight: "\n"))
+    assert chunks == ["aB\naC\naG\n", "aH\ndF\ndG\n", "dH\n"]
+
+
 def test_tie_tails_are_formatted_once_per_distinct_weight():
     formatted = []
 

@@ -30,12 +30,13 @@ from forumnet.viz import (
 )
 
 from forumnet.errors import ConfigError
-from forumnet.graph import BipartiteNetwork, build_bipartite
+from forumnet.graph import build_bipartite
 from forumnet.ingest import dataset_to_json
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 
 from helpers import (
+    bipartite_from_rows,
     dataset_from_posts,
     dense_layout,
     edge_dict,
@@ -193,7 +194,7 @@ def drawn_network(n: int, bipartite: bool, ties: str, draw):
     ones = np.ones(len(rows), dtype=np.int64)
     if bipartite:
         names = tuple(f"u{i}" for i in range(users)), tuple(f"t{i}" for i in range(n - users))
-        return BipartiteNetwork(*names, rows, ones)
+        return bipartite_from_rows(*names, rows, ones)
     return from_rows(tuple(f"n{i}" for i in range(n)), rows, ones)
 
 
