@@ -22,20 +22,19 @@ pass frees them they serve its later allocations.
 Every neighbour sum is a CSR product with an (n x block) array, a plain
 loop over each row's ties in index order with no BLAS: ``csr_matvecs``
 from scipy's ``_sparsetools`` extension, which ``graph._sparsetools``
-loads without importing ``scipy.sparse``. A product runs only over the
-rows its level needs, as a CSR whose other rows are empty: the forward
-step over the rows still unseen from some source of the block, the
-backward step over the rows one level up from some source. Each selected
-row still sums all its ties in index order, so it gets the bits a product
-over every row gives it, and no other row is read unmasked. The backward
-sweep runs over whole arrays with no ``where=`` mask; its masks enter as
-factors of 0.0 and 1.0. The operand is built from the network's CSR
-rows; it holds the absent ties Ā instead of A when more than half of
-all pairs are tied. Each block is computed whole by one thread, and the
-consumer adds the blocks in source order, so results are bit-identical
-whatever the BLAS thread count or the number of cores, as long as the
-path counts stay exact, which float64 guarantees below 2**53 shortest
-paths per pair.
+loads without importing ``scipy.sparse``. The operand is the network's
+own rows and their transpose (Ā's when more than half of all pairs are
+tied), and a product runs over the lower half, then the upper, only over
+the rows its level needs: the forward step over the rows still unseen
+from some source of the block, the backward step over the rows one level
+up from some source. Each selected row still sums all its ties in index
+order, so it gets the bits a product over every row gives it, and no
+other row is read unmasked. The backward sweep runs over whole arrays
+with no ``where=`` mask; its masks enter as factors of 0.0 and 1.0.
+Each block is computed whole by one thread, and the consumer adds the
+blocks in source order, so results are bit-identical whatever the BLAS
+thread count or the number of cores, as long as the path counts stay
+exact, which float64 guarantees below 2**53 shortest paths per pair.
 """
 
 from __future__ import annotations
@@ -70,67 +69,68 @@ class PathStats:
 
 
 class Adjacency(NamedTuple):
-    """A 0/1 CSR operand in node order; see ``adjacency_matrix``."""
+    """A 0/1 operand in node order as two CSR halves, (indptr, indices) each:
+    row v of ``lower`` holds v's ties below v, of ``upper`` those above it."""
 
-    indptr: np.ndarray  # int32 (see _index_dtype); row v is indices[indptr[v]:indptr[v + 1]]
-    indices: np.ndarray  # of indptr's dtype, ascending within each row
-    data: np.ndarray  # float64 ones
-    absent: bool  # the rows are those of Ā, the absent ties, not of A
+    lower: tuple[np.ndarray, np.ndarray]  # the transpose of upper
+    upper: tuple[np.ndarray, np.ndarray]  # int32 (see _index_dtype), ascending within each row
+    data: np.ndarray  # float64 ones, one per tie of a half
+    absent: bool  # the ties are those of Ā, the absent ties, not of A
 
     @property
     def n(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.upper[0]) - 1
 
 
 def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
-    """The operand of ``g`` (weights ignored), from its CSR rows: A, from
-    the keys i·n + j of both directions of every tie, sorted once; or, when
-    more than half of all pairs are tied (4m > n(n - 1)), the fewer absent
-    ties Ā, from an n² byte mask that is O(m) then, cleared row by row."""
-    n, m = len(g.nodes), len(g.edges)
-    if absent := 4 * m > n * (n - 1):
-        square = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(square, False)
-        for i, j in enumerate(np.split(g.edges, g.indptr[1:-1])):  # row i's ends j
-            square[i, j] = square[j, i] = False
-        keys, counts = np.flatnonzero(square), square.sum(axis=1)  # keys ascend
-    else:
-        i, j = np.repeat(np.arange(n), np.diff(g.indptr)), g.edges.astype(np.int64)
-        keys, counts = np.sort(np.concatenate([i * n + j, j * n + i])), g.degrees()
-    index = _index_dtype(max(n, len(keys)))
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index)
-    indices = np.remainder(keys, max(n, 1), out=keys).astype(index)
-    del keys  # before the ones are allocated
-    return Adjacency(indptr, indices, np.ones(len(indices)), absent)
+    """The operand of ``g`` (weights ignored). Its upper half is A's, ``g``'s
+    CSR rows, no copy when of the index dtype; or, when more than half of
+    all pairs are tied (4m > n(n - 1)), Ā's, row i read in an n-byte row.
+    The lower half is its transpose by ``csr_tocsc`` (Gustavson's permuted
+    transposition), which leaves each row ascending."""
+    n, indptr, ends = len(g.nodes), g.indptr, g.edges
+    if absent := 4 * len(ends) > n * (n - 1):
+        indptr = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1) - np.diff(g.indptr))])
+        ends, row = np.empty(indptr[-1], dtype=_index_dtype(max(n, indptr[-1]))), np.empty(n, bool)
+        for i, j in enumerate(np.split(g.edges, g.indptr[1:-1])):  # row i's ends j > i
+            row[: i + 1], row[i + 1 :] = False, True
+            row[j] = False
+            ends[indptr[i] : indptr[i + 1]] = np.flatnonzero(row)
+    index, k = _index_dtype(max(n, len(ends))), len(ends)
+    upper = (indptr.astype(index), ends.astype(index, copy=False))
+    lower = (np.empty(n + 1, dtype=index), np.empty(k, dtype=index))
+    _sparsetools().csr_tocsc(n, n, *upper, np.ones(k, dtype=bool), *lower, np.empty(k, dtype=bool))
+    return Adjacency(lower, upper, np.ones(k), absent)
 
 
 def _product(adj: Adjacency):
     """The product (x, out, rows) -> out = adj @ x in the rows where the
     bool n-vector ``rows`` is set, for non-negative (n, k) C-ordered
     arrays; ``x`` may be overwritten, and the other rows of ``out`` hold
-    finite non-negative values that mean nothing. It runs ``csr_matvecs``,
-    the loop behind ``adj @ x`` (see ``_sparsetools``), over a CSR whose
-    unselected rows are empty ranges: no BLAS, and each selected row sums
-    all its ties in index order, as the full product does, so it gets the
-    same bits. For Ā it takes adj @ x = 1ᵀx - x - Ā @ x, with Ā under the
-    same mask and 1ᵀx from the same loop over a one-row operand. Both sums
-    run in index order, so where x is 0 at a node and at all its
-    neighbours they add the same terms alike: an exact 0.0. A call
-    allocates O(n + m) indices and nothing of size n x k.
+    finite non-negative values that mean nothing. ``csr_matvecs``, the
+    loop behind ``adj @ x`` (see ``_sparsetools``), adds into ``out`` over
+    the lower half, then the upper, each with unselected rows as empty
+    ranges: no BLAS, and a selected row sums all its ties in index order,
+    as the symmetric CSR's full product does, so it gets the same bits.
+    For Ā it takes adj @ x = 1ᵀx - x - Ā @ x, with Ā under the same mask
+    and 1ᵀx from the same loop over a one-row operand. Both sums run in
+    index order, so where x is 0 at a node and at all its neighbours they
+    add the same terms alike: an exact 0.0. A call allocates O(n + m)
+    indices and nothing of size n x k.
     """
-    csr_matvecs = _sparsetools().csr_matvecs
-    n, index = adj.n, adj.indptr.dtype
-    degrees = np.diff(adj.indptr)
+    csr_matvecs, n, index = _sparsetools().csr_matvecs, adj.n, adj.upper[0].dtype
+    halves = [(indices, np.diff(indptr)) for indptr, indices in (adj.lower, adj.upper)]
     if adj.absent:  # the operand of 1ᵀx
         every = (np.array([0, n], dtype=index), np.arange(n, dtype=index), np.ones(n))
 
     def product(x, out, rows):
         indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(degrees * rows, out=indptr[1:])
-        indices = adj.indices[np.repeat(rows, degrees)]
         out.fill(0.0)  # csr_matvecs adds to what out holds
-        csr_matvecs(n, n, x.shape[1], indptr, indices, adj.data[: len(indices)],
-                    x.ravel(), out.ravel())
+        for indices, degrees in halves:
+            np.cumsum(degrees * rows, out=indptr[1:])
+            picked = indices[np.repeat(rows, degrees)]
+            csr_matvecs(n, n, x.shape[1], indptr, picked, adj.data[: len(picked)],
+                        x.ravel(), out.ravel())
         if adj.absent:
             total = np.zeros(x.shape[1])
             csr_matvecs(1, n, x.shape[1], *every, x.ravel(), total)

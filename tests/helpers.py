@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from forumnet.graph import BipartiteNetwork, OneModeNetwork
+from forumnet.graph import BipartiteNetwork, OneModeNetwork, _index_dtype
 from forumnet.ingest import ForumDataset, PostRecord, UserProfile
 from forumnet.viz import _drawing
 
@@ -360,6 +360,29 @@ def drawn_ties(network) -> tuple[list[tuple[int, int]], list[int]]:
         rows = csr_rows(network.indptr, network.incidence)
         return [(u, users + t) for u, t in rows], network.counts.tolist()
     return tie_rows(network), network.weights.tolist()
+
+
+def symmetric_operand(g: OneModeNetwork, absent: bool):
+    """The path pass's former operand, the symmetric canonical CSR
+    (indptr, indices, data) of A, or of Ā when ``absent``: from the keys
+    i·n + j of both directions of every tie, sorted once, or from an n²
+    byte mask cleared row by row. The two-half product must give the bits
+    of a product over it."""
+    n = len(g.nodes)
+    if absent:
+        square = np.ones((n, n), dtype=bool)
+        np.fill_diagonal(square, False)
+        for i, j in enumerate(np.split(g.edges, g.indptr[1:-1])):  # row i's ends j
+            square[i, j] = square[j, i] = False
+        keys, counts = np.flatnonzero(square), square.sum(axis=1)  # keys ascend
+    else:
+        i, j = np.repeat(np.arange(n), np.diff(g.indptr)), g.edges.astype(np.int64)
+        keys, counts = np.sort(np.concatenate([i * n + j, j * n + i])), g.degrees()
+    index = _index_dtype(max(n, len(keys)))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index)
+    indices = np.remainder(keys, max(n, 1), out=keys).astype(index)
+    del keys  # before the ones are allocated
+    return indptr, indices, np.ones(len(indices))
 
 
 def traced_peak(fn) -> int:

@@ -24,7 +24,7 @@ from forumnet.ingest import dataset_to_json
 from forumnet.paths import path_stats
 from forumnet.synth import SynthConfig, generate
 
-from helpers import from_rows, one_mode, tie_rows, traced_peak
+from helpers import from_rows, one_mode, symmetric_operand, tie_rows, traced_peak
 
 ARRAYS = ("reach", "distance_sum", "betweenness")
 
@@ -150,8 +150,9 @@ OPERAND_GRAPHS = {
 @pytest.mark.parametrize("n, p", OPERAND_GRAPHS.values(), ids=OPERAND_GRAPHS.keys())
 @pytest.mark.parametrize("seed", [1, 2])
 def test_operand_is_the_canonical_csr_of_a_or_of_its_absent_ties(n, p, seed):
-    """The rule 4m > n(n - 1) picks Ā; either way indptr and indices are
-    scipy's canonical CSR of the matrix held."""
+    """The rule 4m > n(n - 1) picks Ā; either way each half's indptr and
+    indices are scipy's canonical CSR of the held matrix's lower or upper
+    triangle."""
     from scipy import sparse
 
     g = _random_graph(n, p, seed)
@@ -162,12 +163,13 @@ def test_operand_is_the_canonical_csr_of_a_or_of_its_absent_ties(n, p, seed):
     assert adj.absent == (4 * len(g.edges) > n * (n - 1))
     if adj.absent:
         dense = 1.0 - dense - np.eye(n)
-    want = sparse.csr_array(dense)
     assert adj.n == n
-    assert adj.indptr.dtype == adj.indices.dtype == np.int32
-    assert np.array_equal(adj.indptr, want.indptr)
-    assert np.array_equal(adj.indices, want.indices)
-    assert adj.data.dtype == np.float64 and np.array_equal(adj.data, want.data)
+    for (indptr, indices), part in ((adj.lower, np.tril(dense)), (adj.upper, np.triu(dense))):
+        want = sparse.csr_array(part)
+        assert indptr.dtype == indices.dtype == np.int32
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)
+        assert adj.data.dtype == np.float64 and np.array_equal(adj.data, want.data)
 
 
 def test_operand_index_dtype_widens_past_int32():
@@ -185,7 +187,8 @@ def test_int64_operand_gives_the_same_figures(monkeypatch, p):
     want = path_stats(g)
     monkeypatch.setattr(paths, "_index_dtype", lambda largest: np.int64)
     adj = paths.adjacency_matrix(g)
-    assert adj.indptr.dtype == adj.indices.dtype == np.int64
+    for indptr, indices in (adj.lower, adj.upper):
+        assert indptr.dtype == indices.dtype == np.int64
     assert adj.absent == (p > 0.5)
     got = path_stats(g)
     assert (got.components, got.diameter, got.avg_path_length) == (
@@ -195,13 +198,29 @@ def test_int64_operand_gives_the_same_figures(monkeypatch, p):
 
 
 def test_near_complete_operand_never_holds_the_adjacency():
-    """Ā is read from an n² byte mask cleared row by row from the CSR, with
-    a few bytes per tie on top, where building A first took about 80."""
+    """Ā's upper half is read row by row from the CSR through an n-byte
+    row, with a few bytes per tie on top: less than the n² byte mask that
+    clearing a whole square would take, where building A first took about
+    80 bytes per tie."""
     g = _random_graph(800, 0.95, seed=8)
     path_stats(_random_graph(3, 1.0, seed=1))  # loading the CSR loop is not the operand's memory
     n, m = len(g.nodes), len(g.edges)
     peak = traced_peak(lambda: paths.adjacency_matrix(g))
     assert peak <= n * n + 8 * m
+
+
+@pytest.mark.parametrize("absent", [False, True], ids=["plain", "absent-ties"])
+def test_operand_holds_the_networks_own_rows(absent):
+    """A's upper half is ``g.edges`` itself, not a copy, and Ā's is read
+    row by row, so the build allocates little more than the lower half and
+    the ones: under 24 bytes per tie of a half, where sorting the keys of
+    both directions took about 48 for A, and Ā's n² byte mask about 65."""
+    g = _random_graph(800, 0.95, seed=8) if absent else _sparse_graph(1500, 12_000, seed=3)
+    path_stats(_random_graph(3, 1.0, seed=1))  # loading the CSR loop is not the operand's memory
+    adj, n = paths.adjacency_matrix(g), len(g.nodes)
+    assert adj.absent == absent and np.shares_memory(adj.upper[1], g.edges) != absent
+    ties = len(adj.upper[1])
+    assert traced_peak(lambda: paths.adjacency_matrix(g)) <= 24 * ties + 16 * (n + 1)
 
 
 def test_pass_memory_is_adjacency_plus_one_workspace_per_worker(monkeypatch):
@@ -357,16 +376,27 @@ def test_a_missing_csr_loop_is_an_import_error_naming_its_file(tmp_path, monkeyp
 
 
 def _operand(g, absent):
-    """The CSR operand of ``g`` from its dense 0/1 matrix, holding the
-    absent ties Ā when ``absent``, whatever the 4m > n(n - 1) rule picks."""
+    """The two-half operand of ``g`` from its dense 0/1 matrix, holding the
+    absent ties Ā when ``absent``, whatever the 4m > n(n - 1) rule picks:
+    the CSR of its lower triangle, then of its upper one."""
     n = len(g.nodes)
     dense = np.zeros((n, n))
     i, j = np.array(tie_rows(g), dtype=np.int64).reshape(-1, 2).T
     dense[i, j] = dense[j, i] = 1.0
     held = 1.0 - dense - np.eye(n) if absent else dense
-    indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))]).astype(np.int32)
-    indices = np.nonzero(held)[1].astype(np.int32)
-    return dense, paths.Adjacency(indptr, indices, np.ones(len(indices)), absent)
+    halves = [(np.concatenate([[0], np.cumsum(half.sum(axis=1))]).astype(np.int32),
+               np.nonzero(half)[1].astype(np.int32)) for half in (np.tril(held), np.triu(held))]
+    return dense, paths.Adjacency(*halves, np.ones(len(halves[1][1])), absent)
+
+
+def _product_input(n, mask, k, rng):
+    """A row mask, empty, full or random, and an (n, k) input of path
+    counts, their reciprocals and zeros, as the sweeps hand the product."""
+    rows = {"empty": np.zeros(n, dtype=bool), "full": np.ones(n, dtype=bool),
+            "random": np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)}[mask]
+    x = np.array([[rng.choice([0.0, 0.0, 1.0, 3.0, rng.random(), 1.0 / rng.randint(1, 9)])
+                   for _ in range(k)] for _ in range(n)])
+    return rows, x
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,11 +408,7 @@ def test_masked_product_rows_are_the_full_products_rows(g, absent, mask, k, rng)
     the Brandes sweep multiplies by 0.0."""
     dense, adj = _operand(g, absent)
     n = adj.n
-    rows = {"empty": np.zeros(n, dtype=bool), "full": np.ones(n, dtype=bool),
-            "random": np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)}[mask]
-    # path counts, their reciprocals and zeros, as the sweeps hand the product
-    x = np.array([[rng.choice([0.0, 0.0, 1.0, 3.0, rng.random(), 1.0 / rng.randint(1, 9)])
-                   for _ in range(k)] for _ in range(n)])
+    rows, x = _product_input(n, mask, k, rng)
     product = paths._product(adj)
     full, masked = np.empty((n, k)), np.full((n, k), np.nan)
     product(x.copy(), full, np.ones(n, dtype=bool))
@@ -392,19 +418,43 @@ def test_masked_product_rows_are_the_full_products_rows(g, absent, mask, k, rng)
     np.testing.assert_allclose(full, dense @ x, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.booleans(), st.sampled_from(["empty", "full", "random"]),
+       st.integers(1, 5), st.randoms(use_true_random=False))
+def test_two_half_product_has_the_symmetric_operands_bits(g, absent, mask, k, rng):
+    """The lower half, then the upper, sum each row's ties in the index
+    order of the symmetric canonical CSR, so where the row mask is set the
+    product has the bits of ``csr_matvecs`` over that CSR, for A and Ā."""
+    _, adj = _operand(g, absent)
+    n = adj.n
+    rows, x = _product_input(n, mask, k, rng)
+    got = np.full((n, k), np.nan)
+    paths._product(adj)(x.copy(), got, rows)
+    csr_matvecs, (indptr, indices, data) = paths._sparsetools().csr_matvecs, symmetric_operand(g, absent)
+    want = np.zeros((n, k))
+    csr_matvecs(n, n, k, indptr, indices, data, x.ravel(), want.ravel())
+    if absent:  # 1ᵀx - x - Ā @ x, 1ᵀx by the same loop
+        total = np.zeros(k)
+        csr_matvecs(1, n, k, np.array([0, n], dtype=indptr.dtype), np.arange(n, dtype=indptr.dtype),
+                    np.ones(n), x.ravel(), total)
+        want = total - x - want
+    assert got[rows].tobytes() == want[rows].tobytes()
+
+
 def test_level_products_visit_under_half_the_ties_of_full_ones(monkeypatch):
     """On a 300-node path, one pass's products read fewer than half of the
-    stored ties that products over every row would read."""
+    ties a half stores that products over every row of it would read."""
     names = [f"n{i:03d}" for i in range(300)]
     g = one_mode(names, {(a, b): 1 for a, b in zip(names, names[1:])})
-    stored = paths.adjacency_matrix(g).indptr[-1]
-    loop, visited = paths._sparsetools().csr_matvecs, []
+    stored = len(paths.adjacency_matrix(g).upper[1])  # ties per half
+    tools, visited = paths._sparsetools(), []
 
     def counting(rows, cols, k, indptr, *rest):
         visited.append(int(indptr[rows]))
-        loop(rows, cols, k, indptr, *rest)
+        tools.csr_matvecs(rows, cols, k, indptr, *rest)
 
-    monkeypatch.setattr(paths, "_sparsetools", lambda: SimpleNamespace(csr_matvecs=counting))
+    stub = SimpleNamespace(csr_matvecs=counting, csr_tocsc=tools.csr_tocsc)
+    monkeypatch.setattr(paths, "_sparsetools", lambda: stub)
     stats = path_stats(g)
     assert stats.diameter == 299
     assert visited and sum(visited) < 0.5 * len(visited) * stored
