@@ -75,9 +75,9 @@ def centrality_table(g: OneModeNetwork, stats: PathStats | None = None) -> Centr
     0 when r is 0. Betweenness is Brandes betweenness over
     (n-1)(n-2)/2, all zeros when n < 3. Each is 0 for every node when
     n <= 1. ``stats`` is the network's ``path_stats``, computed here when
-    omitted.
+    omitted or taken without betweenness.
     """
-    if stats is None:
+    if stats is None or stats.betweenness is None:
         stats = path_stats(g)
     n = len(g.nodes)
     pairs = max(n - 1, 1)

@@ -9,7 +9,8 @@ floats, on the calling thread, and ``run`` steps in it, on any thread,
 without allocating an m-sized array; ``layout`` does both in turn.
 Exports cover DOT, GraphML, and a dependency-free SVG rendering, each in
 string chunks, as an edge list is. The layout and the exports draw a
-bipartite network as a one-mode one (``_drawing``). Each export gives
+bipartite network as a one-mode one (``_drawing``), whose nodes carry a
+``mode`` where a projection's carry a ``size``. Each export gives
 its nodes line by line and its ties through ``text.tie_lines``: one
 quoted name (or, in SVG, one pair of coordinates) per node for each end
 of a tie, and one tail per distinct weight. XML text is escaped here, as
@@ -28,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .graph import BipartiteNetwork, OneModeNetwork, _index_dtype
+from .graph import THREAD_MODE, USER_MODE, BipartiteNetwork, OneModeNetwork, _index_dtype
 from .text import csv_text, tie_lines
 
 EXPORT_FORMATS = ("dot", "graphml", "svg")
@@ -100,13 +101,14 @@ def check_layout_settings(seed: int, iterations: int) -> None:
         raise ConfigError("layout_iterations must be >= 1")
 
 
-def _drawing(network) -> tuple[OneModeNetwork, tuple[str, ...] | None]:
-    """(network, per-node modes) to draw: a one-mode network as it is, with
-    no modes; a bipartite one as a one-mode network over the users, then
-    the threads, weighted by post counts and sized 0. If a user and a thread
-    share an ID, every node is written as ``user:<id>`` or ``thread:<id>``."""
+def _drawing(network) -> tuple[OneModeNetwork, str, list]:
+    """(g, key, column): the one-mode network to draw and the one attribute
+    each of its nodes carries. A projection is drawn as it is, with its
+    ``size``; a bipartite network as one over the users, then the threads,
+    weighted by post counts and sized 0, each node with its ``mode``. If a
+    user and a thread share an ID, every node is ``user:<id>`` or ``thread:<id>``."""
     if not isinstance(network, BipartiteNetwork):
-        return network, None
+        return network, "size", network.node_attr.tolist()
     users, threads = network.user_nodes, network.thread_nodes
     if not set(users).isdisjoint(threads):
         users = tuple(f"user:{u}" for u in users)
@@ -116,7 +118,7 @@ def _drawing(network) -> tuple[OneModeNetwork, tuple[str, ...] | None]:
     drawn = OneModeNetwork("bipartite", users + threads, indptr,
                            np.add(network.incidence, len(users), dtype=_index_dtype(n)),
                            network.counts, np.zeros(n, dtype=np.int64))
-    return drawn, ("user",) * len(users) + ("thread",) * len(threads)
+    return drawn, "mode", [USER_MODE] * len(users) + [THREAD_MODE] * len(threads)
 
 
 def _aligned(shape: tuple[int, ...]) -> np.ndarray:
@@ -285,18 +287,16 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(g: OneModeNetwork, modes) -> Iterator[str]:
+def _to_dot(g: OneModeNetwork, key: str, column: list) -> Iterator[str]:
     quoted = [_dot_quote(node) for node in g.nodes]
-    if modes is not None:
-        lines = [f"  {node} [mode={_dot_quote(mode)}];\n" for node, mode in zip(quoted, modes)]
-    else:
-        lines = [f"  {node} [size={size}];\n" for node, size in zip(quoted, g.node_attr.tolist())]
+    lines = [f"  {node} [{key}={_dot_quote(v) if isinstance(v, str) else v}];\n"
+             for node, v in zip(quoted, column)]  # a mode quoted, a size bare
     froms = [f"  {node} -- " for node in quoted]
     ties = tie_lines(froms, quoted, g, lambda weight: f" [weight={weight}];\n")
     return chain(["graph G {\n"], lines, ties, ["}\n"])
 
 
-def _to_graphml(g: OneModeNetwork, modes) -> Iterator[str]:
+def _to_graphml(g: OneModeNetwork, key: str, column: list) -> Iterator[str]:
     quoted = [_quoteattr(node) for node in g.nodes]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -305,17 +305,9 @@ def _to_graphml(g: OneModeNetwork, modes) -> Iterator[str]:
         '  <key id="size" for="node" attr.name="size" attr.type="long"/>',
         '  <key id="mode" for="node" attr.name="mode" attr.type="string"/>',
         '  <graph edgedefault="undirected">',
+        *(f'    <node id={node}><data key="{key}">{_escape(str(v))}</data></node>'
+          for node, v in zip(quoted, column)),
     ]
-    if modes is not None:
-        out += [
-            f'    <node id={node}><data key="mode">{_escape(mode)}</data></node>'
-            for node, mode in zip(quoted, modes)
-        ]
-    else:
-        out += [
-            f'    <node id={node}><data key="size">{size}</data></node>'
-            for node, size in zip(quoted, g.node_attr.tolist())
-        ]
     ties = tie_lines(
         [f"    <edge source={node}" for node in quoted],
         [f" target={node}>" for node in quoted],
@@ -325,7 +317,7 @@ def _to_graphml(g: OneModeNetwork, modes) -> Iterator[str]:
     return chain(["\n".join(out) + "\n"], ties, ["  </graph>\n</graphml>\n"])
 
 
-def _to_svg(g: OneModeNetwork, modes, positions: np.ndarray) -> Iterator[str]:
+def _to_svg(g: OneModeNetwork, key: str, column: list, positions: np.ndarray) -> Iterator[str]:
     usable = SVG_SIZE - 2 * SVG_MARGIN
     points = (SVG_MARGIN + _placed(g.nodes, positions) * usable).tolist()
     max_weight = g.weights.max().item() if len(g.weights) else 1
@@ -348,7 +340,7 @@ def _to_svg(g: OneModeNetwork, modes, positions: np.ndarray) -> Iterator[str]:
         x, y = points[k]
         radius = 3.0 + 11.0 * sizes[k] / max_size if max_size > 0 else 6.0
         label = f"<title>{_escape(node)}</title>"
-        if modes is not None and modes[k] == "thread":
+        if column[k] == THREAD_MODE:
             side = 2 * radius
             out.append(
                 f'    <rect x="{x - radius:.2f}" y="{y - radius:.2f}"'
@@ -375,7 +367,7 @@ def export_graph(
         raise ValueError(f"unknown export format: {format!r}")
     if format == "svg" and positions is None:
         raise ValueError("svg export requires a layout")
-    g, modes = _drawing(network)
+    drawing = _drawing(network)
     if format == "svg":
-        return _to_svg(g, modes, positions)
-    return (_to_dot if format == "dot" else _to_graphml)(g, modes)
+        return _to_svg(*drawing, positions)
+    return (_to_dot if format == "dot" else _to_graphml)(*drawing)

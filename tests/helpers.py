@@ -558,8 +558,11 @@ def _oracle_svg(nodes, ties, modes, sizes, positions) -> str:
 def oracle_export(network, positions, format: str) -> str:
     """``viz.export_graph`` written one line per tie, each from its own
     f-string, with ``xml.sax.saxutils`` escaping."""
-    g, modes = _drawing(network)
-    nodes, sizes = g.nodes, None if modes is not None else g.node_attr.tolist()
+    g = _drawing(network)[0]
+    nodes, modes, sizes = g.nodes, None, g.node_attr.tolist()
+    if isinstance(network, BipartiteNetwork):  # users, then threads
+        modes = ["user"] * len(network.user_nodes) + ["thread"] * len(network.thread_nodes)
+        sizes = None
     ties = [(i, j, w) for (i, j), w in zip(*drawn_ties(network))]
     if format == "dot":
         return _oracle_dot(nodes, ties, modes, sizes)

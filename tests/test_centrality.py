@@ -20,7 +20,7 @@ from forumnet.centrality import (
     summaries,
     table_csv,
 )
-from forumnet.graph import project
+from forumnet.graph import build_bipartite, project
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 
@@ -165,6 +165,18 @@ def test_near_complete_graph_keeps_exact_betweenness():
     sums over the absent ties; a and b still get exactly 0.0."""
     g = make_network([(x, y) for x, y in itertools.combinations("abcde", 2) if x + y != "ab"])
     assert paths.path_stats(g).betweenness.tolist() == [0.0, 0.0, 1 / 3, 1 / 3, 1 / 3]
+
+
+def test_structural_only_stats_give_the_full_table():
+    """Stats taken without betweenness are not enough for the table: it
+    runs its own full pass and gives the bytes of the one with no stats."""
+    data = generate(SynthConfig(user_count=30, thread_count=20, post_count=200, seed=1))
+    g = project(build_bipartite(data), "user")
+    want = centrality_table(g)
+    got = centrality_table(g, paths.path_stats(g, betweenness=False))
+    assert {k: v.tobytes() for k, v in got.columns.items()} == {
+        k: v.tobytes() for k, v in want.columns.items()
+    }
 
 
 def test_vertex_transitive_graphs_have_uniform_centralities():
