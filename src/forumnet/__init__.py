@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .centrality import (
     CentralityTable,
     CoreSet,
-    bipartite_degree_centrality,
     centrality_table,
     core_set,
     silent_initiators,
@@ -40,6 +39,7 @@ from .ingest import (
 )
 from .metrics import (
     StructuralReport,
+    bipartite_report,
     degree_centralization,
     density,
     format_structural_table,
@@ -72,7 +72,7 @@ __all__ = [
     "USER_MODE",
     "UserProfile",
     "activity_overview",
-    "bipartite_degree_centrality",
+    "bipartite_report",
     "build_bipartite",
     "centrality_table",
     "core_set",

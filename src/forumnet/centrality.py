@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import BipartiteNetwork, OneModeNetwork, USER_MODE
+from .graph import OneModeNetwork, USER_MODE
 from .paths import PathStats, path_stats
 from .text import csv_text
 
@@ -139,17 +139,6 @@ def silent_initiators(g_user: OneModeNetwork, min_threads: int) -> list[tuple[st
     ]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
-
-
-def bipartite_degree_centrality(b: BipartiteNetwork, mode: str) -> dict[str, float]:
-    """Two-mode degree normalization: ties divided by the opposite class size."""
-    side = 0 if mode == USER_MODE else 1
-    nodes = b.user_nodes if side == 0 else b.thread_nodes
-    opposite = len(b.thread_nodes if side == 0 else b.user_nodes)
-    if opposite == 0:
-        return dict.fromkeys(nodes, 0.0)
-    ties = np.diff(b.indptr) if side == 0 else np.bincount(b.incidence, minlength=len(nodes))
-    return {node: count / opposite for node, count in zip(nodes, ties.tolist())}
 
 
 # --- serialization -------------------------------------------------------

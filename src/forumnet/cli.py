@@ -30,14 +30,14 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, InputError
 from .graph import THREAD_MODE, USER_MODE, WEIGHTINGS, build_bipartite, project
 from .ingest import PERIODS, dataset_to_json, load_dataset, posts_csv, users_csv
 from .metrics import format_structural_table, structural_report
-from .report import PipelineConfig, run_pipeline
+from .report import PipelineConfig, _published, run_pipeline
 from .synth import SynthConfig, generate
 from .viz import EXPORT_FORMATS, ThinningSpec, check_layout_settings, export_graph, layout, thin
 
@@ -204,14 +204,19 @@ def _loaded(path: str, users: str | None = None):
         print(f"rejected {count} row{'' if count == 1 else 's'}: {reason}", file=sys.stderr)
 
 
+def _write(path: Path, text: str | Iterable[str]) -> None:
+    """Replace ``path`` whole with ``text`` (one string or its chunks), or leave it."""
+    with _published(path) as staged, staged.open("w", encoding="utf-8") as file:
+        file.writelines((text,) if isinstance(text, str) else text)
+
+
 def _cmd_ingest(options: dict) -> int:
     with _loaded(options["posts"], options["users"]) as data:
-        out_dir = Path(options["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "dataset.json").write_text(dataset_to_json(data), encoding="utf-8")
+        out_path = Path(options["out"]) / "dataset.json"
+        _write(out_path, dataset_to_json(data))
         print(
             f"ingested {len(data.posts)} posts, {len(data.users)} users, "
-            f"{len(data.rejected)} rejected -> {out_dir / 'dataset.json'}"
+            f"{len(data.rejected)} rejected -> {out_path}"
         )
     return 0
 
@@ -219,14 +224,13 @@ def _cmd_ingest(options: dict) -> int:
 def _cmd_synth(options: dict) -> int:
     data = generate(_build_config(SynthConfig, SYNTH_OPTIONS, options))
     out_path = Path(options["out"])
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if out_path.suffix.lower() == ".csv":
-        out_path.write_text(posts_csv(data), encoding="utf-8")
         users_path = out_path.with_suffix(".users.csv")
-        users_path.write_text(users_csv(data), encoding="utf-8")
+        _write(out_path, posts_csv(data))
+        _write(users_path, users_csv(data))
         print(f"wrote {len(data.posts)} posts -> {out_path} (+ {users_path})")
     else:
-        out_path.write_text(dataset_to_json(data), encoding="utf-8")
+        _write(out_path, dataset_to_json(data))
         print(f"wrote {len(data.posts)} posts -> {out_path}")
     return 0
 
@@ -263,12 +267,8 @@ def _cmd_viz(options: dict) -> int:
             if not data.posts:
                 raise InputError("layout requires at least one node, and no post was retained")
             placed = layout(network, options["layout_seed"], options["layout_iterations"])
-        rendered = export_graph(network, placed, format=options["format"])
-        out_path = Path(options["out"])
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with out_path.open("w", encoding="utf-8") as file:
-            file.writelines(rendered)
-        print(f"wrote {options['format']} graph -> {out_path}")
+        _write(Path(options["out"]), export_graph(network, placed, format=options["format"]))
+        print(f"wrote {options['format']} graph -> {Path(options['out'])}")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Network-level structural measures: density, centralization, diameter,
-average path length, and the combined structural report.
+average path length, and the structural and two-mode reports.
 
 All measures work on the binary view of a network; tie weights never
 matter here. Diameter and average path length are computed within the
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .graph import BipartiteNetwork, OneModeNetwork
+from .graph import OneModeNetwork
 from .paths import PathStats, path_stats
 
 
@@ -83,13 +83,16 @@ def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> Stru
     )
 
 
-def bipartite_density(b: BipartiteNetwork) -> float:
-    """Density of the two-mode network itself: present incidences over
-    the user x thread grid."""
-    possible = len(b.user_nodes) * len(b.thread_nodes)
-    if possible == 0:
-        return 0.0
-    return len(b.incidence) / possible
+def bipartite_report(users: OneModeNetwork, threads: OneModeNetwork) -> dict:
+    """Two-mode density, and each node's ties over the other side's size
+    (Borgatti & Everett 1997), from the projections' ``node_attr``: B's row lengths."""
+    u, t = len(users.nodes), len(threads.nodes)
+    degree = lambda g, other: {node: n / other for node, n in zip(g.nodes, g.node_attr.tolist())}
+    return {
+        "density": int(users.node_attr.sum()) / (u * t) if u * t else 0.0,
+        "user_degree": degree(users, t),
+        "thread_degree": degree(threads, u),
+    }
 
 
 _TABLE_ROWS = (

@@ -27,7 +27,6 @@ from .centrality import (
     CentralityTable,
     CoreSet,
     MEASURES,
-    bipartite_degree_centrality,
     centrality_table,
     check_core_threshold,
     core_set,
@@ -49,7 +48,7 @@ from .graph import (
     project,
 )
 from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, dataset_to_json
-from .metrics import StructuralReport, bipartite_density, structural_report
+from .metrics import StructuralReport, bipartite_report, structural_report
 from .paths import path_stats
 from .text import json_text
 from .viz import (
@@ -134,25 +133,27 @@ def _provenance(data: ForumDataset, config: PipelineConfig) -> dict:
 
 
 @contextmanager
-def _published(out_dir: Path):
-    """Yield a fresh staging directory beside ``out_dir``; on a clean exit
-    it replaces ``out_dir`` whole, and on an error ``out_dir`` is left as
-    it was. ``PipelineConfig.validate`` has checked ``out_dir``."""
-    out_dir = Path(os.path.abspath(out_dir))
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
+def _published(out: Path):
+    """Yield a path in a fresh box beside ``out`` for the caller to create, as
+    a file or a directory; on a clean exit it replaces ``out`` (a symlink's
+    target) whole, and on an error or a change of kind leaves it as it was."""
+    out = Path(out).resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(
-        prefix=f".{out_dir.name}.", dir=out_dir.parent, ignore_cleanup_errors=True
+        prefix=f".{out.name}.", dir=out.parent, ignore_cleanup_errors=True
     ) as box:
         stage, old = Path(box) / "new", Path(box) / "old"
-        stage.mkdir()  # the mode a plain mkdir gives; the box's is 0700
         yield stage
-        if out_dir.exists():
-            out_dir.rename(old)
+        if out.exists():
+            if out.is_dir() != stage.is_dir():
+                kind = "file" if out.is_dir() else "directory"
+                raise OSError(f"cannot replace {out} with a {kind}")
+            out.rename(old)
         try:
-            stage.rename(out_dir)
+            stage.rename(out)
         except OSError:
             if old.exists():
-                old.rename(out_dir)
+                old.rename(out)
             raise
 
 
@@ -201,6 +202,7 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
     artifacts: list[str] = []
 
     with _published(Path(config.out_dir)) as stage:
+        stage.mkdir()  # the mode a plain mkdir gives; the box's is 0700
         provenance = _provenance(data, config)
 
         def write(relative: str, text: str | Iterable[str]) -> None:
@@ -248,14 +250,8 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         )
 
         if config.bipartite_norm:
-            write_json(
-                "bipartite.json",
-                {
-                    "density": bipartite_density(b),
-                    "user_degree": bipartite_degree_centrality(b, USER_MODE),
-                    "thread_degree": bipartite_degree_centrality(b, THREAD_MODE),
-                },
-            )
+            two_mode = bipartite_report(networks[USER_MODE], networks[THREAD_MODE])
+            write_json("bipartite.json", two_mode)
 
         _figure_artifacts(write, config, b, networks)
         write_json("manifest.json", {"artifacts": list(artifacts)})

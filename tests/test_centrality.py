@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from forumnet import paths
 from forumnet.centrality import (
     MEASURES,
-    bipartite_degree_centrality,
     centrality_table,
     core_set,
     histogram_csv,
@@ -328,18 +327,6 @@ def test_degree_ranking_invariant_under_weighting_flag():
     rank = lambda m: sorted(m, key=lambda k: (-m[k], k))
     assert rank(by_events) == rank(by_posts)
     assert by_events == by_posts
-
-
-def test_bipartite_degree_centrality():
-    b = make_bipartite(
-        {("u1", "t1"): 1, ("u1", "t2"): 1, ("u1", "t3"): 1, ("u2", "t1"): 1}
-    )
-    users = bipartite_degree_centrality(b, "user")
-    assert users["u1"] == pytest.approx(1.0)
-    assert users["u2"] == pytest.approx(1 / 3)
-    threads = bipartite_degree_centrality(b, "thread")
-    assert threads["t1"] == pytest.approx(1.0)
-    assert threads["t2"] == pytest.approx(0.5)
 
 
 def test_table_csv_shape():

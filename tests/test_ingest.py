@@ -271,6 +271,15 @@ def test_json_id_that_is_no_string_or_number_is_rejected(column, value):
     ]
 
 
+@pytest.mark.parametrize("entry", [["p1"], "p1", 7, None], ids=["array", "string", "number", "null"])
+def test_json_post_entry_that_is_no_object_is_rejected(entry):
+    data = parse_posts(json_posts(entry, json_post("p2", "2012-01-02T00:00:00Z")))
+    assert [p.post_id for p in data.posts] == ["p2"]
+    assert [(r.raw, r.reason) for r in data.rejected] == [
+        (json.dumps(entry), "post entry is not an object")
+    ]
+
+
 def test_json_numeric_ids_are_kept_as_their_text():
     post = {"post_id": 7, "thread_id": 8, "user_id": 9, "forum_id": 1.5,
             "timestamp": "2012-01-01T00:00:00Z"}

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumnet import cli, graph, paths
@@ -421,6 +421,8 @@ def test_masked_product_rows_are_the_full_products_rows(g, absent, mask, k, rng)
 @settings(max_examples=100, deadline=None)
 @given(graphs(), st.booleans(), st.sampled_from(["empty", "full", "random"]),
        st.integers(1, 5), st.randoms(use_true_random=False))
+# Ā on 9 nodes, one column: a pairwise 1ᵀx would sum in another order
+@example(g=_random_graph(9, 0.0, 1), absent=True, mask="full", k=1, rng=random.Random(1))
 def test_two_half_product_has_the_symmetric_operands_bits(g, absent, mask, k, rng):
     """The lower half, then the upper, sum each row's ties in the index
     order of the symmetric canonical CSR, so where the row mask is set the

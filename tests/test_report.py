@@ -288,6 +288,26 @@ def test_figure_failing_mid_stream_leaves_previous_output_untouched(tmp_path, mo
     assert os.listdir(tmp_path) == ["out"]
 
 
+def test_failed_swap_puts_the_previous_output_back(tmp_path, monkeypatch):
+    """When the stage cannot be renamed to ``out_dir``, the previous
+    output, already moved aside, is renamed back and the box goes."""
+    out_dir = tmp_path / "out"
+    run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=out_dir))
+    before = tree(out_dir)
+    rename = Path.rename
+
+    def refused(self, target):
+        if self.name == "new" and Path(target) == out_dir.resolve():
+            raise OSError("forced rename failure")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", refused)
+    with pytest.raises(OSError, match="forced rename failure"):
+        run_pipeline(dataset_from_posts(TOY_ROWS[:3]), PipelineConfig(out_dir=out_dir))
+    assert tree(out_dir) == before
+    assert os.listdir(tmp_path) == ["out"]
+
+
 def test_published_directory_has_plain_mkdir_mode(tmp_path):
     probe = tmp_path / "probe"
     probe.mkdir()
@@ -328,6 +348,20 @@ def test_cli_refuses_output_path_that_is_a_file(tmp_path):
     assert data.read_text(encoding="utf-8") == SMALL_CSV
 
 
+def test_cli_refuses_output_path_that_is_a_symlink(tmp_path, capsys):
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    target, link = tmp_path / "real", tmp_path / "link"
+    target.mkdir()
+    (target / "keep.txt").write_text("keep", encoding="utf-8")
+    link.symlink_to(target, target_is_directory=True)
+    assert cli.main(["analyze", "--data", str(data), "--out", str(link)]) == 2
+    assert "is a file or a symlink" in capsys.readouterr().err
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert tree(target) == {"keep.txt": b"keep"}
+    assert sorted(os.listdir(tmp_path)) == ["link", "posts.csv", "real"]
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(core_threshold=1.2).validate()
@@ -348,6 +382,8 @@ def test_config_validation():
             PipelineConfig(thin_sd=thin_sd).validate()
     with pytest.raises(ConfigError, match="repeated figure networks"):
         PipelineConfig(figures=("user", "thread", "user")).validate()
+    with pytest.raises(ConfigError, match="silent_min_threads"):
+        PipelineConfig(silent_min_threads=-1).validate()
 
 
 def toy_user_table():
@@ -709,6 +745,65 @@ def test_cli_viz_refuses_thinning_the_bipartite_network(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: thin_sd ")
     assert os.listdir(tmp_path) == ["posts.csv"]
+
+
+def test_cli_viz_failing_mid_stream_leaves_the_previous_file(tmp_path, monkeypatch):
+    """viz writes its figure chunk by chunk into a box beside --out, which
+    replaces --out only once the whole figure is written."""
+    data, out = tmp_path / "posts.csv", tmp_path / "user.dot"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    out.write_text("PREVIOUS", encoding="utf-8")
+
+    def half_written(*_, **__):
+        yield "graph G {\n"
+        raise RuntimeError("figure failed mid-stream")
+
+    monkeypatch.setattr(cli, "export_graph", half_written)
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        cli.main(["viz", "--data", str(data), "--mode", "user", "--format", "dot",
+                  "--out", str(out)])
+    assert out.read_text(encoding="utf-8") == "PREVIOUS"
+    assert sorted(os.listdir(tmp_path)) == ["posts.csv", "user.dot"]
+
+
+def test_cli_viz_through_a_symlink_replaces_its_target(tmp_path):
+    """--out is resolved: the symlink stays, and its target is replaced by
+    the figure, with the mode a plain open gives a new file."""
+    data, probe = tmp_path / "posts.csv", tmp_path / "probe"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    probe.write_text("", encoding="utf-8")
+    target, link, plain = tmp_path / "real.dot", tmp_path / "link.dot", tmp_path / "plain.dot"
+    target.write_text("PREVIOUS", encoding="utf-8")
+    link.symlink_to(target)
+    for out in (link, plain):
+        argv = ["viz", "--data", str(data), "--mode", "user", "--format", "dot", "--out", str(out)]
+        assert cli.main(argv) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == plain.read_bytes()
+    for path in (target, plain):
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.dot", "plain.dot", "posts.csv", "probe", "real.dot"]
+
+
+@pytest.mark.parametrize("command", ["viz", "synth", "ingest"])
+def test_cli_file_output_that_is_a_directory_is_refused(tmp_path, capsys, command):
+    """A file a command would replace that exists as a directory exits 1,
+    and the directory, what it holds and its parent stay as they were."""
+    data = tmp_path / "posts.csv"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    occupied = tmp_path / "out" / "dataset.json" if command == "ingest" else tmp_path / "out"
+    occupied.mkdir(parents=True)
+    (occupied / "keep.txt").write_text("keep", encoding="utf-8")
+    argv = {
+        "viz": ["--data", str(data), "--mode", "user", "--format", "dot", "--out", str(occupied)],
+        "synth": ["--users", "4", "--threads", "3", "--posts", "9", "--out", str(occupied)],
+        "ingest": ["--posts", str(data), "--out", str(tmp_path / "out")],
+    }[command]
+    listing = lambda: sorted(map(str, tmp_path.rglob("*")))
+    before, files = listing(), tree(tmp_path)
+    assert cli.main([command, *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot replace {occupied.resolve()} ")
+    assert listing() == before and tree(tmp_path) == files
 
 
 @pytest.mark.parametrize(

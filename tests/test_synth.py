@@ -65,6 +65,7 @@ def test_different_seed_differs():
             post_count=30,
             silent_initiator_count=1,
         ),
+        dict(user_count=2, thread_count=1, post_count=2, moderator_count=-1),
     ],
 )
 def test_infeasible_configs_raise(kwargs):
