@@ -20,6 +20,7 @@ from forumnet.centrality import (
     table_csv,
 )
 from forumnet.graph import build_bipartite, project
+from forumnet.metrics import bipartite_report
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 
@@ -327,6 +328,21 @@ def test_degree_ranking_invariant_under_weighting_flag():
     rank = lambda m: sorted(m, key=lambda k: (-m[k], k))
     assert rank(by_events) == rank(by_posts)
     assert by_events == by_posts
+
+
+def test_bipartite_degree_centrality():
+    """Each node's two-mode degree is its ties over the opposite class size."""
+    b = make_bipartite(
+        {("u1", "t1"): 1, ("u1", "t2"): 1, ("u1", "t3"): 1, ("u2", "t1"): 1}
+    )
+    report = bipartite_report(project(b, "user"), project(b, "thread"))
+    users = report["user_degree"]
+    assert users["u1"] == pytest.approx(1.0)
+    assert users["u2"] == pytest.approx(1 / 3)
+    threads = report["thread_degree"]
+    assert threads["t1"] == pytest.approx(1.0)
+    assert threads["t2"] == pytest.approx(0.5)
+    assert threads["t3"] == pytest.approx(0.5)
 
 
 def test_table_csv_shape():
