@@ -37,7 +37,7 @@ from .errors import ConfigError, InputError
 from .graph import THREAD_MODE, USER_MODE, WEIGHTINGS, build_bipartite, project
 from .ingest import PERIODS, dataset_to_json, load_dataset, posts_csv, users_csv
 from .metrics import format_structural_table, structural_report
-from .report import PipelineConfig, _published, run_pipeline
+from .report import PipelineConfig, _published, run_pipeline, write_text
 from .synth import SynthConfig, generate
 from .viz import EXPORT_FORMATS, ThinningSpec, check_layout_settings, export_graph, layout, thin
 
@@ -206,8 +206,8 @@ def _loaded(path: str, users: str | None = None):
 
 def _write(path: Path, text: str | Iterable[str]) -> None:
     """Replace ``path`` whole with ``text`` (one string or its chunks), or leave it."""
-    with _published(path) as staged, staged.open("w", encoding="utf-8") as file:
-        file.writelines((text,) if isinstance(text, str) else text)
+    with _published(path) as staged:
+        write_text(staged, text)
 
 
 def _cmd_ingest(options: dict) -> int:

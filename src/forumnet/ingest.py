@@ -112,11 +112,7 @@ class ActivityOverview:
             for (forum, label), count in sorted(self.posts_per_forum_per_period.items())
         ]
         return {
-            "period": self.period,
-            "registered_user_count": self.registered_user_count,
-            "posting_user_count": self.posting_user_count,
-            "thread_count": self.thread_count,
-            "post_count": self.post_count,
+            **vars(self),
             "posts_per_user": dict(sorted(self.posts_per_user.items())),
             "posts_per_forum_per_period": cells,
             "profession_breakdown": dict(sorted(self.profession_breakdown.items())),
@@ -404,17 +400,7 @@ def activity_overview(data: ForumDataset, period: str = PERIODS[0]) -> ActivityO
 def dataset_to_json(data: ForumDataset) -> str:
     """The dataset document that ``parse_posts`` reads back (without
     ``source_sha256``)."""
-    posts = [
-        {
-            "post_id": p.post_id,
-            "thread_id": p.thread_id,
-            "user_id": p.user_id,
-            "forum_id": p.forum_id,
-            "timestamp": format_timestamp(p.timestamp),
-            "is_thread_start": p.is_thread_start,
-        }
-        for p in data.posts
-    ]
+    posts = [{**vars(p), "timestamp": format_timestamp(p.timestamp)} for p in data.posts]
     return json_text(
         {
             "posts": posts,

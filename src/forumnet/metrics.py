@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .graph import OneModeNetwork
+from .errors import ConfigError
+from .graph import THREAD_MODE, USER_MODE, OneModeNetwork
 from .paths import PathStats, path_stats
 
 
@@ -85,7 +86,10 @@ def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> Stru
 
 def bipartite_report(users: OneModeNetwork, threads: OneModeNetwork) -> dict:
     """Two-mode density, and each node's ties over the other side's size
-    (Borgatti & Everett 1997), from the projections' ``node_attr``: B's row lengths."""
+    (Borgatti & Everett 1997), from the unthinned user and thread projections'
+    ``node_attr``: B's row lengths."""
+    if (users.mode, threads.mode) != (USER_MODE, THREAD_MODE):
+        raise ConfigError("bipartite_report takes the user and thread projections, in that order")
     u, t = len(users.nodes), len(threads.nodes)
     degree = lambda g, other: {node: n / other for node, n in zip(g.nodes, g.node_attr.tolist())}
     return {

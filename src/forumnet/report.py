@@ -14,7 +14,7 @@ are written chunk by chunk as they arrive, never as one string.
 from __future__ import annotations
 
 import hashlib
-import os
+import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -93,11 +93,12 @@ class PipelineConfig:
             raise ConfigError(f"repeated figure networks: {list(self.figures)}")
         if self.silent_min_threads < 0:
             raise ConfigError("silent_min_threads must be >= 0")
-        # a swap never deletes foreign files: out_dir must be missing,
-        # empty, or a previous output (it holds manifest.json)
-        out = Path(os.path.abspath(self.out_dir))
-        if out.is_symlink() or (out.exists() and not out.is_dir()):
-            raise ConfigError(f"output path {out} is a file or a symlink, not a directory")
+        # a swap never deletes foreign files: out_dir, resolved as _published resolves
+        # it, must be missing, empty, or a previous output (it holds manifest.json)
+        given = Path(self.out_dir).absolute()
+        out = given.resolve()
+        if given.is_symlink() or (out.exists() and not out.is_dir()):
+            raise ConfigError(f"output path {given} is a file or a symlink, not a directory")
         if out.is_dir() and any(out.iterdir()) and not (out / "manifest.json").is_file():
             raise ConfigError(f"output directory {out} is not empty and holds no manifest.json")
 
@@ -132,12 +133,23 @@ def _provenance(data: ForumDataset, config: PipelineConfig) -> dict:
     }
 
 
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` to ``path``: one string, or its chunks in turn as given."""
+    with path.open("w", encoding="utf-8") as file:
+        file.writelines((text,) if isinstance(text, str) else text)
+
+
 @contextmanager
 def _published(out: Path):
     """Yield a path in a fresh box beside ``out`` for the caller to create, as
     a file or a directory; on a clean exit it replaces ``out`` (a symlink's
-    target) whole, and on an error or a change of kind leaves it as it was."""
-    out = Path(out).resolve()
+    target) whole, a replaced file keeping its mode, and on an error or a
+    change of kind leaves it as it was. A pipe or a device, which no rename
+    can replace, is yielded itself, to be written in place."""
+    if out.exists() and not (out.is_file() or out.is_dir()):
+        yield out
+        return
+    out = out.resolve()
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(
         prefix=f".{out.name}.", dir=out.parent, ignore_cleanup_errors=True
@@ -146,8 +158,9 @@ def _published(out: Path):
         yield stage
         if out.exists():
             if out.is_dir() != stage.is_dir():
-                kind = "file" if out.is_dir() else "directory"
-                raise OSError(f"cannot replace {out} with a {kind}")
+                raise OSError(f"cannot replace {out} with a {'file' if out.is_dir() else 'directory'}")
+            if out.is_file():
+                shutil.copymode(out, stage)
             out.rename(old)
         try:
             stage.rename(out)
@@ -206,11 +219,8 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         provenance = _provenance(data, config)
 
         def write(relative: str, text: str | Iterable[str]) -> None:
-            """Write ``text``: one string, or its chunks in turn as given."""
-            path = stage / relative
-            path.parent.mkdir(exist_ok=True)
-            with path.open("w", encoding="utf-8") as file:
-                file.writelines((text,) if isinstance(text, str) else text)
+            (stage / relative).parent.mkdir(exist_ok=True)
+            write_text(stage / relative, text)
             artifacts.append(relative)
 
         def write_json(relative: str, payload: dict) -> None:

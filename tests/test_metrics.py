@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumnet import paths
+from forumnet.errors import ConfigError
 from forumnet.graph import project
 from forumnet.metrics import (
     bipartite_report,
@@ -262,3 +263,11 @@ def test_bipartite_density():
     b = make_bipartite({("u1", "t1"): 1, ("u2", "t2"): 4, ("u1", "t3"): 2})
     assert report(b)["density"] == pytest.approx(3 / 6)
     assert report(make_bipartite({})) == {"density": 0.0, "user_degree": {}, "thread_degree": {}}
+
+
+def test_bipartite_report_takes_the_user_then_the_thread_projection():
+    b = make_bipartite({("u1", "t1"): 1, ("u2", "t2"): 4, ("u1", "t3"): 2})
+    users, threads = project(b, "user"), project(b, "thread")
+    for pair in ((threads, users), (users, users), (threads, threads)):
+        with pytest.raises(ConfigError, match="user and thread projections"):
+            bipartite_report(*pair)

@@ -348,6 +348,23 @@ def test_cli_refuses_output_path_that_is_a_file(tmp_path):
     assert data.read_text(encoding="utf-8") == SMALL_CSV
 
 
+def test_out_dir_is_checked_where_a_symlink_and_dotdot_lead(tmp_path):
+    """``link/../res`` names the ``res`` beside the link's target, not the
+    one beside the link: a foreign directory there is refused and kept."""
+    (tmp_path / "x" / "sub").mkdir(parents=True)
+    (tmp_path / "w").mkdir()
+    (tmp_path / "w" / "link").symlink_to(tmp_path / "x" / "sub", target_is_directory=True)
+    foreign = tmp_path / "x" / "res"
+    foreign.mkdir()
+    (foreign / "keep.txt").write_text("keep", encoding="utf-8")
+    config = PipelineConfig(out_dir=tmp_path / "w" / "link" / ".." / "res")
+    with pytest.raises(ConfigError, match="holds no manifest.json"):
+        run_pipeline(dataset_from_posts(TOY_ROWS[:3]), config)
+    assert tree(foreign) == {"keep.txt": b"keep"}
+    assert sorted(os.listdir(tmp_path / "x")) == ["res", "sub"]
+    assert os.listdir(tmp_path / "w") == ["link"]
+
+
 def test_cli_refuses_output_path_that_is_a_symlink(tmp_path, capsys):
     data = tmp_path / "posts.csv"
     data.write_text(SMALL_CSV, encoding="utf-8")
@@ -768,21 +785,43 @@ def test_cli_viz_failing_mid_stream_leaves_the_previous_file(tmp_path, monkeypat
 
 def test_cli_viz_through_a_symlink_replaces_its_target(tmp_path):
     """--out is resolved: the symlink stays, and its target is replaced by
-    the figure, with the mode a plain open gives a new file."""
+    the figure and keeps its mode; a new file gets the mode a plain open
+    gives it."""
     data, probe = tmp_path / "posts.csv", tmp_path / "probe"
     data.write_text(SMALL_CSV, encoding="utf-8")
     probe.write_text("", encoding="utf-8")
     target, link, plain = tmp_path / "real.dot", tmp_path / "link.dot", tmp_path / "plain.dot"
     target.write_text("PREVIOUS", encoding="utf-8")
+    target.chmod(0o640)
     link.symlink_to(target)
     for out in (link, plain):
         argv = ["viz", "--data", str(data), "--mode", "user", "--format", "dot", "--out", str(out)]
         assert cli.main(argv) == 0
     assert link.is_symlink() and link.resolve() == target.resolve()
     assert target.read_bytes() == plain.read_bytes()
-    for path in (target, plain):
-        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert stat.S_IMODE(plain.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
     assert sorted(os.listdir(tmp_path)) == ["link.dot", "plain.dot", "posts.csv", "probe", "real.dot"]
+
+
+def test_cli_viz_into_a_pipe_writes_it_in_place(tmp_path):
+    """A pipe, which no rename can replace, is written in place: it stays a
+    pipe, its reader gets the bytes a plain --out gets, and no box is made
+    beside it."""
+    data, plain, pipe = tmp_path / "posts.csv", tmp_path / "plain.dot", tmp_path / "pipe"
+    data.write_text(SMALL_CSV, encoding="utf-8")
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+    try:
+        for out in (pipe, plain):
+            argv = ["viz", "--data", str(data), "--mode", "user", "--format", "dot"]
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert received == plain.read_bytes()
+    assert stat.S_ISFIFO(pipe.lstat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe", "plain.dot", "posts.csv"]
 
 
 @pytest.mark.parametrize("command", ["viz", "synth", "ingest"])
