@@ -45,13 +45,12 @@ from .metrics import (
     format_structural_table,
     structural_report,
 )
-from .report import AnalysisBundle, PipelineConfig, run_pipeline
+from .report import PipelineConfig, run_pipeline
 from .synth import PlantedStructure, SynthConfig, generate, planted_structure
 from .viz import ThinningSpec, export_graph, layout, thin
 
 __all__ = [
     "ActivityOverview",
-    "AnalysisBundle",
     "BipartiteNetwork",
     "CentralityTable",
     "ConfigError",

@@ -4,8 +4,9 @@ Degree, closeness, and betweenness are all normalized to [0, 1].
 Closeness uses the component-size-penalized form so disconnected
 networks still get meaningful nonzero values; betweenness is computed
 with Brandes dependency accumulation (fractional credit over multiple
-shortest paths). Both read one ``paths.path_stats`` pass, which the
-structural report shares. ``table_csv`` and ``histogram_csv`` write a
+shortest paths). Both read the ``paths.path_stats`` pass the caller
+gives, which must include the betweenness sweep; the structural report
+reads the same pass. ``table_csv`` and ``histogram_csv`` write a
 table through ``text.csv_text``; ``summaries`` and ``CoreSet.to_dict``
 give the payloads that ``report`` writes as JSON.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import OneModeNetwork, USER_MODE
-from .paths import PathStats, path_stats
+from .paths import PathStats
 from .text import csv_text
 
 MEASURES = ("degree", "closeness", "betweenness")
@@ -66,7 +67,7 @@ def _summarize(values: np.ndarray) -> dict[str, float]:
     }
 
 
-def centrality_table(g: OneModeNetwork, stats: PathStats | None = None) -> CentralityTable:
+def centrality_table(g: OneModeNetwork, stats: PathStats) -> CentralityTable:
     """Degree, closeness and betweenness of every node, isolates included.
 
     Degree is direct ties over (n - 1). Closeness is reach-penalized: a
@@ -74,11 +75,11 @@ def centrality_table(g: OneModeNetwork, stats: PathStats | None = None) -> Centr
     (r / (n-1)) * (r / s), the classic (n-1)/s on a connected graph, and
     0 when r is 0. Betweenness is Brandes betweenness over
     (n-1)(n-2)/2, all zeros when n < 3. Each is 0 for every node when
-    n <= 1. ``stats`` is the network's ``path_stats``, computed here when
-    omitted or taken without betweenness.
+    n <= 1. ``stats`` is the network's ``path_stats``; a pass without
+    betweenness raises ValueError.
     """
-    if stats is None or stats.betweenness is None:
-        stats = path_stats(g)
+    if stats.betweenness is None:
+        raise ValueError("centrality_table needs a path_stats pass with betweenness")
     n = len(g.nodes)
     pairs = max(n - 1, 1)
     reach = stats.reach

@@ -37,6 +37,7 @@ from .errors import ConfigError, InputError
 from .graph import THREAD_MODE, USER_MODE, WEIGHTINGS, build_bipartite, project
 from .ingest import PERIODS, dataset_to_json, load_dataset, posts_csv, users_csv
 from .metrics import format_structural_table, structural_report
+from .paths import path_stats
 from .report import PipelineConfig, _published, run_pipeline, write_text
 from .synth import SynthConfig, generate
 from .viz import EXPORT_FORMATS, ThinningSpec, check_layout_settings, export_graph, layout, thin
@@ -239,15 +240,16 @@ def _cmd_analyze(options: dict) -> int:
     config = _build_config(PipelineConfig, ANALYZE_OPTIONS, options)
     config.validate()  # a bad value or a refused --out wins over any fault in --data
     with _loaded(options["data"]) as data:
-        bundle = run_pipeline(data, config)
-        print(f"wrote {len(bundle.artifacts)} files under {options['out']}")
+        written = run_pipeline(data, config)
+        print(f"wrote {len(written)} files under {options['out']}")
     return 0
 
 
 def _cmd_metrics(options: dict) -> int:
     with _loaded(options["data"]) as data:
         g = project(build_bipartite(data), options["mode"])
-        print(format_structural_table([structural_report(g)]), end="")
+        stats = path_stats(g, betweenness=False)  # the report reads no betweenness
+        print(format_structural_table([structural_report(g, stats)]), end="")
     return 0
 
 

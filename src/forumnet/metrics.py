@@ -5,9 +5,10 @@ All measures work on the binary view of a network; tie weights never
 matter here. Diameter and average path length are computed within the
 largest connected component, with component counts reported alongside so
 nothing is silently dropped. They and the component and isolate counts
-come from ``paths.path_stats``, the same shortest-path pass the
-centrality table reads. ``StructuralReport.to_dict`` is the payload that
-``report`` writes as ``<mode>_structural.json``.
+are read from the ``paths.path_stats`` pass the caller gives, the same
+pass the centrality table reads; the report never runs one itself.
+``StructuralReport.to_dict`` is the payload that ``report`` writes as
+``<mode>_structural.json``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from .errors import ConfigError
 from .graph import THREAD_MODE, USER_MODE, OneModeNetwork
-from .paths import PathStats, path_stats
+from .paths import PathStats
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,14 @@ def degree_centralization(g: OneModeNetwork) -> float:
     return int((degrees.max() - degrees).sum()) / ((n - 1) * (n - 2))
 
 
-def structural_report(g: OneModeNetwork, stats: PathStats | None = None) -> StructuralReport:
-    """All structural measures plus component metadata.
-
-    ``stats`` is the network's ``path_stats``, computed here without the
-    betweenness sweep when omitted.
+def structural_report(g: OneModeNetwork, stats: PathStats) -> StructuralReport:
+    """All structural measures plus component metadata, the path-based ones
+    read from ``stats``: the network's ``path_stats``, with or without the
+    betweenness sweep.
     """
     n = len(g.nodes)
     if n == 0:
         return StructuralReport(g.mode, 0, 0, 0.0, 0.0, 0, 0.0, 0, 0, 0)
-    if stats is None:
-        stats = path_stats(g, betweenness=False)
     return StructuralReport(
         mode=g.mode,
         n=n,

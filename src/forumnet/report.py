@@ -1,14 +1,16 @@
-"""End-to-end analysis pipeline: one dataset in, one report bundle out.
+"""End-to-end analysis pipeline: one dataset in, one output directory out.
 
 ``run_pipeline`` chains the whole flow (bipartite build, both
-projections, structural reports, centrality tables, core detection,
-silent-initiator scan, thinned figures) and publishes every artifact,
-under fixed file names, as one output directory that holds one run's
-complete set. Every JSON artifact is written by one ``write_json`` that
-adds the run's provenance block, so a report always states what produced
-it; ``text`` fixes the bytes of each CSV and JSON file, and reruns with
-identical inputs and seeds are byte-identical. Edge lists and figures
-are written chunk by chunk as they arrive, never as one string.
+projections, one shortest-path pass per projection read by its
+structural report and centrality table, core detection, silent-initiator
+scan, thinned figures), publishes every artifact, under fixed file
+names, as one output directory that holds one run's complete set, and
+returns the relative paths it wrote. Every JSON artifact is written by
+one ``write_json`` that adds the run's provenance block, so a report
+always states what produced it; ``text`` fixes the bytes of each CSV and
+JSON file, and reruns with identical inputs and seeds are
+byte-identical. Edge lists and figures are written chunk by chunk as
+they arrive, never as one string.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import Callable, Iterable
 
 from . import __version__, paths, viz
 from .centrality import (
-    CentralityTable,
-    CoreSet,
     MEASURES,
     centrality_table,
     check_core_threshold,
@@ -47,8 +47,8 @@ from .graph import (
     node_list_csv,
     project,
 )
-from .ingest import PERIODS, ActivityOverview, ForumDataset, activity_overview, dataset_to_json
-from .metrics import StructuralReport, bipartite_report, structural_report
+from .ingest import PERIODS, ForumDataset, activity_overview, dataset_to_json
+from .metrics import bipartite_report, structural_report
 from .paths import path_stats
 from .text import json_text
 from .viz import (
@@ -101,19 +101,6 @@ class PipelineConfig:
             raise ConfigError(f"output path {given} is a file or a symlink, not a directory")
         if out.is_dir() and any(out.iterdir()) and not (out / "manifest.json").is_file():
             raise ConfigError(f"output directory {out} is not empty and holds no manifest.json")
-
-
-@dataclass
-class AnalysisBundle:
-    overview: ActivityOverview
-    user_report: StructuralReport
-    thread_report: StructuralReport
-    user_centrality: CentralityTable
-    thread_centrality: CentralityTable
-    core: CoreSet
-    silent: list[tuple[str, int]]
-    artifacts: list[str]
-    provenance: dict
 
 
 def _provenance(data: ForumDataset, config: PipelineConfig) -> dict:
@@ -198,8 +185,10 @@ def _figure_artifacts(
             write(f"figures/{name}.{config.figure_format}", rendered)
 
 
-def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> AnalysisBundle:
-    """Run the full analysis and publish all artifacts as config.out_dir.
+def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> list[str]:
+    """Run the full analysis, publish all artifacts as config.out_dir, and
+    return their paths relative to it: the manifest's entries, then
+    ``manifest.json``.
 
     Artifacts are written into a staging directory beside ``out_dir``,
     which replaces ``out_dir`` only once the whole set is written, so no
@@ -226,28 +215,27 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         def write_json(relative: str, payload: dict) -> None:
             write(relative, json_text({**payload, "provenance": provenance}))
 
-        overview = activity_overview(data, config.period)
-        write_json("overview.json", overview.to_dict())
+        write_json("overview.json", activity_overview(data, config.period).to_dict())
 
         b = build_bipartite(data)
         networks = {
             USER_MODE: project(b, USER_MODE, config.weighting),
             THREAD_MODE: project(b, THREAD_MODE, config.weighting),
         }
-        stats = {mode: path_stats(g) for mode, g in networks.items()}
-        reports = {mode: structural_report(g, stats[mode]) for mode, g in networks.items()}
-        tables = {mode: centrality_table(g, stats[mode]) for mode, g in networks.items()}
-
-        for mode in (USER_MODE, THREAD_MODE):
-            write_json(f"{mode}_structural.json", reports[mode].to_dict())
-            write(f"{mode}_centrality.csv", table_csv(tables[mode]))
-            write_json(f"{mode}_centrality_summary.json", summaries(tables[mode]))
+        for mode, g in networks.items():
+            stats = path_stats(g)
+            write_json(f"{mode}_structural.json", structural_report(g, stats).to_dict())
+            table = centrality_table(g, stats)
+            write(f"{mode}_centrality.csv", table_csv(table))
+            write_json(f"{mode}_centrality_summary.json", summaries(table))
             for measure in MEASURES:
-                write(f"{mode}_{measure}_hist.csv", histogram_csv(tables[mode], measure))
-            write(f"{mode}_edges.csv", edge_list_csv(networks[mode]))
-            write(f"{mode}_nodes.csv", node_list_csv(networks[mode]))
+                write(f"{mode}_{measure}_hist.csv", histogram_csv(table, measure))
+            write(f"{mode}_edges.csv", edge_list_csv(g))
+            write(f"{mode}_nodes.csv", node_list_csv(g))
+            if mode == USER_MODE:
+                user_table = table
 
-        core = core_set(tables[USER_MODE], config.core_threshold, config.roles)
+        core = core_set(user_table, config.core_threshold, config.roles)
         write_json("core.json", core.to_dict())
 
         silent = silent_initiators(networks[USER_MODE], config.silent_min_threads)
@@ -266,14 +254,4 @@ def run_pipeline(data: ForumDataset, config: PipelineConfig | None = None) -> An
         _figure_artifacts(write, config, b, networks)
         write_json("manifest.json", {"artifacts": list(artifacts)})
 
-    return AnalysisBundle(
-        overview=overview,
-        user_report=reports[USER_MODE],
-        thread_report=reports[THREAD_MODE],
-        user_centrality=tables[USER_MODE],
-        thread_centrality=tables[THREAD_MODE],
-        core=core,
-        silent=silent,
-        artifacts=artifacts,
-        provenance=provenance,
-    )
+    return artifacts

@@ -20,6 +20,7 @@ from forumnet.metrics import (
     density,
     structural_report,
 )
+from forumnet.paths import path_stats
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate, planted_structure
 from forumnet.viz import ThinningSpec, layout, thin
@@ -129,9 +130,11 @@ def test_criterion_1_canonical_graphs():
             want = expect(n, g.nodes)
             ok = ok and close(density(g), want["density"])
             ok = ok and close(degree_centralization(g), want["centralization"])
-            ok = ok and structural_report(g).diameter == want["diameter"]
-            ok = ok and close(structural_report(g).avg_path_length, want["apl"])
-            table = centrality_table(g)
+            stats = path_stats(g)
+            rep = structural_report(g, stats)
+            ok = ok and rep.diameter == want["diameter"]
+            ok = ok and close(rep.avg_path_length, want["apl"])
+            table = centrality_table(g, stats)
             for measure in MEASURES:
                 ok = ok and mapping_close(by_node(table, measure), want[measure])
     elapsed = time.perf_counter() - start
@@ -145,12 +148,14 @@ def test_criterion_2_random_graph_oracles():
     for i in range(200):
         rng = random.Random(1000 + i)
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.4, 0.6, 0.8]))
-        got = by_node(centrality_table(g), "betweenness")
+        stats = path_stats(g)
+        got = by_node(centrality_table(g, stats), "betweenness")
         want = naive_betweenness(g)
         ok = ok and mapping_close(got, want)
         want_diam, want_apl = oracle_diameter_apl(g)
-        ok = ok and structural_report(g).diameter == want_diam
-        ok = ok and close(structural_report(g).avg_path_length, want_apl)
+        rep = structural_report(g, stats)
+        ok = ok and rep.diameter == want_diam
+        ok = ok and close(rep.avg_path_length, want_apl)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     report(
@@ -200,8 +205,9 @@ def test_criterion_5_full_scale_regression():
                     skew_alpha=1.5, seed=1)
     )
     g = project(build_bipartite(data), "user")
-    rep = structural_report(g)
-    degrees = np.sort(centrality_table(g).columns["degree"])
+    stats = path_stats(g)
+    rep = structural_report(g, stats)
+    degrees = np.sort(centrality_table(g, stats).columns["degree"])
     med, top = float(np.median(degrees)), float(degrees.max())
     ok = len({p.user_id for p in data.posts}) == 621
     ok = ok and rep.density <= 0.10

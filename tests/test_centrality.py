@@ -21,6 +21,7 @@ from forumnet.centrality import (
 )
 from forumnet.graph import build_bipartite, project
 from forumnet.metrics import bipartite_report
+from forumnet.paths import path_stats
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 
@@ -41,7 +42,7 @@ from helpers import (
 
 def test_degree_star_example():
     g = star_graph(5)
-    values = by_node(centrality_table(g), "degree")
+    values = by_node(centrality_table(g, path_stats(g)), "degree")
     assert values["hub"] == pytest.approx(1.0)
     for leaf in g.nodes:
         if leaf != "hub":
@@ -50,8 +51,9 @@ def test_degree_star_example():
 
 def test_degree_isolate_and_singleton():
     g = make_network([("a", "b")], nodes=["c"])
-    assert by_node(centrality_table(g), "degree")["c"] == 0.0
-    assert by_node(centrality_table(make_network([], nodes=["only"])), "degree") == {"only": 0.0}
+    assert by_node(centrality_table(g, path_stats(g)), "degree")["c"] == 0.0
+    only = make_network([], nodes=["only"])
+    assert by_node(centrality_table(only, path_stats(only)), "degree") == {"only": 0.0}
 
 
 def test_degree_matches_neighbor_enumeration():
@@ -59,24 +61,26 @@ def test_degree_matches_neighbor_enumeration():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8))
         n = len(g.nodes)
-        values = by_node(centrality_table(g), "degree")
+        values = by_node(centrality_table(g, path_stats(g)), "degree")
         for node in g.nodes:
             count = sum(1 for (a, b) in edge_dict(g) if node in (a, b))
             assert values[node] == pytest.approx(count / (n - 1))
 
 
 def test_closeness_path_and_complete():
-    values = by_node(centrality_table(path_graph(3)), "closeness")
+    g = path_graph(3)
+    values = by_node(centrality_table(g, path_stats(g)), "closeness")
     assert values["n00"] == pytest.approx(2 / 3)
     assert values["n01"] == pytest.approx(1.0)
     assert values["n02"] == pytest.approx(2 / 3)
-    complete = by_node(centrality_table(complete_graph(4)), "closeness")
+    k4 = complete_graph(4)
+    complete = by_node(centrality_table(k4, path_stats(k4)), "closeness")
     assert all(v == pytest.approx(1.0) for v in complete.values())
 
 
 def test_closeness_penalizes_disconnection():
     g = make_network([("a", "b"), ("b", "c"), ("a", "c")], nodes=["iso"])
-    values = by_node(centrality_table(g), "closeness")
+    values = by_node(centrality_table(g, path_stats(g)), "closeness")
     for node in ("a", "b", "c"):
         assert values[node] == pytest.approx((2 / 3) * (2 / 2))
     assert values["iso"] == 0.0
@@ -87,7 +91,7 @@ def test_closeness_matches_component_bfs_oracle():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8), 0.35)
         n = len(g.nodes)
-        values = by_node(centrality_table(g), "closeness")
+        values = by_node(centrality_table(g, path_stats(g)), "closeness")
         from helpers import floyd_warshall
 
         dist = floyd_warshall(g)
@@ -106,36 +110,40 @@ def test_closeness_matches_component_bfs_oracle():
 
 
 def test_betweenness_path_example():
-    values = by_node(centrality_table(path_graph(3)), "betweenness")
+    g = path_graph(3)
+    values = by_node(centrality_table(g, path_stats(g)), "betweenness")
     assert values["n01"] == pytest.approx(1.0)
     assert values["n00"] == pytest.approx(0.0)
     assert values["n02"] == pytest.approx(0.0)
 
 
 def test_betweenness_cycle4():
-    values = by_node(centrality_table(cycle_graph(4)), "betweenness")
-    for node in cycle_graph(4).nodes:
+    g = cycle_graph(4)
+    values = by_node(centrality_table(g, path_stats(g)), "betweenness")
+    for node in g.nodes:
         assert values[node] == pytest.approx(0.5 / 3)
 
 
 def test_betweenness_star_center_is_one():
     for n in (4, 6, 8):
-        values = by_node(centrality_table(star_graph(n)), "betweenness")
+        g = star_graph(n)
+        values = by_node(centrality_table(g, path_stats(g)), "betweenness")
         assert values["hub"] == pytest.approx(1.0)
         assert all(v == pytest.approx(0.0) for k, v in values.items() if k != "hub")
 
 
 def test_betweenness_small_graph_conventions():
-    pair = centrality_table(make_network([("a", "b")]))
-    assert by_node(pair, "betweenness") == {"a": 0.0, "b": 0.0}
-    assert by_node(centrality_table(make_network([], nodes=["x"])), "betweenness") == {"x": 0.0}
+    pair = make_network([("a", "b")])
+    assert by_node(centrality_table(pair, path_stats(pair)), "betweenness") == {"a": 0.0, "b": 0.0}
+    single = make_network([], nodes=["x"])
+    assert by_node(centrality_table(single, path_stats(single)), "betweenness") == {"x": 0.0}
 
 
 def test_betweenness_matches_enumeration_oracle():
     rng = random.Random(23)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.25, 0.5, 0.75]))
-        got = by_node(centrality_table(g), "betweenness")
+        got = by_node(centrality_table(g, path_stats(g)), "betweenness")
         want = naive_betweenness(g)
         for node in g.nodes:
             assert got[node] == pytest.approx(want[node], abs=1e-9)
@@ -147,7 +155,8 @@ def test_raw_betweenness_total_matches_oracle_total():
         g = random_graph(rng, rng.randint(3, 8), 0.5)
         n = len(g.nodes)
         scale = (n - 1) * (n - 2) / 2.0
-        got_total = sum(by_node(centrality_table(g), "betweenness").values()) * scale
+        got = by_node(centrality_table(g, path_stats(g)), "betweenness")
+        got_total = sum(got.values()) * scale
         want_total = sum(naive_betweenness_raw(g).values())
         assert got_total == pytest.approx(want_total, abs=1e-9)
 
@@ -164,31 +173,28 @@ def test_near_complete_graph_keeps_exact_betweenness():
     """K5 minus a-b has more than half of all pairs tied, so its search
     sums over the absent ties; a and b still get exactly 0.0."""
     g = make_network([(x, y) for x, y in itertools.combinations("abcde", 2) if x + y != "ab"])
-    assert paths.path_stats(g).betweenness.tolist() == [0.0, 0.0, 1 / 3, 1 / 3, 1 / 3]
+    assert path_stats(g).betweenness.tolist() == [0.0, 0.0, 1 / 3, 1 / 3, 1 / 3]
 
 
-def test_structural_only_stats_give_the_full_table():
-    """Stats taken without betweenness are not enough for the table: it
-    runs its own full pass and gives the bytes of the one with no stats."""
+def test_structural_only_stats_are_refused():
+    """Stats taken without betweenness are not enough for the table, which
+    never runs a pass of its own: it refuses them, naming what is missing."""
     data = generate(SynthConfig(user_count=30, thread_count=20, post_count=200, seed=1))
     g = project(build_bipartite(data), "user")
-    want = centrality_table(g)
-    got = centrality_table(g, paths.path_stats(g, betweenness=False))
-    assert {k: v.tobytes() for k, v in got.columns.items()} == {
-        k: v.tobytes() for k, v in want.columns.items()
-    }
+    with pytest.raises(ValueError, match="betweenness"):
+        centrality_table(g, path_stats(g, betweenness=False))
 
 
 def test_vertex_transitive_graphs_have_uniform_centralities():
     for g in (cycle_graph(6), complete_graph(5)):
-        table = centrality_table(g)
+        table = centrality_table(g, path_stats(g))
         for measure in MEASURES:
             assert np.ptp(table.columns[measure]) < 1e-12
 
 
 def test_tree_leaves_have_zero_betweenness():
     tree = make_network([("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")])
-    values = by_node(centrality_table(tree), "betweenness")
+    values = by_node(centrality_table(tree, path_stats(tree)), "betweenness")
     for leaf in ("b", "c", "d"):
         assert values[leaf] == 0.0
 
@@ -202,14 +208,15 @@ def test_tree_leaves_have_zero_betweenness():
 )
 def test_centralities_bounded_property(pairs):
     g = make_network([(f"n{a}", f"n{b}") for a, b in pairs], nodes=[f"n{i}" for i in range(7)])
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     for measure in MEASURES:
         for value in table.columns[measure].tolist():
             assert -1e-12 <= value <= 1.0 + 1e-12
 
 
 def test_table_summaries_path3():
-    deg = summaries(centrality_table(path_graph(3)))["measures"]["degree"]
+    g = path_graph(3)
+    deg = summaries(centrality_table(g, path_stats(g)))["measures"]["degree"]
     assert deg["min"] == pytest.approx(0.5)
     assert deg["median"] == pytest.approx(0.5)
     assert deg["max"] == pytest.approx(1.0)
@@ -217,13 +224,14 @@ def test_table_summaries_path3():
 
 
 def test_table_single_node_all_zero():
-    table = centrality_table(make_network([], nodes=["solo"]))
+    g = make_network([], nodes=["solo"])
+    table = centrality_table(g, path_stats(g))
     assert [table.columns[measure].tolist() for measure in MEASURES] == [[0.0]] * 3
 
 
 def test_table_even_count_median_is_midpoint_mean():
     g = make_network([("a", "b"), ("c", "d")])
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     degrees = sorted(table.columns["degree"].tolist())
     expected = (degrees[1] + degrees[2]) / 2
     assert summaries(table)["measures"]["degree"]["median"] == pytest.approx(expected)
@@ -232,7 +240,7 @@ def test_table_even_count_median_is_midpoint_mean():
 def test_table_summaries_recomputable_from_rows():
     rng = random.Random(25)
     g = random_graph(rng, 8, 0.4)
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     for measure in MEASURES:
         values, summary = table.columns[measure], summaries(table)["measures"][measure]
         assert summary["min"] == pytest.approx(values.min())
@@ -245,7 +253,7 @@ def test_table_summaries_recomputable_from_rows():
 
 def test_table_histogram_sums_to_node_count():
     g = star_graph(6)
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     for measure in MEASURES:
         counts = [int(line.rsplit(",", 1)[1]) for line in histogram_csv(table, measure).split()[1:]]
         assert sum(counts) == len(g.nodes)
@@ -254,7 +262,7 @@ def test_table_histogram_sums_to_node_count():
 
 def test_table_includes_isolates():
     g = make_network([("a", "b")], nodes=["iso"])
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     assert [by_node(table, measure)["iso"] for measure in MEASURES] == [0.0] * 3
 
 
@@ -262,11 +270,12 @@ def test_core_set_threshold_examples():
     g = make_network(
         [("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("b", "c")],
     )
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     core = core_set(table, 0.20)
     assert "a" in core.members
     assert core_set(table, 0.0).members == set(g.nodes)
-    star = centrality_table(star_graph(6))
+    star_g = star_graph(6)
+    star = centrality_table(star_g, path_stats(star_g))
     assert core_set(star, 1.0).members == {"hub"}
     with pytest.raises(ValueError):
         core_set(table, 1.5)
@@ -274,13 +283,14 @@ def test_core_set_threshold_examples():
 
 def test_core_set_boundary_is_inclusive():
     g = star_graph(5)  # leaves at exactly 0.25
-    table = centrality_table(g)
+    table = centrality_table(g, path_stats(g))
     core = core_set(table, 0.25)
     assert core.members == set(g.nodes)
 
 
 def test_core_set_roles():
-    table = centrality_table(star_graph(4))
+    g = star_graph(4)
+    table = centrality_table(g, path_stats(g))
     core = core_set(table, 0.5, roles={"hub": "moderator"})
     assert core.roles["hub"] == "moderator"
     assert all(role == "unknown" for node, role in core.roles.items() if node != "hub")
@@ -323,8 +333,9 @@ def test_degree_ranking_invariant_under_weighting_flag():
         ("u4", "t3"): 1,
     }
     b = make_bipartite(incidence)
-    by_events = by_node(centrality_table(project(b, "user", "events")), "degree")
-    by_posts = by_node(centrality_table(project(b, "user", "posts")), "degree")
+    events, posts = project(b, "user", "events"), project(b, "user", "posts")
+    by_events = by_node(centrality_table(events, path_stats(events)), "degree")
+    by_posts = by_node(centrality_table(posts, path_stats(posts)), "degree")
     rank = lambda m: sorted(m, key=lambda k: (-m[k], k))
     assert rank(by_events) == rank(by_posts)
     assert by_events == by_posts
@@ -346,7 +357,8 @@ def test_bipartite_degree_centrality():
 
 
 def test_table_csv_shape():
-    text = table_csv(centrality_table(path_graph(3)))
+    g = path_graph(3)
+    text = table_csv(centrality_table(g, path_stats(g)))
     lines = text.splitlines()
     assert lines[0] == "node_id,degree,closeness,betweenness"
     assert len(lines) == 4
@@ -354,22 +366,25 @@ def test_table_csv_shape():
 
 
 def test_summaries_shape():
-    payload = summaries(centrality_table(path_graph(3)))
+    g = path_graph(3)
+    payload = summaries(centrality_table(g, path_stats(g)))
     assert set(payload["measures"]) == {"degree", "closeness", "betweenness"}
     assert payload["mode"] == "user"
 
 
 def test_histogram_csv_shape():
-    text = histogram_csv(centrality_table(path_graph(3)), "degree")
-    lines = text.splitlines()
+    g = path_graph(3)
+    table = centrality_table(g, path_stats(g))
+    lines = histogram_csv(table, "degree").splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert len(lines) == 51
     with pytest.raises(ValueError):
-        histogram_csv(centrality_table(path_graph(3)), "sway")
+        histogram_csv(table, "sway")
 
 
 def test_core_to_dict_shape():
-    core = core_set(centrality_table(star_graph(4)), 0.5, roles={"hub": "moderator"})
+    g = star_graph(4)
+    core = core_set(centrality_table(g, path_stats(g)), 0.5, roles={"hub": "moderator"})
     payload = core.to_dict()
     assert payload["threshold"] == 0.5
     assert payload["members"] == ["hub"]

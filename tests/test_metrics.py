@@ -72,18 +72,23 @@ def test_centralization_matches_degree_sequence_formula():
 
 
 def test_diameter_examples():
-    assert structural_report(path_graph(5)).diameter == 4
+    path5 = path_graph(5)
+    assert structural_report(path5, path_stats(path5)).diameter == 4
     two_triangles = make_network(
         [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")]
     )
-    assert structural_report(two_triangles).diameter == 1
-    assert structural_report(make_network([], nodes=["a"])).diameter == 0
+    assert structural_report(two_triangles, path_stats(two_triangles)).diameter == 1
+    single = make_network([], nodes=["a"])
+    assert structural_report(single, path_stats(single)).diameter == 0
 
 
 def test_avg_path_length_examples():
-    assert structural_report(path_graph(3)).avg_path_length == pytest.approx(4 / 3)
-    assert structural_report(complete_graph(4)).avg_path_length == pytest.approx(1.0)
-    assert structural_report(make_network([], nodes=["a", "b"])).avg_path_length == 0.0
+    for g, want in (
+        (path_graph(3), 4 / 3),
+        (complete_graph(4), 1.0),
+        (make_network([], nodes=["a", "b"]), 0.0),
+    ):
+        assert structural_report(g, path_stats(g)).avg_path_length == pytest.approx(want)
 
 
 def test_distances_match_floyd_warshall_oracle():
@@ -91,8 +96,9 @@ def test_distances_match_floyd_warshall_oracle():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.8]))
         want_diam, want_apl = oracle_diameter_apl(g)
-        assert structural_report(g).diameter == want_diam
-        assert structural_report(g).avg_path_length == pytest.approx(want_apl)
+        report = structural_report(g, path_stats(g))
+        assert report.diameter == want_diam
+        assert report.avg_path_length == pytest.approx(want_apl)
 
 
 def test_floyd_warshall_oracle_across_several_source_blocks(monkeypatch):
@@ -103,7 +109,8 @@ def test_floyd_warshall_oracle_across_several_source_blocks(monkeypatch):
 
 
 def test_structural_report_path3():
-    report = structural_report(path_graph(3))
+    g = path_graph(3)
+    report = structural_report(g, path_stats(g))
     assert report.n == 3
     assert report.m == 2
     assert report.density == pytest.approx(2 / 3)
@@ -116,7 +123,8 @@ def test_structural_report_path3():
 
 
 def test_structural_report_empty():
-    report = structural_report(make_network([]))
+    g = make_network([])
+    report = structural_report(g, path_stats(g))
     assert (report.n, report.m) == (0, 0)
     assert report.density == 0.0
     assert report.centralization == 0.0
@@ -128,7 +136,7 @@ def test_structural_report_empty():
 
 def test_component_bookkeeping():
     g = make_network([("a", "b"), ("b", "c"), ("x", "y")], nodes=["lone"])
-    report = structural_report(g)
+    report = structural_report(g, path_stats(g))
     assert report.component_count == 3
     assert report.largest_component_size == 3
     assert report.isolate_count == 1
@@ -137,10 +145,10 @@ def test_component_bookkeeping():
 def test_largest_component_tie_break_is_lexicographic():
     # two same-size components; the one holding the smallest id wins
     g = make_network([("m", "n"), ("n", "o"), ("a", "b"), ("b", "c")])
-    assert structural_report(g).diameter == 2
+    assert structural_report(g, path_stats(g)).diameter == 2
     g2 = make_network([("m", "n"), ("n", "o"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
     # larger component wins regardless of labels
-    assert structural_report(g2).diameter == 4
+    assert structural_report(g2, path_stats(g2)).diameter == 4
 
 
 @st.composite
@@ -165,11 +173,12 @@ def shuffled_components(draw):
 def test_components_and_isolates_match_oracle(g):
     assert path_stats(g).components == oracle_components(g)
     isolates = sum(1 for neighbors in adjacency_sets(g).values() if not neighbors)
-    assert structural_report(g).isolate_count == isolates
+    assert structural_report(g, path_stats(g)).isolate_count == isolates
 
 
 def test_report_mode_is_carried():
-    assert structural_report(path_graph(3)).mode == "user"
+    g = path_graph(3)
+    assert structural_report(g, path_stats(g)).mode == "user"
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,7 +194,7 @@ def test_measures_stay_in_unit_range(pairs, n):
     g = make_network(edges, nodes=[f"n{i}" for i in range(n)])
     assert 0.0 <= density(g) <= 1.0
     assert 0.0 <= degree_centralization(g) <= 1.0
-    rep = structural_report(g)
+    rep = structural_report(g, path_stats(g))
     assert rep.avg_path_length <= rep.diameter or len(g.nodes) < 2
 
 
@@ -201,7 +210,8 @@ def test_measures_invariant_under_relabeling():
         relabeled = make_network([(mapping[a], mapping[b]) for a, b in edges])
         assert density(relabeled) == pytest.approx(density(g))
         assert degree_centralization(relabeled) == pytest.approx(degree_centralization(g))
-        got, want = structural_report(relabeled), structural_report(g)
+        got = structural_report(relabeled, path_stats(relabeled))
+        want = structural_report(g, path_stats(g))
         assert got.diameter == want.diameter
         assert got.avg_path_length == pytest.approx(want.avg_path_length)
 
@@ -223,12 +233,14 @@ def test_adding_edge_monotonicity_on_connected_graphs():
                 list(edge_dict(current)) + [(a, b)], nodes=current.nodes
             )
             assert density(grown) >= density(current)
-            assert structural_report(grown).diameter <= structural_report(current).diameter
+            grown_diameter = structural_report(grown, path_stats(grown)).diameter
+            assert grown_diameter <= structural_report(current, path_stats(current)).diameter
             current = grown
 
 
 def test_report_to_dict_fields():
-    payload = structural_report(path_graph(3)).to_dict()
+    g = path_graph(3)
+    payload = structural_report(g, path_stats(g)).to_dict()
     expected_keys = {
         "mode",
         "n",
@@ -247,7 +259,7 @@ def test_report_to_dict_fields():
 
 def test_text_table_two_decimal_columns():
     table = format_structural_table(
-        [structural_report(path_graph(3)), structural_report(cycle_graph(4))]
+        [structural_report(g, path_stats(g)) for g in (path_graph(3), cycle_graph(4))]
     )
     lines = table.splitlines()
     assert "Density" in table and "Average path length" in table

@@ -6,6 +6,7 @@ CSR loop loaded on the first search only, without scipy.sparse."""
 
 import importlib.machinery
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -20,7 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumnet import cli, graph, paths
+from forumnet.graph import THREAD_MODE, USER_MODE
 from forumnet.ingest import dataset_to_json
+from forumnet.metrics import StructuralReport, format_structural_table
 from forumnet.paths import path_stats
 from forumnet.synth import SynthConfig, generate
 
@@ -316,6 +319,26 @@ def test_metrics_prints_the_same_table_without_the_brandes_sweep(tmp_path, monke
     assert sweeps == []
     path_stats(_sparse_graph(10, 20, seed=5))
     assert sweeps  # the counter sees the sweep where betweenness is asked for
+
+
+def test_metrics_prints_the_report_that_analyze_writes(tmp_path, capsys):
+    """metrics runs its pass without the sweep and analyze with it, from
+    separate call sites; on either operand the printed table is the one of
+    the structural report that analyze writes."""
+    data = _write_small_input(tmp_path)
+    no_figures = tmp_path / "config.json"
+    no_figures.write_text('{"figures": []}', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["analyze", "--data", str(data), "--out", str(out), "--config", str(no_figures)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    for mode in (USER_MODE, THREAD_MODE):
+        payload = json.loads((out / f"{mode}_structural.json").read_text(encoding="utf-8"))
+        payload.pop("provenance")
+        # more than half of all pairs tied: the pass takes the absent-ties operand
+        assert (payload["density"] > 0.5) == (mode == THREAD_MODE)
+        assert cli.main(["metrics", "--data", str(data), "--mode", mode]) == 0
+        assert capsys.readouterr().out == format_structural_table([StructuralReport(**payload)])
 
 
 SCIPY_LOADS = """

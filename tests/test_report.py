@@ -26,6 +26,8 @@ from forumnet.graph import USER_MODE, build_bipartite, project
 from forumnet.ingest import (
     POSTS_COLUMNS, START_COLUMN, activity_overview, dataset_to_json, load_dataset, posts_csv,
 )
+from forumnet.metrics import structural_report
+from forumnet.paths import path_stats
 from forumnet.report import PipelineConfig, run_pipeline
 from forumnet.synth import SynthConfig, generate
 from forumnet.text import json_text
@@ -65,33 +67,48 @@ def boom(*_, **__):
     raise RuntimeError("forced failure")
 
 
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def centrality_rows(path):
+    """The rows of a written centrality CSV, each measure as a float."""
+    with path.open(encoding="utf-8", newline="") as file:
+        return [
+            {key: value if key == "node_id" else float(value) for key, value in row.items()}
+            for row in csv.DictReader(file)
+        ]
+
+
 def test_toy_bundle_composition(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
-    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
-    assert bundle.user_report.n == 3
-    assert bundle.thread_report.n == 2
-    assert len(bundle.user_centrality.nodes) == 3
-    assert len(bundle.thread_centrality.nodes) == 2
-    figures = [a for a in bundle.artifacts if a.startswith("figures/")]
+    out = tmp_path / "out"
+    artifacts = run_pipeline(data, PipelineConfig(out_dir=out))
+    assert read_json(out / "user_structural.json")["n"] == 3
+    assert read_json(out / "thread_structural.json")["n"] == 2
+    assert len(centrality_rows(out / "user_centrality.csv")) == 3
+    assert len(centrality_rows(out / "thread_centrality.csv")) == 2
+    figures = [a for a in artifacts if a.startswith("figures/")]
     assert figures
-    for artifact in bundle.artifacts:
-        assert (tmp_path / "out" / artifact).is_file()
+    for artifact in artifacts:
+        assert (out / artifact).is_file()
 
 
 def test_empty_dataset_zero_reports_no_figures(tmp_path):
-    bundle = run_pipeline(dataset_from_posts([]), PipelineConfig(out_dir=tmp_path / "out"))
-    assert bundle.user_report.n == 0
-    assert bundle.thread_report.n == 0
-    assert bundle.core.members == set()
-    assert bundle.silent == []
-    assert not [a for a in bundle.artifacts if a.startswith("figures/")]
-    assert (tmp_path / "out" / "overview.json").is_file()
+    out = tmp_path / "out"
+    artifacts = run_pipeline(dataset_from_posts([]), PipelineConfig(out_dir=out))
+    assert read_json(out / "user_structural.json")["n"] == 0
+    assert read_json(out / "thread_structural.json")["n"] == 0
+    assert read_json(out / "core.json")["members"] == []
+    assert read_json(out / "silent.json")["users"] == []
+    assert not [a for a in artifacts if a.startswith("figures/")]
+    assert (out / "overview.json").is_file()
 
 
 def test_fixed_artifact_names(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
-    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
-    names = set(bundle.artifacts)
+    artifacts = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
+    names = set(artifacts)
     for expected in (
         "overview.json",
         "user_structural.json",
@@ -103,22 +120,21 @@ def test_fixed_artifact_names(tmp_path):
         "silent.json",
     ):
         assert expected in names
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == names - {"manifest.json"}
+    manifest = read_json(tmp_path / "out" / "manifest.json")
+    # run_pipeline returns the manifest's entries, in order, then the manifest
+    assert artifacts == [*manifest["artifacts"], "manifest.json"]
 
 
 def test_bundle_internal_consistency(tmp_path):
     data = generate(SynthConfig(user_count=25, thread_count=15, post_count=150, seed=12))
-    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
-    for table, report in (
-        (bundle.user_centrality, bundle.user_report),
-        (bundle.thread_centrality, bundle.thread_report),
-    ):
-        assert len(table.nodes) == report.n
-        written = tmp_path / "out" / f"{table.mode}_centrality_summary.json"
-        summaries = json.loads(written.read_text())["measures"]
+    out = tmp_path / "out"
+    run_pipeline(data, PipelineConfig(out_dir=out))
+    for mode in ("user", "thread"):
+        rows = centrality_rows(out / f"{mode}_centrality.csv")
+        assert len(rows) == read_json(out / f"{mode}_structural.json")["n"]
+        summaries = read_json(out / f"{mode}_centrality_summary.json")["measures"]
         for measure in MEASURES:
-            values, summary = table.columns[measure], summaries[measure]
+            values, summary = np.array([row[measure] for row in rows]), summaries[measure]
             assert summary["min"] == pytest.approx(values.min())
             assert summary["max"] == pytest.approx(values.max())
             assert summary["mean"] == pytest.approx(values.mean())
@@ -127,23 +143,25 @@ def test_bundle_internal_consistency(tmp_path):
 
 def test_structural_json_matches_bundle(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
-    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
-    payload = json.loads((tmp_path / "out" / "user_structural.json").read_text())
-    assert payload["n"] == bundle.user_report.n
-    assert payload["m"] == bundle.user_report.m
-    assert payload["density"] == bundle.user_report.density
+    run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out"))
+    payload = read_json(tmp_path / "out" / "user_structural.json")
+    payload.pop("provenance")
+    g = project(build_bipartite(data), USER_MODE)
+    assert payload == structural_report(g, path_stats(g)).to_dict()
 
 
 def test_provenance_embedded_everywhere(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
-    bundle = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "out", bipartite_norm=True))
+    config = PipelineConfig(out_dir=tmp_path / "out", bipartite_norm=True)
+    artifacts = run_pipeline(data, config)
+    provenance = report._provenance(data, config)
     checksum = hashlib.sha256(dataset_to_json(data).encode()).hexdigest()
-    assert bundle.provenance["input_sha256"] == checksum
-    written = [artifact for artifact in bundle.artifacts if artifact.endswith(".json")]
+    assert provenance["input_sha256"] == checksum
+    written = [artifact for artifact in artifacts if artifact.endswith(".json")]
     assert len(written) == 9  # overview, 2 structural, 2 summaries, core, silent, bipartite, manifest
     for artifact in written:
-        payload = json.loads((tmp_path / "out" / artifact).read_text())
-        assert payload["provenance"] == bundle.provenance
+        payload = read_json(tmp_path / "out" / artifact)
+        assert payload["provenance"] == provenance
         assert payload["provenance"]["input_sha256"] == checksum
         assert payload["provenance"]["tool"] == "forumnet"
 
@@ -174,8 +192,8 @@ def test_reruns_are_byte_identical(tmp_path):
     data = generate(SynthConfig(user_count=12, thread_count=9, post_count=60, seed=13))
     first = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "a"))
     second = run_pipeline(data, PipelineConfig(out_dir=tmp_path / "b"))
-    assert first.artifacts == second.artifacts
-    for artifact in first.artifacts:
+    assert first == second
+    for artifact in first:
         assert (tmp_path / "a" / artifact).read_bytes() == (
             tmp_path / "b" / artifact
         ).read_bytes()
@@ -209,10 +227,17 @@ def test_one_shortest_path_pass_per_projection(tmp_path, monkeypatch):
         monkeypatch.setattr(paths_module, name, wrapper)
 
     counted("_source_blocks")
-    counted("connected_components")
+    passes = []
+
+    def counted_pass(g, betweenness=True):
+        passes.append(betweenness)
+        return path_stats(g, betweenness)
+
+    monkeypatch.setattr(report, "path_stats", counted_pass)
     run_pipeline(dataset_from_posts(TOY_ROWS), PipelineConfig(out_dir=tmp_path / "out"))
-    # both toy projections are non-empty: one search each, and the
-    # components come from that search, not from a scan of their own
+    # both toy projections are non-empty: one full pass and one search each,
+    # read by both the structural report and the centrality table
+    assert passes == [True, True]
     assert calls == {"_source_blocks": 2}
 
 
@@ -234,9 +259,9 @@ def test_rerun_publishes_only_the_new_artifact_set(tmp_path):
     out_dir = tmp_path / "out"
     run_pipeline(data, PipelineConfig(out_dir=out_dir, bipartite_norm=True))
     assert (out_dir / "bipartite.json").is_file()
-    bundle = run_pipeline(data, PipelineConfig(out_dir=out_dir))
+    artifacts = run_pipeline(data, PipelineConfig(out_dir=out_dir))
     assert not (out_dir / "bipartite.json").exists()
-    assert sorted(tree(out_dir)) == sorted(bundle.artifacts)
+    assert sorted(tree(out_dir)) == sorted(artifacts)
     assert os.listdir(tmp_path) == ["out"]  # no stage or old directory beside it
 
 
@@ -404,7 +429,8 @@ def test_config_validation():
 
 
 def toy_user_table():
-    return centrality_table(project(build_bipartite(dataset_from_posts(TOY_ROWS)), USER_MODE))
+    g = project(build_bipartite(dataset_from_posts(TOY_ROWS)), USER_MODE)
+    return centrality_table(g, path_stats(g))
 
 
 @pytest.mark.parametrize(
@@ -456,10 +482,10 @@ def test_json_text_refuses_values_json_cannot_hold(value):
 
 def test_bipartite_norm_flag_adds_report(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
-    bundle = run_pipeline(
+    artifacts = run_pipeline(
         data, PipelineConfig(out_dir=tmp_path / "out", bipartite_norm=True)
     )
-    assert "bipartite.json" in bundle.artifacts
+    assert "bipartite.json" in artifacts
     payload = json.loads((tmp_path / "out" / "bipartite.json").read_text())
     assert payload["density"] == pytest.approx(4 / 6)
 
@@ -581,8 +607,9 @@ def test_library_and_cli_write_the_same_bytes(tmp_path):
     data = tmp_path / "posts.csv"
     data.write_text(posts_csv(generate(SynthConfig(user_count=12, thread_count=9,
                                                    post_count=60, seed=5))), encoding="utf-8")
-    bundle = run_pipeline(load_dataset(data), PipelineConfig(out_dir=tmp_path / "lib"))
-    assert bundle.provenance["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    run_pipeline(load_dataset(data), PipelineConfig(out_dir=tmp_path / "lib"))
+    stamped = read_json(tmp_path / "lib" / "overview.json")["provenance"]["input_sha256"]
+    assert stamped == hashlib.sha256(data.read_bytes()).hexdigest()
     assert cli.main(["analyze", "--data", str(data), "--out", str(tmp_path / "cli")]) == 0
     assert tree(tmp_path / "lib") == tree(tmp_path / "cli")
 
