@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .ingest import ForumDataset
 from .text import csv_cells, csv_text, tie_lines
 
@@ -128,6 +128,28 @@ def _sparsetools():
     return module
 
 
+def _total_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where the system
+    does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_fits(network: str, ties: int, nbytes: int) -> None:
+    """Refuse a network whose arrays, ``nbytes`` in all, exceed the
+    machine's total memory, before any of them is allocated: such a run
+    could only end killed. The total, not the memory free now, so a
+    refusal does not depend on the load."""
+    total = _total_memory()
+    if total is not None and nbytes > total:
+        raise InputError(
+            f"the {network} holds {ties:,} ties, {nbytes:,} bytes of arrays, "
+            f"more than this machine's {total:,} bytes of memory"
+        )
+
+
 def build_bipartite(data: ForumDataset) -> BipartiteNetwork:
     """Count posts per (user, thread); node sets come from the posts alone."""
     users = tuple(sorted({post.user_id for post in data.posts}))
@@ -169,7 +191,9 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
     every row holds its diagonal entry, and the product's symbolic size
     gives the tie count m before any tie is computed: the result is
     allocated once, and a batch fills it with the entries j > i of its
-    rows, each row sorted, and their ends in ``indptr``.
+    rows, each row sorted, and their ends in ``indptr``. A result and
+    batch that would exceed the machine's total memory are refused with
+    an ``InputError`` first.
     """
     if mode not in (USER_MODE, THREAD_MODE):
         raise ConfigError(f"unknown projection mode: {mode!r}")
@@ -198,6 +222,8 @@ def project(b: BipartiteNetwork, mode: str, weighting: str = WEIGHTINGS[0]) -> O
     batches = _batches(work)
     room = max((work[hi] - work[lo] for lo, hi in batches), default=0)
     m = (tools.csr_matmat_maxnnz(n, n, ptr, events, *members[:2]) - n) // 2
+    # the result's ends and weights, and one batch's columns and sums
+    _check_fits(f"{mode} projection", m, (m + room) * (np.dtype(index).itemsize + 8))
     indptr = np.zeros(n + 1, dtype=np.int64)
     edges, weights = np.empty(m, dtype=index), np.empty(m, dtype=np.int64)
     columns, sums = np.empty(room, dtype=index), np.empty(room, dtype=np.int64)

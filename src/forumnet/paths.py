@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import OneModeNetwork, _index_dtype, _sparsetools
+from .graph import OneModeNetwork, _check_fits, _index_dtype, _sparsetools
 
 SOURCE_BLOCK = 64  # sources searched together; memory grows with it, not with n
 # bytes that the workspaces of one pass may hold together: 8 workers at n = 50k
@@ -87,16 +87,23 @@ def adjacency_matrix(g: OneModeNetwork) -> Adjacency:
     CSR rows, no copy when of the index dtype; or, when more than half of
     all pairs are tied (4m > n(n - 1)), Ā's, row i read in an n-byte row.
     The lower half is its transpose by ``csr_tocsc`` (Gustavson's permuted
-    transposition), which leaves each row ascending."""
+    transposition), which leaves each row ascending. An operand that would
+    exceed the machine's total memory is refused with an ``InputError``
+    before its ties are allocated."""
     n, indptr, ends = len(g.nodes), g.indptr, g.edges
     if absent := 4 * len(ends) > n * (n - 1):
         indptr = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1) - np.diff(g.indptr))])
-        ends, row = np.empty(indptr[-1], dtype=_index_dtype(max(n, indptr[-1]))), np.empty(n, bool)
+    k = int(indptr[-1])
+    index = _index_dtype(max(n, k))
+    # both halves' ends, the float64 data and csr_tocsc's two bool operands
+    operand = f"{'absent-ties' if absent else 'ties'} operand of the {g.mode} projection"
+    _check_fits(operand, k, k * (2 * np.dtype(index).itemsize + 8 + 2))
+    if absent:
+        ends, row = np.empty(k, dtype=index), np.empty(n, bool)
         for i, j in enumerate(np.split(g.edges, g.indptr[1:-1])):  # row i's ends j > i
             row[: i + 1], row[i + 1 :] = False, True
             row[j] = False
             ends[indptr[i] : indptr[i + 1]] = np.flatnonzero(row)
-    index, k = _index_dtype(max(n, len(ends))), len(ends)
     upper = (indptr.astype(index), ends.astype(index, copy=False))
     lower = (np.empty(n + 1, dtype=index), np.empty(k, dtype=index))
     _sparsetools().csr_tocsc(n, n, *upper, np.ones(k, dtype=bool), *lower, np.empty(k, dtype=bool))

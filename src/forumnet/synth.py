@@ -5,15 +5,19 @@ a preferentially-attached core of heavy posters (tunable via
 ``skew_alpha``), boosted moderators, and silent initiators whose threads
 never attract anybody else. Everything is driven by one sequential
 seeded random stream, so a config is a complete recipe for its dataset.
+An author draw takes O(log users) on a Fenwick tree, so a dataset is made
+in O(posts · log users), with the draws of a linear scan over the weights
+(see ``_PreferentialPicker``).
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import ConfigError
 from .ingest import ForumDataset, PostRecord, UserProfile
@@ -86,34 +90,85 @@ class _PreferentialPicker:
 
     Weights update as posts accumulate, so early winners keep winning;
     the +1 smoothing lets idle users enter at all. A draw takes the first
-    user whose running sum of weights exceeds ``random() * total``.
+    user whose running sum of weights, added in user order, exceeds
+    ``random() * total``, or the last user when none does.
+
+    The running sums are not formed per draw. A Fenwick tree over the
+    weights (P. M. Fenwick, "A new data structure for cumulative frequency
+    tables", Software: Practice and Experience 24(3), 1994) holds partial
+    sums, and a draw descends it to a candidate in O(log n); a post adds
+    its weight change along one path, and the tree is rebuilt from the
+    weights every n updates. The tree adds in another order than the scan,
+    so its prefix sums may differ from the scan's in the last bits. The
+    weights are positive, so a sum of them in any order, and a tree node
+    after its updates since the last rebuild, is off by at most about 2n
+    rounding errors of 2**-53 relative to its value: about 1e-11 at 50,000
+    users, far below ``EXACT_MARGIN``. A target within that margin of the
+    candidate's lower or upper prefix sum, or past the tree's last sum,
+    takes the scan itself, so the draw is always the scan's.
     """
+
+    EXACT_MARGIN = 1e-9  # relative to a prefix sum
 
     def __init__(self, alpha, boosts, rng):
         self.alpha, self.boosts, self.rng = alpha, boosts, rng
         self.counts = [0] * len(boosts)
-        weights = [self._weight(i) for i in range(len(boosts))]
-        self.total = sum(weights)  # a Python float, summed in index order
-        self.weights = np.array(weights, dtype=np.float64)
+        self.weights = [self._weight(i) for i in range(len(boosts))]
+        self.total = sum(self.weights)  # summed in index order, then updated per post
+        self.rebuild()
 
     def _weight(self, index: int) -> float:
         try:
             return (self.counts[index] + 1.0 + self.boosts[index]) ** self.alpha
         except OverflowError:
-            return np.inf  # the total turns infinite and the next draw refuses it
+            return math.inf  # the total turns infinite and the next draw refuses it
+
+    def rebuild(self) -> None:
+        """The tree from the weights: node i (from 1) sums the weights of
+        users i - (i & -i) to i - 1."""
+        n = len(self.weights)
+        self.tree = tree = [0.0, *self.weights]
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                tree[parent] += tree[i]
+        self.updates = 0
 
     def record(self, index: int) -> None:
         self.counts[index] += 1
         new_weight = self._weight(index)
-        self.total += new_weight - self.weights.item(index)
+        change = new_weight - self.weights[index]
+        self.total += change
         self.weights[index] = new_weight
+        tree, n = self.tree, len(self.weights)
+        self.updates += 1
+        if self.updates == n:
+            self.rebuild()
+            return
+        node = index + 1
+        while node <= n:
+            tree[node] += change
+            node += node & -node
 
     def pick(self) -> int:
-        if not np.isfinite(self.total):
+        if not math.isfinite(self.total):
             raise ConfigError(f"skew_alpha {self.alpha!r} overflows the attachment weights")
         target = self.rng.random() * self.total
-        found = np.searchsorted(np.cumsum(self.weights), target, side="right")
-        index = min(int(found), len(self.weights) - 1)
+        tree, weights, n = self.tree, self.weights, len(self.weights)
+        # the last user whose tree prefix sum is at most the target
+        index, lower, step = 0, 0.0, 1 << (n.bit_length() - 1)
+        while step:
+            node = index + step
+            if node <= n:
+                reached = lower + tree[node]
+                if reached <= target:
+                    index, lower = node, reached
+            step >>= 1
+        margin = self.EXACT_MARGIN
+        if index == n or target - lower <= margin * lower or (
+            (upper := lower + weights[index]) - target <= margin * upper
+        ):
+            index = min(bisect_right(list(accumulate(weights)), target), n - 1)
         self.record(index)
         return index
 

@@ -5,7 +5,12 @@ CSV has a header row and ``\\n``-terminated rows. The ``csv`` module
 writes a float as ``repr`` does, in its shortest round-trip form, so a
 float column reads back to the same bits. JSON has sorted keys, a
 two-space indent and a trailing newline, and never holds NaN or Infinity,
-which are not JSON.
+which are not JSON: the bytes that ``json.dumps`` writes with a two-space
+``indent``, ``sort_keys`` and no ``allow_nan``. With an indent, ``json``
+encodes in Python, so ``json_text`` gives each container of scalars, and each list
+of such dicts, to json's C encoder in one call, with the line break and
+indent of its items as the item separator; records are then indented by
+one ``str.replace`` (see ``_json``). Other values are walked in Python.
 
 A network's tie lines come from ``tie_lines``: the caller formats one
 left and one right piece per node and one tail per distinct weight, and
@@ -19,8 +24,10 @@ bounded by a chunk and the distinct weights, whatever the tie count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +54,67 @@ def csv_cells(values: Iterable[str]) -> list[str]:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``payload`` as json's indented encoder writes it (two spaces,
+    sorted keys, no NaN or Infinity) and a newline: the same bytes, with
+    the flat containers and record lists each written by one call to
+    json's C encoder."""
+    return _json(payload, "\n") + "\n"
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+@functools.cache
+def _flat(separator: str) -> Callable[[object], str]:
+    """json's C encoder, on one line but with ``separator`` between items."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(separator, ": ")).encode
+
+
+def _key(key) -> str:
+    """A dict key as the indented encoder writes it: a string, or another
+    scalar in quotes."""
+    if isinstance(key, str):
+        return _scalar(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as the indented encoder writes it where ``newline`` breaks
+    its lines: the line break and the indent of its own depth."""
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return _scalar(value)
+    if not value:
+        return brackets
+    inner = newline + "  "
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        # scalars only: the items, one to a line
+        return brackets[0] + inner + _flat("," + inner)(value)[1:-1] + newline + brackets[1]
+    if (
+        kinds == {dict}
+        and not isinstance(value, dict)
+        and all(value)
+        and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS
+    ):
+        # records: json escapes every control character, so a line break
+        # in the encoded text is an item separator, and "}," + break + "{"
+        # lies between two records and nowhere else
+        deeper = inner + "  "
+        body = _flat("," + deeper)(value)[2:-2]
+        body = body.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + body + inner + "}" + newline + "]"
+    if isinstance(value, dict):
+        parts = (_key(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+    else:
+        parts = (_json(v, inner) for v in value)
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
 
 
 def tie_lines(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import escape, quoteattr
@@ -453,6 +454,11 @@ def scan_pick(weights, target: float) -> int:
         if target < acc:
             return i
     return len(weights) - 1
+
+
+def oracle_json_text(payload) -> str:
+    """``text.json_text`` as json's indented encoder writes it, in Python."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def oracle_edge_list_csv(g: OneModeNetwork) -> str:

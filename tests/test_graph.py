@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumnet import graph
+from forumnet.errors import InputError
 from forumnet.graph import WEIGHTINGS, build_bipartite, edge_list_csv, node_list_csv, project
 from forumnet.synth import SynthConfig, generate
 from forumnet.viz import ThinningSpec, _drawing, export_graph, thin
@@ -327,3 +328,22 @@ def test_project_memory_is_the_network_plus_one_batch(monkeypatch):
             held = g.edges.nbytes + g.weights.nbytes + g.node_attr.nbytes
             peak = traced_peak(lambda: project(b, mode, weighting))
             assert peak <= held + operands + 32 * graph.PROJECT_BATCH, (mode, weighting)
+
+
+def test_projection_that_cannot_fit_is_refused_before_it_is_held(monkeypatch):
+    """One user in 2,000 threads ties every pair of threads: 1,999,000
+    ties, 24 MB of ends and weights. On a machine of 1 MiB, ``project``
+    refuses them as an input fault before it allocates any of them."""
+    b = bip({("u", f"t{i:04d}"): 1 for i in range(2000)})
+    monkeypatch.setattr(graph, "_total_memory", lambda: 1 << 20)
+    assert len(project(b, "user").edges) == 0  # one node: it fits
+
+    def refused():
+        with pytest.raises(InputError) as caught:
+            project(b, "thread")
+        assert str(caught.value).startswith("the thread projection holds 1,999,000 ties, ")
+        assert str(caught.value).endswith(
+            " bytes of arrays, more than this machine's 1,048,576 bytes of memory"
+        )
+
+    assert traced_peak(refused) < 1_999_000  # not even a byte per tie

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumnet import cli, graph, paths
+from forumnet.errors import InputError
 from forumnet.graph import THREAD_MODE, USER_MODE
 from forumnet.ingest import dataset_to_json
 from forumnet.metrics import StructuralReport, format_structural_table
@@ -339,6 +340,41 @@ def test_metrics_prints_the_report_that_analyze_writes(tmp_path, capsys):
         assert (payload["density"] > 0.5) == (mode == THREAD_MODE)
         assert cli.main(["metrics", "--data", str(data), "--mode", mode]) == 0
         assert capsys.readouterr().out == format_structural_table([StructuralReport(**payload)])
+
+
+def test_operand_that_cannot_fit_is_refused():
+    """An operand holds 18 bytes per tie at int32 ends: two halves' ends,
+    float64 data and two bool operands for the transposition. One byte
+    short of that in total memory is refused, exactly that is built; for
+    A's ties and for Ā's."""
+    sparse = from_rows("abcde", [(0, 1), (1, 2), (2, 3), (3, 4)], [1] * 4, mode="thread")
+    dense = from_rows("abcdef", [(i, j) for i in range(6) for j in range(i + 2, 6)], [1] * 10)
+    for g, ties, name in ((sparse, 4, "ties operand of the thread"),
+                          (dense, 5, "absent-ties operand of the user")):
+        for memory in (18 * ties - 1, 18 * ties):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph, "_total_memory", lambda: memory)
+                if memory < 18 * ties:
+                    with pytest.raises(InputError, match=(
+                        f"^the {name} projection holds {ties} ties, {18 * ties} bytes of arrays, "
+                        f"more than this machine's {memory} bytes of memory$"
+                    )):
+                        paths.adjacency_matrix(g)
+                else:
+                    assert len(paths.adjacency_matrix(g).upper[1]) == ties
+
+
+def test_a_run_that_cannot_fit_exits_1(tmp_path, monkeypatch, capsys):
+    """metrics and analyze name the projection that does not fit, the
+    thread one, exit 1, and analyze publishes nothing."""
+    data = _write_small_input(tmp_path)
+    monkeypatch.setattr(graph, "_total_memory", lambda: 100_000)
+    assert cli.main(["metrics", "--data", str(data), "--mode", "thread"]) == 1
+    assert capsys.readouterr().err.startswith("error: the thread projection holds ")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: the thread projection holds ")
+    assert not out.exists()
 
 
 SCIPY_LOADS = """

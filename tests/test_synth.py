@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumnet import synth
 from forumnet.centrality import silent_initiators
 from forumnet.errors import ConfigError
 from forumnet.graph import build_bipartite, project
@@ -236,6 +238,27 @@ def test_generated_dataset_is_byte_pinned(cfg, digest):
     assert hashlib.sha256(dataset_to_json(generate(cfg)).encode()).hexdigest() == digest
 
 
+def test_skewed_dataset_through_rebuilds_and_scans_is_byte_pinned():
+    """5,000 users at alpha 1.5: the 29,900 posts of the 4,986 regular
+    users rebuild the picker's tree five times after it is built, and one
+    draw falls within the margin of a prefix sum and takes the scan. The
+    digest is the linear-scan picker's."""
+    cfg = SynthConfig(
+        user_count=5000, thread_count=5000, post_count=30000, skew_alpha=1.5, seed=1,
+        moderator_count=10, silent_initiator_count=4,
+    )
+    rebuild, scan = _PreferentialPicker.rebuild, synth.bisect_right
+    with mock.patch.object(
+        _PreferentialPicker, "rebuild", autospec=True, side_effect=rebuild
+    ) as rebuilds, mock.patch.object(synth, "bisect_right", wraps=scan) as scans:
+        text = dataset_to_json(generate(cfg))
+    assert rebuilds.call_count == 1 + 5 and scans.call_count == 1
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "0a785e3021b2d53ccb7110ae55542f7aca2c5676bb69c82e1d7958826bebbc0e"
+    )
+
+
 class _FixedDraw:
     """An rng whose every draw is ``value``."""
 
@@ -250,6 +273,7 @@ def picked(weights, target: float) -> int:
     """The index the picker draws over ``weights`` when its target is ``target``."""
     picker = _PreferentialPicker(1.0, [0.0] * len(weights), _FixedDraw(target))
     picker.weights[:] = weights
+    picker.rebuild()
     picker.total = 1.0  # random() * total is then the target itself
     return picker.pick()
 
@@ -279,6 +303,10 @@ def test_pick_skips_weights_too_small_to_move_the_sum():
     weights = [1.0, 2.0**-60, 2.0**-60, 1.0]
     assert picked(weights, 1.0) == scan_pick(weights, 1.0) == 3
     assert picked(weights, 2.0) == scan_pick(weights, 2.0) == 3  # past the last sum
+    # the tree adds the first four weights to 3.7000000000010003 and the scan
+    # to 3.700000000001, so on the scan's next sum the tree's candidate is 4
+    weights = [1e-12, 0.7, 3.0, 2.0**-53, 1e-12, 0.3]
+    assert picked(weights, 3.700000000002) == scan_pick(weights, 3.700000000002) == 5
 
 
 def test_overflowing_alpha_raises_config_error():

@@ -1,5 +1,6 @@
-"""Tie sections written from per-node pieces: the same bytes as one
-formatted line per tie, in every writer and at every chunk boundary."""
+"""JSON documents with the bytes of json's indented encoder, and tie
+sections written from per-node pieces: the same bytes as one formatted
+line per tie, in every writer and at every chunk boundary."""
 
 from unittest import mock
 
@@ -10,13 +11,100 @@ from hypothesis import strategies as st
 
 from forumnet import text
 from forumnet.graph import WEIGHTINGS, OneModeNetwork, edge_list_csv, project
-from forumnet.text import tie_lines
+from forumnet.text import json_text, tie_lines
 from forumnet.viz import EXPORT_FORMATS, _drawing, export_graph
 
-from helpers import from_rows, make_bipartite, oracle_edge_list_csv, oracle_export
+from helpers import (
+    from_rows,
+    make_bipartite,
+    oracle_edge_list_csv,
+    oracle_export,
+    oracle_json_text,
+)
 
 # names that CSV quotes, DOT and XML escape, and that are not ASCII
 NAMES = st.text(alphabet=list("ab1,\"'\\\r\n\t <&>é字"), max_size=4)
+
+
+# strings that hold a record boundary of the encoded text, raw control
+# characters, quotes, backslashes and text that is not ASCII
+JSON_STRINGS = st.one_of(
+    st.text(alphabet=list('},\n {"\\\x00\x1f\x7f\t\ré字😀a'), max_size=8),
+    st.sampled_from(["},\n    {", "},\n  {", "\n  },\n  {\n    "]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),  # past int64 both ways
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308]),
+    JSON_STRINGS,
+)
+
+
+def json_dicts(values, **size):
+    """Dicts of ``values`` under string keys or under int keys: json
+    sorts a dict's keys, so they must compare with each other."""
+    return st.one_of(
+        st.dictionaries(JSON_STRINGS, values, **size),
+        st.dictionaries(st.integers(-(2**64), 2**64), values, **size),
+    )
+
+
+def json_containers(children):
+    records = st.lists(json_dicts(JSON_SCALARS, min_size=1), min_size=1, max_size=4)
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        json_dicts(children, max_size=4),
+        records,
+        records.map(tuple),
+    )
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, json_containers, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_matches_the_indented_encoder(payload):
+    """Flat containers, record lists, and everything nested around them."""
+    assert json_text(payload) == oracle_json_text(payload)
+
+
+def test_json_text_examples():
+    for payload in (
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": (), "d": [{}], "e": [[]]},
+        [{"a": 1, "b": "},\n    {"}, {"a": None, "c": True}],
+        [{"a": 1}, {}],
+        [{"a": {"b": 1}}, {"a": [1]}],
+        {"posts": [{"id": "p1", "x": -0.0}], "rejected": [], "users": [{"id": "u\u0001é"}]},
+        {1: 2**64, 3: [1e16, 5e-324]},
+        [{True: 1}, {None: 2}, {1.5: 3, 2: 4}],
+        {"x": {True: 1}, "y": {None: 2}, "z": {1.5: 3, 2: [4]}},
+    ):
+        assert json_text(payload) == oracle_json_text(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda bad: bad,
+        lambda bad: [1, bad],
+        lambda bad: {"a": "b", "c": bad},
+        lambda bad: [{"a": 1}, {"a": 2, "b": bad}],
+        lambda bad: {"a": [{"b": [1, {"c": bad}]}]},
+        lambda bad: {bad: 1},
+    ],
+    ids=["alone", "flat list", "flat dict", "record list", "nested", "key"],
+)
+def test_json_text_refuses_nan_and_infinity(bad, place):
+    with pytest.raises(ValueError):
+        json_text(place(bad))
 
 
 def first_difference(written: str, expected: str):
