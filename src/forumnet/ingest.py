@@ -391,7 +391,7 @@ def activity_overview(data: ForumDataset, period: str = PERIODS[0]) -> ActivityO
         post_count=len(data.posts),
         posts_per_user=dict(posts_per_user),
         posts_per_forum_per_period=dict(cells),
-        profession_breakdown=dict(professions) if data.users else {},
+        profession_breakdown=dict(professions),
     )
 
 

@@ -4,9 +4,9 @@ average path length, and the structural and two-mode reports.
 All measures work on the binary view of a network; tie weights never
 matter here. Diameter and average path length are computed within the
 largest connected component, with component counts reported alongside so
-nothing is silently dropped. They and the component and isolate counts
-are read from the ``paths.path_stats`` pass the caller gives, the same
-pass the centrality table reads; the report never runs one itself.
+nothing is silently dropped. ``structural_report`` aggregates them from
+the per-node arrays of the ``paths.path_stats`` pass the caller gives,
+the same pass the centrality table reads; the report never runs one itself.
 ``StructuralReport.to_dict`` is the payload that ``report`` writes as
 ``<mode>_structural.json``.
 """
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 from .graph import THREAD_MODE, USER_MODE, OneModeNetwork
@@ -61,24 +63,35 @@ def degree_centralization(g: OneModeNetwork) -> float:
 
 def structural_report(g: OneModeNetwork, stats: PathStats) -> StructuralReport:
     """All structural measures plus component metadata, the path-based ones
-    read from ``stats``: the network's ``path_stats``, with or without the
-    betweenness sweep.
+    aggregated from ``stats``: the network's ``path_stats``, with or without
+    the betweenness sweep.
     """
     n = len(g.nodes)
     if n == 0:
         return StructuralReport(g.mode, 0, 0, 0.0, 0.0, 0, 0.0, 0, 0, 0)
+    sizes = np.bincount(stats.component)
+    size = int(sizes.max())
+    # ties on size break toward the component holding the smallest name, whatever the node order
+    first = min(np.flatnonzero(sizes[stats.component] == size).tolist(), key=g.nodes.__getitem__)
+    ids = np.flatnonzero(stats.component == stats.component[first])
+    diameter, apl = 0, 0.0
+    if size > 1:
+        diameter = int(stats.eccentricity[ids].max())
+        # each unordered pair appears in the distance sums of both ends
+        pair_sum = int(stats.distance_sum[ids].sum()) // 2
+        apl = float(pair_sum) / (size * (size - 1) / 2)
     return StructuralReport(
         mode=g.mode,
         n=n,
         m=len(g.edges),
         density=density(g),
         centralization=degree_centralization(g),
-        diameter=stats.diameter,
-        avg_path_length=stats.avg_path_length,
-        component_count=len(stats.components),
-        largest_component_size=len(stats.components[0]),
+        diameter=diameter,
+        avg_path_length=apl,
+        component_count=int(np.count_nonzero(sizes)),
+        largest_component_size=size,
         # a degree-0 node is exactly a single-node component
-        isolate_count=sum(1 for comp in stats.components if len(comp) == 1),
+        isolate_count=int(np.count_nonzero(sizes == 1)),
     )
 
 

@@ -3,10 +3,10 @@
 One all-sources breadth-first search per network feeds every path-based
 measure. ``path_stats`` runs it once, counting shortest paths as it goes,
 accumulates Brandes dependencies from the same levels, and keeps only
-per-node results: components, the largest component's diameter and
-average path length, closeness inputs and raw betweenness. Each node is
-labelled with the smallest index it reaches, and those labels give the
-components, isolates included.
+per-node arrays: reach, distance sums, eccentricities, component labels
+and raw betweenness, which ``metrics.structural_report`` aggregates. A
+node's label is the smallest index it reaches, so nodes share a label
+exactly when they share a component, isolates included.
 
 The search is level-synchronous over ``SOURCE_BLOCK`` sources at a time,
 and the blocks run on a pool of threads, one per core this process may
@@ -56,15 +56,14 @@ WORKSPACE_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class PathStats:
-    """Path-based figures of one network; arrays are per node, in node
-    order. Nothing here is n x n: each block of the search is dropped once
-    these are read from it."""
+    """The per-node figures of one shortest-path pass, one entry per node
+    in node order. Nothing here is n x n: each block of the search is
+    dropped once these are read from it."""
 
-    components: list[list[str]]  # sorted node lists, largest first
-    diameter: int  # longest shortest path inside the largest component
-    avg_path_length: float  # mean over the largest component's unordered pairs
     reach: np.ndarray  # other nodes each node reaches
     distance_sum: np.ndarray  # total hops to those nodes
+    eccentricity: np.ndarray  # hops to the farthest of them
+    component: np.ndarray  # component label: the smallest index each node reaches
     betweenness: np.ndarray | None  # raw Brandes betweenness; None when not asked for
 
 
@@ -287,48 +286,27 @@ def _block_figures(sources: np.ndarray, dist: np.ndarray, delta: np.ndarray | No
     return sources, reach, hops + (n - 1 - reach), eccentricity, labels, dependency
 
 
-def _components(nodes: tuple[str, ...], labels: np.ndarray) -> list[tuple[list[str], np.ndarray]]:
-    """Components as (sorted node list, index array) pairs, largest first.
-    Two nodes share a component exactly when one reaches the other, so
-    nodes with the same label (smallest index reached) form one. Ties on
-    size break toward the component holding the lexicographically smallest
-    node, so "the largest component" is deterministic."""
-    if not nodes:
-        return []
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    components = [(sorted(nodes[i] for i in ids), ids) for ids in groups]
-    components.sort(key=lambda comp: (-len(comp[0]), comp[0][0]))
-    return components
-
-
 def path_stats(g: OneModeNetwork, betweenness: bool = True) -> PathStats:
     """Every path-based figure of ``g`` from one shortest-path pass;
     ``betweenness=False`` skips the Brandes sweep and leaves it None."""
     n = len(g.nodes)
-    reach, distance_sum, eccentricity, labels = (np.zeros(n, dtype=np.int64) for _ in range(4))
+    reach, distance_sum, eccentricity, component = (np.zeros(n, dtype=np.int64) for _ in range(4))
     total = np.zeros(n) if betweenness else None
     blocks = _source_blocks(adjacency_matrix(g), _block_figures, betweenness)
     for sources, *figures, dependency in blocks:
-        reach[sources], distance_sum[sources], eccentricity[sources], labels[sources] = figures
+        reach[sources], distance_sum[sources], eccentricity[sources], component[sources] = figures
         if betweenness:
             total += dependency  # in source order, whatever order the blocks finished in
     if betweenness:
         total /= 2.0  # each unordered pair was visited from both endpoints
-    components = _components(g.nodes, labels)
-    ids = components[0][1] if components else labels  # labels is empty then
-    size = len(ids)
-    if size > 1:
-        diameter = int(eccentricity[ids].max())
-        # each unordered pair appears in the distance sums of both ends
-        pair_sum = int(distance_sum[ids].sum()) // 2
-        apl = float(pair_sum) / (size * (size - 1) / 2)
-    else:
-        diameter, apl = 0, 0.0
-    return PathStats([comp for comp, _ in components], diameter, apl, reach, distance_sum, total)
+    return PathStats(reach, distance_sum, eccentricity, component, total)
 
 
 def connected_components(g: OneModeNetwork) -> list[list[str]]:
-    """Components as sorted node lists, largest first, from a path pass of
-    their own without betweenness; ``path_stats`` reads them from its pass."""
-    return path_stats(g, betweenness=False).components
+    """Components as sorted node lists, largest first, ties toward the one
+    holding the lexicographically smallest node: the nodes of one label in a
+    path pass of their own, without betweenness."""
+    groups: dict[int, list[str]] = {}
+    for node, label in zip(g.nodes, path_stats(g, betweenness=False).component.tolist()):
+        groups.setdefault(label, []).append(node)
+    return sorted((sorted(nodes) for nodes in groups.values()), key=lambda comp: (-len(comp), comp[0]))

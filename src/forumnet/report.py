@@ -111,7 +111,6 @@ def _provenance(data: ForumDataset, config: PipelineConfig) -> dict:
         checksum = hashlib.sha256(dataset_to_json(data).encode("utf-8")).hexdigest()
     snapshot = asdict(config)
     snapshot.pop("out_dir")
-    snapshot["figures"] = list(config.figures)
     return {
         "tool": "forumnet",
         "version": __version__,

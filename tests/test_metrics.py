@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumnet import paths
@@ -17,7 +17,7 @@ from forumnet.metrics import (
     format_structural_table,
     structural_report,
 )
-from forumnet.paths import path_stats
+from forumnet.paths import connected_components, path_stats
 
 from helpers import (
     adjacency_sets,
@@ -170,10 +170,19 @@ def shuffled_components(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(shuffled_components())
+# two components of three: the lower indices hold a path of the larger names,
+# so the smallest label is not the component holding the smallest name
+@example(one_mode(["v03", "v04", "v05", "v00", "v01", "v02"],
+                  {("v03", "v04"): 1, ("v04", "v05"): 1,
+                   ("v00", "v01"): 1, ("v01", "v02"): 1, ("v00", "v02"): 1}))
 def test_components_and_isolates_match_oracle(g):
-    assert path_stats(g).components == oracle_components(g)
+    assert connected_components(g) == oracle_components(g)
+    report = structural_report(g, path_stats(g))
     isolates = sum(1 for neighbors in adjacency_sets(g).values() if not neighbors)
-    assert structural_report(g, path_stats(g)).isolate_count == isolates
+    assert report.isolate_count == isolates
+    diameter, apl = oracle_diameter_apl(g)
+    assert report.diameter == diameter
+    assert report.avg_path_length == pytest.approx(apl)
 
 
 def test_report_mode_is_carried():

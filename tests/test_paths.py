@@ -30,7 +30,7 @@ from forumnet.synth import SynthConfig, generate
 
 from helpers import from_rows, one_mode, symmetric_operand, tie_rows, traced_peak
 
-ARRAYS = ("reach", "distance_sum", "betweenness")
+ARRAYS = ("reach", "distance_sum", "eccentricity", "component", "betweenness")
 
 
 @st.composite
@@ -75,8 +75,6 @@ def test_figures_do_not_depend_on_the_worker_count(g, block, workers, rng):
         monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
         one = _stats_with(monkeypatch, g, 1, rng)
         many = _stats_with(monkeypatch, g, workers, rng)
-    assert (one.components, one.diameter, one.avg_path_length) == (
-        many.components, many.diameter, many.avg_path_length)
     for name in ARRAYS:
         assert getattr(one, name).tobytes() == getattr(many, name).tobytes(), name
 
@@ -195,8 +193,6 @@ def test_int64_operand_gives_the_same_figures(monkeypatch, p):
         assert indptr.dtype == indices.dtype == np.int64
     assert adj.absent == (p > 0.5)
     got = path_stats(g)
-    assert (got.components, got.diameter, got.avg_path_length) == (
-        want.components, want.diameter, want.avg_path_length)
     for name in ARRAYS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -517,5 +513,5 @@ def test_level_products_visit_under_half_the_ties_of_full_ones(monkeypatch):
     stub = SimpleNamespace(csr_matvecs=counting, csr_tocsc=tools.csr_tocsc)
     monkeypatch.setattr(paths, "_sparsetools", lambda: stub)
     stats = path_stats(g)
-    assert stats.diameter == 299
+    assert stats.eccentricity.max() == 299
     assert visited and sum(visited) < 0.5 * len(visited) * stored

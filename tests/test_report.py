@@ -154,7 +154,8 @@ def test_provenance_embedded_everywhere(tmp_path):
     data = dataset_from_posts(TOY_ROWS)
     config = PipelineConfig(out_dir=tmp_path / "out", bipartite_norm=True)
     artifacts = run_pipeline(data, config)
-    provenance = report._provenance(data, config)
+    # as JSON reads it back: the config's tuple of figure networks is an array
+    provenance = json.loads(json.dumps(report._provenance(data, config)))
     checksum = hashlib.sha256(dataset_to_json(data).encode()).hexdigest()
     assert provenance["input_sha256"] == checksum
     written = [artifact for artifact in artifacts if artifact.endswith(".json")]
